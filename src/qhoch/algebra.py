@@ -14,7 +14,8 @@ chi_{g,i} a root of unity.  The skew product on Lambda x kG is
 
 from __future__ import annotations
 
-from .scalars import CycloField, Scalar, Unit, Universe
+from .linalg import SparseVector, accumulate
+from .scalars import CycloField, Universe
 
 
 class Group:
@@ -173,15 +174,11 @@ class Algebra:
         return self.chi_prod(g, mono)
 
 
-class SkewElement:
+class SkewElement(SparseVector):
     """Element of the skew group algebra in normal form: a sparse map
     (monomial, group element) -> Scalar."""
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg, terms=None):
-        self.alg = alg
-        self.terms = {} if terms is None else terms
+    __slots__ = ()
 
     @staticmethod
     def basis(alg, mono, g, coeff=None):
@@ -193,39 +190,6 @@ class SkewElement:
     @staticmethod
     def one(alg):
         return SkewElement.basis(alg, (0,) * alg.n, 0)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, SkewElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return SkewElement(self.alg, out)
-
-    def __neg__(self):
-        return SkewElement(self.alg, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, Unit):
-            c = self.alg.scalar(c)
-        out = {}
-        for k, s in self.terms.items():
-            v = s * c
-            if not v.is_zero():
-                out[k] = v
-        return SkewElement(self.alg, out)
 
     def __mul__(self, other):
         """(a (x) g)(b (x) h) = a * (g.b) (x) gh with x_i^2 = 0."""
@@ -239,13 +203,7 @@ class SkewElement:
                 u, mono = hit
                 u = u * alg.act(g, b)
                 key = (mono, alg.group.mult[g][h])
-                c = c1 * c2 * u
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, key, c1 * c2 * u)
         return SkewElement(alg, out)
 
     def __repr__(self):

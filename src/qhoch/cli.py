@@ -36,12 +36,18 @@ def load_config(path):
     return parse_config(raw)
 
 
+def _is_int(value, minimum=None):
+    """A JSON integer (true/false are not) that is at least minimum."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum))
+
+
 def _chi_pair(entry, where):
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: character entries must be objects")
     sign = entry.get("sign", 1)
     zeta = entry.get("zeta", 0)
-    if sign not in (1, -1) or not isinstance(zeta, int):
+    if not (_is_int(sign) and sign in (1, -1) and _is_int(zeta)):
         raise ConfigError(f"{where}: character must have sign +-1 and an "
                           "integer zeta power")
     return (sign, zeta)
@@ -54,42 +60,47 @@ def parse_config(raw):
         n = raw["n"]
     except KeyError:
         raise ConfigError("config.n: missing")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n, 1):
         raise ConfigError("config.n: must be a positive integer")
     N = raw.get("N", 1)
-    if not isinstance(N, int) or N < 1:
+    if not _is_int(N, 1):
         raise ConfigError("config.N: must be a positive integer")
+    q_items = raw.get("q", [])
+    if not isinstance(q_items, list):
+        raise ConfigError("config.q: must be a list of entries")
     q_spec = {}
-    for idx, item in enumerate(raw.get("q", [])):
+    for idx, item in enumerate(q_items):
         where = f"config.q[{idx}]"
         try:
             i, j, kind = item["i"], item["j"], item["kind"]
         except (KeyError, TypeError):
             raise ConfigError(f"{where}: needs fields i, j, kind")
-        if not (1 <= i < j <= n):
+        if not (_is_int(i) and _is_int(j) and 1 <= i < j <= n):
             raise ConfigError(f"{where}: require 1 <= i < j <= n "
                               "(other entries are determined)")
         if kind == "formal":
             q_spec[(i - 1, j - 1)] = ("formal", item.get("name", f"q{i}{j}"))
         elif kind == "zeta":
             power = item.get("power", 1)
-            if not isinstance(power, int):
+            if not _is_int(power):
                 raise ConfigError(f"{where}.power: integer required")
             q_spec[(i - 1, j - 1)] = ("zeta", power)
         elif kind == "rational":
             value = item.get("value")
-            if value not in (1, -1):
+            if not (_is_int(value) and value in (1, -1)):
                 raise ConfigError(f"{where}.value: must be 1 or -1")
             q_spec[(i - 1, j - 1)] = ("rational", value)
         else:
             raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
     group = raw.get("group", {"kind": "trivial"})
+    if not isinstance(group, dict):
+        raise ConfigError("config.group: must be an object")
     kind = group.get("kind", "trivial")
     if kind == "trivial":
         group_spec = None
     elif kind == "cyclic":
         order = group.get("order")
-        if not isinstance(order, int) or order < 1:
+        if not _is_int(order, 1):
             raise ConfigError("config.group.order: positive integer required")
         chi = group.get("chi")
         if not isinstance(chi, list) or len(chi) != n:
@@ -102,6 +113,17 @@ def parse_config(raw):
         chi = group.get("chi")
         if not isinstance(mult, list) or not isinstance(chi, list):
             raise ConfigError("config.group: table groups need mult and chi")
+        order = len(mult)
+        if not order or not all(
+                isinstance(row, list) and len(row) == order
+                and all(_is_int(x, 0) and x < order for x in row)
+                for row in mult):
+            raise ConfigError("config.group.mult: square table of element "
+                              "indices required")
+        if len(chi) != order or not all(
+                isinstance(row, list) and len(row) == n for row in chi):
+            raise ConfigError("config.group.chi: one row of n characters "
+                              "per group element")
         group_spec = ("table", mult,
                       [[_chi_pair(c, f"config.group.chi[{r}][{k}]")
                         for k, c in enumerate(row)] for r, row in enumerate(chi)])
@@ -112,12 +134,12 @@ def parse_config(raw):
     except ValueError as exc:
         raise ConfigError(str(exc))
     max_degree = raw.get("max_degree")
-    if not isinstance(max_degree, int) or max_degree < 0:
+    if not _is_int(max_degree, 0):
         raise ConfigError("config.max_degree: required nonnegative integer "
                           "(the cohomology is infinite dimensional)")
     seeds = raw.get("seeds", [1, 2, 3])
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
+            or not all(_is_int(s) for s in seeds)):
         raise ConfigError("config.seeds: nonempty list of integers")
     return A, max_degree, seeds
 

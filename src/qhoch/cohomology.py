@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .linalg import RowReducer, in_span
+from .linalg import RowReducer, accumulate, in_span
 from .resolution import (Cochain, compositions, hom_differential,
                          slot_condition_holds, sub_index)
 from .scalars import Frac, QQ
@@ -68,14 +68,7 @@ def g_action_on_cochain(A, h, c):
     out = {}
     for (alpha, beta, g), coeff in c.terms.items():
         u = A.chi_prod(h, sub_index(alpha, beta))
-        key = (alpha, beta, A.group.conjugate(h, g))
-        v = coeff * u
-        s = out.get(key)
-        s = v if s is None else s + v
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        accumulate(out, (alpha, beta, A.group.conjugate(h, g)), coeff * u)
     return Cochain(A, c.degree, out)
 
 
@@ -251,10 +244,6 @@ def is_cocycle(A, c):
     return hom_differential(A, c).is_zero()
 
 
-def _frac_row(A, c):
-    return {k: Frac.of(v, A.uni) for k, v in c.terms.items()}
-
-
 def is_coboundary(A, c):
     """Exact membership of c in the image of the differential from one
     degree below, over the quotient field of the coefficient ring."""
@@ -266,8 +255,8 @@ def is_coboundary(A, c):
     for alpha, beta, g in full_basis(A, c.degree - 1):
         img = hom_differential(A, Cochain.basis(A, alpha, beta, g))
         if not img.is_zero():
-            rows.append(_frac_row(A, img))
-    return in_span(rows, _frac_row(A, c))
+            rows.append(img.to_frac().terms)
+    return in_span(rows, c.to_frac().terms)
 
 
 def class_equal(A, c1, c2):

@@ -6,23 +6,20 @@ contraction).
 Conventions.  circ(outer, inner) evaluates the composition in which the
 inner cochain is applied to the middle tensor leg; the result's group part
 is (outer group) * (inner group).  When the inner cochain's value crosses
-the remaining right-hand generator leg, the group element acts on that leg
-through its characters ("crossing twist"); this is what makes the middle
-insertion well defined over the skew group algebra and is pinned down by
-the bracket-descends-to-cohomology tests.
+the remaining right-hand generator leg e_{rho2}, its group element g acts
+on that leg through its characters, a factor chi_prod(g, rho2) in both
+implementations.  This is what makes the middle insertion well defined
+over the skew group algebra: without it the bracket of two invariant
+cocycles is no longer invariant
+(tests/test_gerstenhaber.py::test_bracket_of_invariant_cocycles_is_invariant_cocycle).
 """
 
 from __future__ import annotations
 
 from .algebra import SkewElement
 from .cohomology import is_cocycle
+from .linalg import accumulate
 from .resolution import Cochain, add_index, diagonal, phi_generator, sub_index
-
-# When True, a group element crossing a generator leg picks up the
-# character of that leg's index.  (The alternative, crossing with no
-# factor, breaks the derived bracket's invariance under coboundaries; see
-# the adjudication tests.)
-CROSSING_TWIST = True
 
 
 # ---------------------------------------------------------------------------
@@ -46,13 +43,7 @@ def cup(A, f1, f2):
                         u = -u
             key = (add_index(alpha, gamma), add_index(beta, kappa),
                    A.group.mult[g][h])
-            v = (c1 * c2) * u
-            s = out.get(key)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, key, (c1 * c2) * u)
     return Cochain(A, f1.degree + f2.degree, out)
 
 
@@ -67,19 +58,15 @@ def cup_oracle(A, f1, f2):
         for b1, b2, u in diagonal(A, rho):
             if sum(b1) != f1.degree:
                 continue
-            left = SkewElement(A)
-            for (alpha, beta, g), c in f1.terms.items():
-                if beta == b1:
-                    left = left + SkewElement.basis(A, alpha, g, c)
-            if left.is_zero():
+            left = {(alpha, g): c for (alpha, beta, g), c in f1.terms.items()
+                    if beta == b1}
+            if not left:
                 continue
-            right = SkewElement(A)
-            for (gamma, kappa, h), c in f2.terms.items():
-                if kappa == b2:
-                    right = right + SkewElement.basis(A, gamma, h, c)
-            if right.is_zero():
+            right = {(gamma, h): c for (gamma, kappa, h), c in f2.terms.items()
+                     if kappa == b2}
+            if not right:
                 continue
-            acc = acc + (left * right).scale(u)
+            acc = acc + (SkewElement(A, left) * SkewElement(A, right)).scale(u)
         for (mono, g), c in acc.terms.items():
             out[(mono, rho, g)] = c
     return Cochain(A, total, out)
@@ -89,12 +76,11 @@ def cup_oracle(A, f1, f2):
 # circle product
 # ---------------------------------------------------------------------------
 
-def circ_oracle(A, outer, inner, twist=None):
+def circ_oracle(A, outer, inner):
     """Circle product as the literal pipeline: split a generator twice by
     the diagonal, apply the inner cochain to the middle leg with the Koszul
     sign, park its group part across the right leg, contract, then apply
     the outer cochain and multiply the parked group element back in."""
-    twist = CROSSING_TWIST if twist is None else twist
     from .resolution import compositions
     m, l = outer.degree, inner.degree
     total = m + l - 1
@@ -121,8 +107,7 @@ def circ_oracle(A, outer, inner, twist=None):
                 coeff = A.scalar(u_outer * u_inner) * c_in
                 if (l * sum(nu)) % 2:
                     coeff = -coeff
-                if twist:
-                    coeff = coeff * A.chi_prod(g, rho2)
+                coeff = coeff * A.chi_prod(g, rho2)
                 contracted = phi_generator(A, nu, alpha, rho2)
                 for (a, kappa, b), pc in contracted.terms.items():
                     hits = outer_by_kappa.get(kappa)
@@ -141,12 +126,11 @@ def circ_oracle(A, outer, inner, twist=None):
     return Cochain(A, total, out)
 
 
-def circ(A, outer, inner, twist=None):
+def circ(A, outer, inner):
     """Closed-form circle product: one flat coefficient per surviving
     splitting.  The splitting sum is univariate once the vanishing guards
     are imposed (the right index is zero below the active slot r and the
     left one matches the inner index above it)."""
-    twist = CROSSING_TWIST if twist is None else twist
     m, l = outer.degree, inner.degree
     if m + l - 1 < 0:
         return Cochain(A, 0)
@@ -217,35 +201,27 @@ def circ(A, outer, inner, twist=None):
                             for v in range(r, s):
                                 if gamma[v]:
                                     u = u * (A.nq[v][s] ** (-1))
-                    # crossing twist: the inner group element passes the
-                    # right-hand generator leg e_{rho2}
-                    if twist:
-                        u = u * A.chi_prod(g, rho2)
-                    key = (mono, rho, group_key)
-                    v = base * u
-                    s0 = out.get(key)
-                    s0 = v if s0 is None else s0 + v
-                    if s0.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s0
+                    # the inner group element passes the right-hand
+                    # generator leg e_{rho2}
+                    u = u * A.chi_prod(g, rho2)
+                    accumulate(out, (mono, rho, group_key), base * u)
     return Cochain(A, m + l - 1, out)
 
 
-def bracket(A, f1, f2, twist=None):
+def bracket(A, f1, f2):
     """Graded bracket [f1, f2] = f1 o f2 - (-1)^{(m-1)(l-1)} f2 o f1."""
     m, l = f1.degree, f2.degree
-    first = circ(A, f1, f2, twist=twist)
-    second = circ(A, f2, f1, twist=twist)
+    first = circ(A, f1, f2)
+    second = circ(A, f2, f1)
     if ((m - 1) * (l - 1)) % 2:
         return first + second
     return first - second
 
 
-def bracket_oracle(A, f1, f2, twist=None):
+def bracket_oracle(A, f1, f2):
     m, l = f1.degree, f2.degree
-    first = circ_oracle(A, f1, f2, twist=twist)
-    second = circ_oracle(A, f2, f1, twist=twist)
+    first = circ_oracle(A, f1, f2)
+    second = circ_oracle(A, f2, f1)
     if ((m - 1) * (l - 1)) % 2:
         return first + second
     return first - second
@@ -358,10 +334,4 @@ def _jacobiator(A, ca, cb, cc):
         -1 if ((m2 - 1) * (m1 - 1)) % 2 else 1)
     t3 = bracket(A, bracket(A, cc, ca), cb).scale(
         -1 if ((m3 - 1) * (m2 - 1)) % 2 else 1)
-    if t1.is_zero() and t2.is_zero() and t3.is_zero():
-        return Cochain(A, 0)
-    deg = max(t.degree for t in (t1, t2, t3) if not t.is_zero())
-
-    def fix(t):
-        return Cochain(A, deg, t.terms) if t.is_zero() else t
-    return fix(t1) + fix(t2) + fix(t3)
+    return t1 + t2 + t3

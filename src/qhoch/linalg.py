@@ -1,12 +1,78 @@
-"""Sparse exact Gaussian elimination over a field.
+"""Sparse vectors and sparse exact Gaussian elimination over a field.
 
-Rows are dicts column-key -> element; elements need +, -, *, is_zero and
-inv (both the cyclotomic field elements and the scalar quotients qualify).
-The matrices here are tiny but extremely sparse (the differential has at
-most n nonzero entries per row), so elimination keeps rows as dicts.
+Every formal sum in the package (cochains, skew group algebra elements,
+one- and two-tensor elements of the resolution) is a map key -> coefficient
+that never stores a zero coefficient; `SparseVector` holds the arithmetic
+they share and `accumulate` is the one place a term is added into such a
+map.  Elimination rows are plain dicts of the same shape: column key ->
+element, where elements need +, -, *, is_zero and inv (both the cyclotomic
+field elements and the scalar quotients qualify).  The matrices here are
+tiny but extremely sparse (the differential has at most n nonzero entries
+per row), so elimination keeps rows as dicts.
 """
 
 from __future__ import annotations
+
+from .scalars import Unit
+
+
+def accumulate(terms, key, value):
+    """terms[key] += value, dropping the key when the sum vanishes."""
+    old = terms.get(key)
+    if old is not None:
+        value = old + value
+    if value.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = value
+
+
+class SparseVector:
+    """Formal sum over an algebra: a map key -> nonzero coefficient.
+
+    Subclasses fix what the keys mean; `_like` builds a result of the same
+    kind from new terms.  Elements of different classes never compare
+    equal, even when their terms do.
+    """
+
+    __slots__ = ("alg", "terms")
+
+    def __init__(self, alg, terms=None):
+        self.alg = alg
+        self.terms = {} if terms is None else terms
+
+    def _like(self, terms):
+        return self.__class__(self.alg, terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if isinstance(c, Unit):
+            c = self.alg.scalar(c)
+        out = {}
+        for k, s in self.terms.items():
+            v = s * c
+            if not v.is_zero():
+                out[k] = v
+        return self._like(out)
 
 
 class RowReducer:

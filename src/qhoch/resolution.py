@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .scalars import Frac, QQ, Unit
+from .linalg import SparseVector, accumulate
+from .scalars import Frac, QQ
 
 # ---------------------------------------------------------------------------
 # multi-index helpers (plain tuples of ints)
@@ -148,14 +149,15 @@ def omega_small(A, g, alpha, beta, l):
 # cochains
 # ---------------------------------------------------------------------------
 
-class Cochain:
+class Cochain(SparseVector):
     """Homogeneous cochain: sparse map (alpha, beta, g) -> coefficient.
 
     Coefficients are Scalars, or Fracs on the homotopy paths; keys with
-    |beta| != degree are rejected.
+    |beta| != degree are rejected.  A zero cochain of any degree equals
+    every other zero cochain and is the identity for +.
     """
 
-    __slots__ = ("alg", "degree", "terms")
+    __slots__ = ("degree",)
 
     def __init__(self, alg, degree, terms=None):
         self.alg = alg
@@ -169,22 +171,13 @@ class Cochain:
                 raise ValueError("cochain term of wrong homological degree")
             self.terms[key] = c
 
+    def _like(self, terms):
+        return Cochain(self.alg, self.degree, terms)
+
     @staticmethod
     def basis(alg, alpha, beta, g, coeff=None):
         c = alg.one() if coeff is None else coeff
         return Cochain(alg, sum(beta), {(tuple(alpha), tuple(beta), g): c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
 
     def __add__(self, other):
         if other.is_zero():
@@ -193,32 +186,7 @@ class Cochain:
             return other
         if other.degree != self.degree:
             raise ValueError("cannot add cochains of different degrees")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return Cochain(self.alg, self.degree, out)
-
-    def __neg__(self):
-        return Cochain(self.alg, self.degree,
-                       {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, Unit):
-            c = self.alg.scalar(c)
-        out = {}
-        for k, s in self.terms.items():
-            v = s * c
-            if not v.is_zero():
-                out[k] = v
-        return Cochain(self.alg, self.degree, out)
+        return SparseVector.__add__(self, other)
 
     def to_frac(self):
         return Cochain(self.alg, self.degree,
@@ -255,14 +223,7 @@ def hom_differential(A, c, variant="derivation"):
             w = omega_big(A, g, alpha, beta, l, variant=variant)
             if w.is_zero():
                 continue
-            key = (bump(alpha, l), bump(beta, l), g)
-            v = coeff * w
-            s = out.get(key)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, (bump(alpha, l), bump(beta, l), g), coeff * w)
     return Cochain(A, c.degree + 1, out)
 
 
@@ -286,14 +247,8 @@ def homotopy(A, c):
             w = omega_small(A, g, alpha, beta, l)
             if w.is_zero():
                 continue
-            key = (bump(alpha, l, -1), bump(beta, l, -1), g)
-            v = coeff * w * QQ(1, nrm)
-            s = out.get(key)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, (bump(alpha, l, -1), bump(beta, l, -1), g),
+                       coeff * w * QQ(1, nrm))
     return Cochain(A, c.degree - 1, out)
 
 
@@ -301,53 +256,16 @@ def homotopy(A, c):
 # elements of the complex and of its twofold tensor power
 # ---------------------------------------------------------------------------
 
-class Tensor:
+class Tensor(SparseVector):
     """Formal sum of one-generator symbols x^a e_beta x^b."""
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg, terms=None):
-        self.alg = alg
-        self.terms = terms or {}
+    __slots__ = ()
 
     @staticmethod
     def generator(alg, beta, coeff=None):
         z = (0,) * alg.n
         c = alg.one() if coeff is None else coeff
         return Tensor(alg, {(z, tuple(beta), z): c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, Tensor) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return Tensor(self.alg, out)
-
-    def __neg__(self):
-        return Tensor(self.alg, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, Unit):
-            c = self.alg.scalar(c)
-        out = {}
-        for k, s in self.terms.items():
-            v = s * c
-            if not v.is_zero():
-                out[k] = v
-        return Tensor(self.alg, out)
 
     def __repr__(self):
         bits = []
@@ -359,48 +277,16 @@ class Tensor:
         return "Tensor(" + (" + ".join(bits) or "0") + ")"
 
 
-class Tensor2:
+class Tensor2(SparseVector):
     """Formal sum of two-generator symbols x^a e_beta x^c e_gamma x^b."""
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg, terms=None):
-        self.alg = alg
-        self.terms = terms or {}
+    __slots__ = ()
 
     @staticmethod
     def generator(alg, beta, mid, gamma, coeff=None):
         z = (0,) * alg.n
         c = alg.one() if coeff is None else coeff
         return Tensor2(alg, {(z, tuple(beta), tuple(mid), tuple(gamma), z): c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, Tensor2) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return Tensor2(self.alg, out)
-
-
-def _acc(d, k, v):
-    if v.is_zero():
-        return
-    s = d.get(k)
-    s = v if s is None else s + v
-    if s.is_zero():
-        d.pop(k, None)
-    else:
-        d[k] = s
 
 
 def resolution_differential(A, beta):
@@ -418,13 +304,13 @@ def resolution_differential(A, beta):
         for l in range(j):
             if beta[l]:
                 left = left * (A.q[l][j] ** beta[l])
-        _acc(out, (xj, down, z), A.scalar(left))
+        accumulate(out, (xj, down, z), A.scalar(left))
         sign = -1 if sum(beta[: j + 1]) % 2 else 1
         right = A.uni.unit(sign=sign)
         for l in range(j + 1, n):
             if beta[l]:
                 right = right * (A.nq[j][l] ** beta[l])
-        _acc(out, (z, down, xj), A.scalar(right))
+        accumulate(out, (z, down, xj), A.scalar(right))
     return Tensor(A, out)
 
 
@@ -444,7 +330,7 @@ def tensor_delta(A, t):
             if rb is None:
                 continue
             u2, mono_b = rb
-            _acc(out, (mono_a, dbeta, mono_b), coeff * u1 * u2)
+            accumulate(out, (mono_a, dbeta, mono_b), coeff * u1 * u2)
     return Tensor(A, out)
 
 
@@ -465,7 +351,7 @@ def tensor2_delta(A, t):
             if rm is None:
                 continue
             u2, mono_m = rm
-            _acc(out, (mono_a, dbeta, mono_m, gamma, b), coeff * u1 * u2)
+            accumulate(out, (mono_a, dbeta, mono_m, gamma, b), coeff * u1 * u2)
         # right factor, with sign by the left homological degree
         sign = -1 if degree(beta) % 2 else 1
         base = resolution_differential(A, gamma)
@@ -479,7 +365,7 @@ def tensor2_delta(A, t):
             if rb is None:
                 continue
             u2, mono_b = rb
-            _acc(out, (a, beta, mono_m, dgamma, mono_b), coeff * u1 * u2)
+            accumulate(out, (a, beta, mono_m, dgamma, mono_b), coeff * u1 * u2)
     return Tensor2(A, out)
 
 
@@ -492,12 +378,12 @@ def tensor2_F(A, t):
             hit = A.mono_mul(a, mid)
             if hit is not None:
                 u, mono = hit
-                _acc(out, (mono, gamma, b), c * u)
+                accumulate(out, (mono, gamma, b), c * u)
         if gamma == z:
             hit = A.mono_mul(mid, b)
             if hit is not None:
                 u, mono = hit
-                _acc(out, (a, beta, mono), -(c * u))
+                accumulate(out, (a, beta, mono), -(c * u))
     return Tensor(A, out)
 
 
@@ -559,17 +445,6 @@ def f_beta_expand(A, beta):
     return out
 
 
-def _bar_acc(d, legs, c):
-    if c.is_zero():
-        return
-    s = d.get(legs)
-    s = c if s is None else s + c
-    if s.is_zero():
-        d.pop(legs, None)
-    else:
-        d[legs] = s
-
-
 def bar_check(A, beta):
     """Verify that the bar differential of 1 (x) f_beta (x) 1 equals the
     expected boundary within the subcomplex spanned by the expansions."""
@@ -594,7 +469,7 @@ def bar_check(A, beta):
             mu, mono = hit
             sign = -1 if i % 2 else 1
             merged = legs[:i] + (mono,) + legs[i + 2:]
-            _bar_acc(lhs, merged, (c * mu) * sign)
+            accumulate(lhs, merged, (c * mu) * sign)
     # expected value
     rhs = {}
     for j in range(n):
@@ -611,10 +486,10 @@ def bar_check(A, beta):
                 right = right * (A.q[j][l] ** beta[l])
         for word, u in f_beta_expand(A, down).items():
             mid = tuple(unit_index(n, l) for l in word)
-            _bar_acc(rhs, (unit_index(n, j),) + mid + (z,),
-                     A.scalar(u * left))
-            _bar_acc(rhs, (z,) + mid + (unit_index(n, j),),
-                     A.scalar(u * right))
+            accumulate(rhs, (unit_index(n, j),) + mid + (z,),
+                       A.scalar(u * left))
+            accumulate(rhs, (z,) + mid + (unit_index(n, j),),
+                       A.scalar(u * right))
     return lhs == rhs
 
 
@@ -670,7 +545,8 @@ def phi_generator(A, beta, mid, gamma, variant="verified"):
                     u = u * (A.nq[r][s] ** e)
         left = tuple(mid[i] if i > l else 0 for i in range(n))
         right = tuple(mid[i] if i < l else 0 for i in range(n))
-        _acc(out, (left, bump(add_index(beta, gamma), l), right), A.scalar(u))
+        accumulate(out, (left, bump(add_index(beta, gamma), l), right),
+                   A.scalar(u))
     result = Tensor(A, out)
     A.caches[cache_key] = result
     return result
@@ -691,7 +567,7 @@ def phi_tensor(A, t, variant="verified"):
             if rb is None:
                 continue
             u2, mono_b = rb
-            _acc(out, (mono_a, pbeta, mono_b), (c * pc) * (u1 * u2))
+            accumulate(out, (mono_a, pbeta, mono_b), (c * pc) * (u1 * u2))
     return Tensor(A, out)
 
 

@@ -82,17 +82,6 @@ def cyclotomic_polynomial(N):
     return tuple(int(c) for c in num)
 
 
-def euler_phi(N):
-    count = 0
-    for k in range(1, N + 1):
-        a, b = k, N
-        while b:
-            a, b = b, a % b
-        if a == 1:
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # the cyclotomic field Q(zeta_N)
 # ---------------------------------------------------------------------------

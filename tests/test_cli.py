@@ -137,6 +137,24 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("override, field", [
+    ({"group": [1]}, "config.group"),
+    ({"group": {"kind": "table", "mult": [[0, 1], [1]],
+                "chi": [[{}, {}], [{}, {}]]}}, "config.group.mult"),
+    ({"q": 5}, "config.q"),
+    ({"n": True}, "config.n"),
+    ({"max_degree": True}, "config.max_degree"),
+    ({"q": [{"i": 1, "j": 2, "kind": "zeta", "power": True}]},
+     "config.q[0].power"),
+], ids=["group-list", "ragged-mult", "q-int", "n-bool", "max-degree-bool",
+        "power-bool"])
+def test_malformed_config_exits_two(tmp_path, capsys, override, field):
+    path = write_cfg(tmp_path, {**CFG_FORMAL, **override})
+    code, out, err = run(capsys, ["dims", "--config", path])
+    assert code == 2
+    assert f"config error: {field}:" in err
+
+
 def test_config_rejects_bad_rational(tmp_path):
     bad = dict(CFG_FORMAL)
     bad["q"] = [{"i": 1, "j": 2, "kind": "rational", "value": 2}]
