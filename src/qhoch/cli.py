@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import build_algebra
+from .algebra import Group, build_algebra
 from .cohomology import invariant_basis, invariant_rank_oracle
 from .gerstenhaber import axiom_suite, bracket, circ, circ_oracle, cup, cup_oracle
 from .resolution import (Cochain, bar_check, compositions, hom_differential,
@@ -79,7 +79,10 @@ def parse_config(raw):
             raise ConfigError(f"{where}: require 1 <= i < j <= n "
                               "(other entries are determined)")
         if kind == "formal":
-            q_spec[(i - 1, j - 1)] = ("formal", item.get("name", f"q{i}{j}"))
+            name = item.get("name", f"q{i}{j}")
+            if not (isinstance(name, str) and name):
+                raise ConfigError(f"{where}.name: non-empty string required")
+            q_spec[(i - 1, j - 1)] = ("formal", name)
         elif kind == "zeta":
             power = item.get("power", 1)
             if not _is_int(power):
@@ -120,6 +123,10 @@ def parse_config(raw):
                 for row in mult):
             raise ConfigError("config.group.mult: square table of element "
                               "indices required")
+        try:
+            Group(mult, [()] * order)
+        except ValueError as exc:
+            raise ConfigError(f"config.group.mult: {exc}")
         if len(chi) != order or not all(
                 isinstance(row, list) and len(row) == n for row in chi):
             raise ConfigError("config.group.chi: one row of n characters "
@@ -244,17 +251,17 @@ def cmd_verify(A, max_degree, seeds, corrupt=None):
     report = []
     omega_variant = "unsigned" if corrupt == "omega-sign" else "derivation"
 
-    def record(name, witness):
+    def record(name, bound, witness):
         if witness is None:
-            report.append(f"PASS {name}")
+            report.append(f"PASS {name} ({bound})")
         else:
-            report.append(f"FAIL {name}: witness {witness}")
+            report.append(f"FAIL {name} ({bound}): witness {witness}")
             raise VerificationFailure("\n".join(report))
 
     # d . d = 0
     witness = None
     top = min(max_degree, 6)
-    for m in range(top):
+    for m in range(top + 1):
         for beta in compositions(A.n, m):
             for alpha in iproduct((0, 1), repeat=A.n):
                 for g in range(A.group.order):
@@ -264,7 +271,7 @@ def cmd_verify(A, max_degree, seeds, corrupt=None):
                     if not dd.is_zero():
                         witness = (alpha, beta, g)
                         break
-    record("differential squares to zero", witness)
+    record("differential squares to zero", f"degree <= {top}", witness)
     # flat subcomplexes + contracting homotopy
     from .cohomology import in_C_g
     witness = None
@@ -285,19 +292,19 @@ def cmd_verify(A, max_degree, seeds, corrupt=None):
                         hom_differential(A, homotopy(A, cf))
                     if not (res == cf):
                         witness = ("homotopy", g, gamma, alpha)
-    record("flatness and contracting homotopy", witness)
+    record("flatness and contracting homotopy", "each beta_l <= 3", witness)
     # diagonal / bar / contraction identities
-    witness = phi_identity_check(A, min(max_degree, 4))
-    record("contraction identity", witness)
+    limit = min(max_degree, 4)
+    witness = phi_identity_check(A, limit)
+    record("contraction identity", f"degree <= {limit}", witness)
     witness = None
-    for m in range(min(max_degree, 4) + 1):
+    for m in range(limit + 1):
         for beta in compositions(A.n, m):
             if not bar_check(A, beta):
                 witness = beta
-    record("bar-resolution boundary agreement", witness)
+    record("bar-resolution boundary agreement", f"degree <= {limit}", witness)
     # closed formulas against the chain-level oracles
     witness = None
-    limit = min(max_degree, 4)
     keys = []
     for m in range(limit + 1):
         for beta in compositions(A.n, m):
@@ -318,10 +325,12 @@ def cmd_verify(A, max_degree, seeds, corrupt=None):
                 break
         if witness:
             break
-    record("product formulas equal chain-level oracles", witness)
+    record("product formulas equal chain-level oracles",
+           f"total degree <= {limit}", witness)
     # graded-algebra axioms on the invariant classes
-    failures = axiom_suite(A, min(max_degree, 4))
-    record("graded algebra axioms", failures[0] if failures else None)
+    failures = axiom_suite(A, limit)
+    record("graded algebra axioms", f"degree <= {limit}",
+           failures[0] if failures else None)
     return {"command": "verify", "report": report}
 
 

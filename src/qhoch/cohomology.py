@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .linalg import RowReducer, accumulate, in_span
+from .linalg import RowReducer, accumulate
 from .resolution import (Cochain, compositions, hom_differential,
                          slot_condition_holds, sub_index)
 from .scalars import Frac, QQ
@@ -61,23 +61,37 @@ def full_basis(A, m):
     return out
 
 
+def _act_into(out, A, h, c):
+    """Add the translate of c by h into the term map out."""
+    for (alpha, beta, g), coeff in c.terms.items():
+        u = A.chi_prod(h, sub_index(alpha, beta))
+        accumulate(out, (alpha, beta, A.group.conjugate(h, g)), coeff * u)
+
+
 def g_action_on_cochain(A, h, c):
     """Conjugation action transported through the generator basis:
     h moves a basis symbol to (x^alpha (x) h g h^{-1}) e_beta^* scaled by
     prod_l chi_{h,l}^{alpha_l - beta_l}."""
     out = {}
-    for (alpha, beta, g), coeff in c.terms.items():
-        u = A.chi_prod(h, sub_index(alpha, beta))
-        accumulate(out, (alpha, beta, A.group.conjugate(h, g)), coeff * u)
+    _act_into(out, A, h, c)
     return Cochain(A, c.degree, out)
 
 
 def average(A, c):
     """Reynolds operator: the mean of the translates over the group."""
-    total = Cochain(A, c.degree)
+    out = {}
     for h in range(A.group.order):
-        total = total + g_action_on_cochain(A, h, c)
-    return total.scale(QQ(1, A.group.order))
+        _act_into(out, A, h, c)
+    return Cochain(A, c.degree, out).scale(QQ(1, A.group.order))
+
+
+def _constant_row(c):
+    """Cochain with constant coefficients -> sparse row of field
+    elements."""
+    row = {k: v.constant() for k, v in c.terms.items()}
+    if any(v is None for v in row.values()):
+        raise ArithmeticError("averaged coefficient is not constant")
+    return row
 
 
 @dataclass
@@ -104,10 +118,7 @@ def invariant_basis(A, m):
         if avg.is_zero():
             continue
         # averaging coefficients are cyclotomic constants
-        row = {k: v.constant() for k, v in avg.terms.items()}
-        if any(v is None for v in row.values()):
-            raise ArithmeticError("averaged coefficient is not constant")
-        if red.add(row):
+        if red.add(_constant_row(avg)):
             classes.append(avg)
     return CohomologyBasis(m, entries, classes)
 
@@ -189,47 +200,60 @@ def num_compositions(n, total):
     return comb(total + n - 1, n - 1)
 
 
+def _invariant_images(A, m):
+    """(dimension, images under the differential) of the invariant
+    subcomplex in degree m.  Its basis is the averages of the basis
+    cochains that are independent by exact elimination of their rows;
+    averaged coefficients are cyclotomic constants, as in
+    `invariant_basis`, so the subcomplex does not depend on any seed and is
+    kept in A.caches per degree."""
+    key = ("invariant-images", m)
+    hit = A.caches.get(key)
+    if hit is None:
+        red = RowReducer()
+        images = []
+        # full_basis(A, -1) is not empty when n = 1
+        for alpha, beta, g in full_basis(A, m) if m >= 0 else ():
+            avg = average(A, Cochain.basis(A, alpha, beta, g))
+            if avg.is_zero() or not red.add(_constant_row(avg)):
+                continue
+            img = hom_differential(A, avg)
+            if not img.is_zero():
+                images.append(img)
+        hit = A.caches[key] = (red.rank, images)
+    return hit
+
+
+def _invariant_delta_rank(A, m, seed):
+    """Rank of the differential out of degree m on the invariant subcomplex
+    after substituting the formal parameters at one seed; kept in A.caches
+    per (degree, seed), so the rank into degree m + 1 reuses it."""
+    key = ("invariant-delta-rank", m, seed)
+    rank = A.caches.get(key)
+    if rank is None:
+        values = _seed_values(A, seed) if seed is not None else []
+        red = RowReducer()
+        for img in _invariant_images(A, m)[1]:
+            red.add(_substituted_row(A, img, values))
+        rank = A.caches[key] = red.rank
+    return rank
+
+
 def invariant_rank_oracle(A, m, seeds=(1,)):
     """Dimension of the invariant cohomology in degree m computed from
-    ranks of the differential restricted to the invariant subcomplex."""
+    ranks of the differential restricted to the invariant subcomplex.
+
+    Everything it computes depends only on the algebra, the degree and the
+    seed, so it is kept in A.caches: the invariant subcomplex of each
+    degree with its images under the differential (seed-free, see
+    `_invariant_images`), and the rank of the differential per (degree,
+    seed), which serves as the rank out of degree m here and as the rank
+    into degree m + 1 on the next call."""
     if A.uni.nparams == 0:
         seeds = (None,)
-    results = []
-    for seed in seeds:
-        values = _seed_values(A, seed) if seed is not None else []
-
-        def invariant_rows(deg):
-            red = RowReducer()
-            vecs = []
-            if deg < 0:
-                return vecs
-            for alpha, beta, g in full_basis(A, deg):
-                avg = average(A, Cochain.basis(A, alpha, beta, g))
-                if avg.is_zero():
-                    continue
-                row = _substituted_row(A, avg, values)
-                if red.add(dict(row)):
-                    vecs.append(avg)
-            return vecs
-
-        inv_m = invariant_rows(m)
-        red = RowReducer()
-        rank_out = 0
-        for c in inv_m:
-            img = hom_differential(A, c)
-            if img.is_zero():
-                continue
-            if red.add(_substituted_row(A, img, values)):
-                rank_out += 1
-        red = RowReducer()
-        rank_in = 0
-        for c in invariant_rows(m - 1):
-            img = hom_differential(A, c)
-            if img.is_zero():
-                continue
-            if red.add(_substituted_row(A, img, values)):
-                rank_in += 1
-        results.append(len(inv_m) - rank_out - rank_in)
+    dim_m = _invariant_images(A, m)[0]
+    results = [dim_m - _invariant_delta_rank(A, m, seed)
+               - _invariant_delta_rank(A, m - 1, seed) for seed in seeds]
     if len(set(results)) != 1:
         raise ArithmeticError(
             f"invariant rank oracle disagrees across seeds: {results}")
@@ -244,19 +268,33 @@ def is_cocycle(A, c):
     return hom_differential(A, c).is_zero()
 
 
+def _image_reducer(A, m):
+    """Echelon form of the image of the differential into degree m, over
+    the quotient field of the coefficient ring."""
+    key = ("coboundary-image", m)
+    red = A.caches.get(key)
+    if red is None:
+        red = RowReducer()
+        for alpha, beta, g in full_basis(A, m - 1):
+            img = hom_differential(A, Cochain.basis(A, alpha, beta, g))
+            if not img.is_zero():
+                red.add(img.to_frac().terms)
+        A.caches[key] = red
+    return red
+
+
 def is_coboundary(A, c):
     """Exact membership of c in the image of the differential from one
-    degree below, over the quotient field of the coefficient ring."""
+    degree below, over the quotient field of the coefficient ring.
+
+    The echelon form of that image depends only on the algebra and the
+    degree, and membership tests leave it unchanged, so it is built once
+    per (algebra, degree) and kept in A.caches."""
     if c.is_zero():
         return True
     if c.degree == 0:
         return False
-    rows = []
-    for alpha, beta, g in full_basis(A, c.degree - 1):
-        img = hom_differential(A, Cochain.basis(A, alpha, beta, g))
-        if not img.is_zero():
-            rows.append(img.to_frac().terms)
-    return in_span(rows, c.to_frac().terms)
+    return _image_reducer(A, c.degree).contains(c.to_frac().terms)
 
 
 def class_equal(A, c1, c2):

@@ -208,14 +208,26 @@ def circ(A, outer, inner):
     return Cochain(A, m + l - 1, out)
 
 
-def bracket(A, f1, f2):
-    """Graded bracket [f1, f2] = f1 o f2 - (-1)^{(m-1)(l-1)} f2 o f1."""
-    m, l = f1.degree, f2.degree
-    first = circ(A, f1, f2)
-    second = circ(A, f2, f1)
+def _signed_sum(first, second, m, l):
+    """The bracket [f1, f2] of an m-cochain f1 and an l-cochain f2 from its
+    two circle products first = f1 o f2 and second = f2 o f1."""
     if ((m - 1) * (l - 1)) % 2:
         return first + second
     return first - second
+
+
+def _reversed(br, m, l):
+    """[f2, f1] from br = [f1, f2] for an m-cochain f1 and an l-cochain f2:
+    graded antisymmetry [f2, f1] = -(-1)^{(m-1)(l-1)} [f1, f2] holds exactly
+    at chain level, by the sign rule of `_signed_sum`."""
+    return br if ((m - 1) * (l - 1)) % 2 else -br
+
+
+def bracket(A, f1, f2):
+    """Graded bracket [f1, f2] = f1 o f2 - (-1)^{(m-1)(l-1)} f2 o f1."""
+    first = circ(A, f1, f2)
+    second = first if f2 is f1 else circ(A, f2, f1)
+    return _signed_sum(first, second, f1.degree, f2.degree)
 
 
 def bracket_oracle(A, f1, f2):
@@ -235,103 +247,165 @@ def unit_cochain(A):
     return Cochain.basis(A, (0,) * A.n, (0,) * A.n, 0)
 
 
+class PairProducts:
+    """Pairwise products over one list of cochains, filled lazily: the
+    circle product and the cup product of each ordered pair are computed
+    at most once, and each bracket entry is formed from the two circle
+    products of its pair by the sign rule of `bracket`, so [a, b] and
+    [b, a] are computed independently of each other."""
+
+    def __init__(self, A, cochains):
+        self.A = A
+        self.cochains = cochains
+        self._circ = {}
+        self._cup = {}
+        self._bracket = {}
+
+    def circ(self, i, j):
+        hit = self._circ.get((i, j))
+        if hit is None:
+            hit = self._circ[(i, j)] = circ(self.A, self.cochains[i],
+                                            self.cochains[j])
+        return hit
+
+    def cup(self, i, j):
+        hit = self._cup.get((i, j))
+        if hit is None:
+            hit = self._cup[(i, j)] = cup(self.A, self.cochains[i],
+                                          self.cochains[j])
+        return hit
+
+    def bracket(self, i, j):
+        hit = self._bracket.get((i, j))
+        if hit is None:
+            hit = self._bracket[(i, j)] = _signed_sum(
+                self.circ(i, j), self.circ(j, i),
+                self.cochains[i].degree, self.cochains[j].degree)
+        return hit
+
+
 def product_table(A, classes, op):
-    """Ordered pairwise table over a list of (label, Cochain)."""
-    table = []
-    for la, ca in classes:
-        for lb, cb in classes:
-            res = op(A, ca, cb)
-            table.append((la, lb, res))
-    return table
+    """Ordered pairwise table over a list of (label, Cochain).  A bracket
+    table brackets each unordered pair once and takes the reversed entry
+    from graded antisymmetry, so each circle product is computed once."""
+    table = {}
+    for i, (_, ca) in enumerate(classes):
+        for j, (_, cb) in enumerate(classes):
+            if op is bracket and j < i:
+                table[i, j] = _reversed(table[j, i], cb.degree, ca.degree)
+            else:
+                table[i, j] = op(A, ca, cb)
+    return [(la, lb, table[i, j])
+            for i, (la, _) in enumerate(classes)
+            for j, (lb, _) in enumerate(classes)]
 
 
 def axiom_suite(A, max_degree, up_to=None):
     """Check the graded-algebra axioms on the invariant classes up to the
     given degree; every identity is asserted up to coboundary.  Returns a
-    list of human-readable failure descriptions (empty = pass)."""
-    from .cohomology import invariant_basis
+    list of human-readable failure descriptions (empty = pass).
+
+    The products of two classes come from one `PairProducts` table local to
+    the call, so each is computed once however many checks read it; the
+    Jacobi check reaches pairs of total degree limit + 2 when the third
+    class has degree 0.  Products involving a computed product (the outer
+    brackets of Jacobi, the products in the derivation rule) are formed
+    afresh.  `is_coboundary` keeps its image of the differential in
+    `A.caches` (see there)."""
+    from .cohomology import invariant_basis, is_coboundary
     failures = []
-    classes = []
+    labels, cochains = [], []
     for m in range(max_degree + 1):
         for i, c in enumerate(invariant_basis(A, m).classes):
-            classes.append((f"d{m}#{i}", c))
+            labels.append(f"d{m}#{i}")
+            cochains.append(c)
+    products = PairProducts(A, cochains)
+    deg = [c.degree for c in cochains]
+    idx = range(len(cochains))
     limit = max_degree if up_to is None else up_to
-
-    from .cohomology import is_coboundary
 
     def check(cond, text):
         if not cond:
             failures.append(text)
 
     # graded commutativity of the cup product
-    for la, ca in classes:
-        for lb, cb in classes:
-            if ca.degree + cb.degree > limit:
+    for a in idx:
+        for b in idx:
+            if deg[a] + deg[b] > limit:
                 continue
-            ab = cup(A, ca, cb)
-            ba = cup(A, cb, ca)
-            if (ca.degree * cb.degree) % 2:
+            ab = products.cup(a, b)
+            ba = products.cup(b, a)
+            if (deg[a] * deg[b]) % 2:
                 diff = ab + ba
             else:
                 diff = ab - ba
             check(is_cocycle(A, ab) and is_cocycle(A, ba),
-                  f"cup of cocycles not a cocycle: {la},{lb}")
+                  f"cup of cocycles not a cocycle: {labels[a]},{labels[b]}")
             check(is_coboundary(A, diff),
-                  f"graded commutativity fails: {la},{lb}")
+                  f"graded commutativity fails: {labels[a]},{labels[b]}")
     # bracket lands in degree m+l-1, is a cocycle on cocycles, and the
     # graded antisymmetry holds exactly at chain level
-    for la, ca in classes:
-        for lb, cb in classes:
-            if ca.degree + cb.degree - 1 > limit or ca.degree + cb.degree == 0:
+    for a in idx:
+        for b in idx:
+            if deg[a] + deg[b] - 1 > limit or deg[a] + deg[b] == 0:
                 continue
-            br = bracket(A, ca, cb)
-            check(br.is_zero() or br.degree == ca.degree + cb.degree - 1,
+            la, lb = labels[a], labels[b]
+            br = products.bracket(a, b)
+            check(br.is_zero() or br.degree == deg[a] + deg[b] - 1,
                   f"bracket degree off: {la},{lb}")
             check(is_cocycle(A, br), f"bracket not a cocycle: {la},{lb}")
             # [a,b] = -(-1)^{(|a|-1)(|b|-1)}[b,a], exactly at chain level
-            rev = bracket(A, cb, ca)
-            check(_chain_antisymmetric(A, br, rev, ca.degree, cb.degree),
+            rev = products.bracket(b, a)
+            check(rev == _reversed(br, deg[a], deg[b]),
                   f"graded antisymmetry fails: {la},{lb}")
-    # graded Jacobi, up to coboundary
-    for la, ca in classes:
-        for lb, cb in classes:
-            for lc, cc in classes:
-                if ca.degree + cb.degree + cc.degree - 2 > limit:
+    # graded Jacobi, up to coboundary.  The jacobiator of (a, b, c) is the
+    # same cochain for its three cyclic rotations (they permute its three
+    # signed terms), so each rotation class is decided once.
+    jacobi_holds = {}
+    for a in idx:
+        for b in idx:
+            for c in idx:
+                if deg[a] + deg[b] + deg[c] - 2 > limit:
                     continue
-                jac = _jacobiator(A, ca, cb, cc)
-                check(jac.is_zero() or is_coboundary(A, jac),
-                      f"Jacobi fails: {la},{lb},{lc}")
+                key = min((a, b, c), (b, c, a), (c, a, b))
+                holds = jacobi_holds.get(key)
+                if holds is None:
+                    jac = _jacobiator(A, products, a, b, c)
+                    holds = jacobi_holds[key] = (jac.is_zero()
+                                                 or is_coboundary(A, jac))
+                check(holds,
+                      f"Jacobi fails: {labels[a]},{labels[b]},{labels[c]}")
     # [-, a] is a graded derivation of the cup product:
     # [b ^ c, a] = [b, a] ^ c + (-1)^{|b| (|a|-1)} b ^ [c, a]
-    for la, ca in classes:
-        for lb, cb in classes:
-            for lc, cc in classes:
-                if ca.degree + cb.degree + cc.degree - 1 > limit:
+    for a in idx:
+        for b in idx:
+            for c in idx:
+                if deg[a] + deg[b] + deg[c] - 1 > limit:
                     continue
-                lhs = bracket(A, cup(A, cb, cc), ca)
-                rhs = cup(A, bracket(A, cb, ca), cc)
-                second = cup(A, cb, bracket(A, cc, ca))
-                if (cb.degree * (ca.degree - 1)) % 2:
+                lhs = bracket(A, products.cup(b, c), cochains[a])
+                rhs = cup(A, products.bracket(b, a), cochains[c])
+                second = cup(A, cochains[b], products.bracket(c, a))
+                if (deg[b] * (deg[a] - 1)) % 2:
                     rhs = rhs - second
                 else:
                     rhs = rhs + second
                 check(is_coboundary(A, lhs - rhs),
-                      f"derivation rule fails: {la},{lb},{lc}")
+                      f"derivation rule fails: "
+                      f"{labels[a]},{labels[b]},{labels[c]}")
     return failures
 
 
-def _chain_antisymmetric(A, br, rev, m, l):
-    sign = -1 if ((m - 1) * (l - 1)) % 2 else 1
-    return (br + rev.scale(sign)).is_zero()
-
-
-def _jacobiator(A, ca, cb, cc):
-    """(-1)^{(|a|-1)(|c|-1)}[[a,b],c] + cyclic, degrees shifted by one."""
-    m1, m2, m3 = ca.degree, cb.degree, cc.degree
-    t1 = bracket(A, bracket(A, ca, cb), cc).scale(
-        -1 if ((m1 - 1) * (m3 - 1)) % 2 else 1)
-    t2 = bracket(A, bracket(A, cb, cc), ca).scale(
-        -1 if ((m2 - 1) * (m1 - 1)) % 2 else 1)
-    t3 = bracket(A, bracket(A, cc, ca), cb).scale(
-        -1 if ((m3 - 1) * (m2 - 1)) % 2 else 1)
-    return t1 + t2 + t3
+def _jacobiator(A, products, a, b, c):
+    """(-1)^{(|a|-1)(|c|-1)}[[a,b],c] + cyclic, degrees shifted by one, for
+    the classes at positions a, b, c of a `PairProducts` table."""
+    out = Cochain(A, 0)
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        inner = products.bracket(x, y)
+        if inner.is_zero():
+            continue
+        term = bracket(A, inner, products.cochains[z])
+        if ((products.cochains[x].degree - 1)
+                * (products.cochains[z].degree - 1)) % 2:
+            term = -term
+        out = out + term
+    return out

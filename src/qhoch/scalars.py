@@ -262,11 +262,17 @@ class CycloElement:
         return CycloElement(self.field, tuple(a * q for a in self.coeffs))
 
     def inv(self):
-        """Multiplicative inverse, by the extended Euclidean algorithm
-        against the cyclotomic modulus."""
+        """Multiplicative inverse: sign * zeta^-k for a root of unity, the
+        reciprocal for a rational, else by the extended Euclidean
+        algorithm against the cyclotomic modulus."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
         f = self.field
+        root = self.root or f.root_of_unity_exponent(self)
+        if root is not None:
+            return f.root(root[0], -root[1])
+        if not any(self.coeffs[1:]):
+            return f.from_rational(1 / self.coeffs[0])
         r0 = tuple(QQ(c) for c in f.modulus)
         r1 = _poly_trim(self.coeffs)
         s0, s1 = (), (QQ(1),)

@@ -105,7 +105,21 @@ def test_verify_pass_and_regression(tmp_path, capsys):
     path = write_cfg(tmp_path, CFG_FORMAL)
     code, out, _ = run(capsys, ["verify", "--config", path, "--max-degree", "3"])
     assert code == 0
-    assert all(line.startswith("PASS") for line in out.strip().splitlines())
+    lines = out.strip().splitlines()
+    assert all(line.startswith("PASS") for line in lines)
+    assert lines[0] == "PASS differential squares to zero (degree <= 3)"
+    assert lines[-1] == "PASS graded algebra axioms (degree <= 3)"
+    # above the caps each line names the bound its suite actually used
+    code, out, _ = run(capsys, ["verify", "--config", path, "--max-degree", "9"])
+    assert code == 0
+    assert out.strip().splitlines() == [
+        "PASS differential squares to zero (degree <= 6)",
+        "PASS flatness and contracting homotopy (each beta_l <= 3)",
+        "PASS contraction identity (degree <= 4)",
+        "PASS bar-resolution boundary agreement (degree <= 4)",
+        "PASS product formulas equal chain-level oracles (total degree <= 4)",
+        "PASS graded algebra axioms (degree <= 4)",
+    ]
     code, out, err = run(capsys, ["verify", "--config", path,
                                   "--max-degree", "3",
                                   "--corrupt", "omega-sign"])
@@ -146,8 +160,14 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ({"max_degree": True}, "config.max_degree"),
     ({"q": [{"i": 1, "j": 2, "kind": "zeta", "power": True}]},
      "config.q[0].power"),
+    ({"group": {"kind": "table", "mult": [[1, 0], [0, 1]],
+                "chi": [[{}, {}], [{}, {}]]}}, "config.group.mult"),
+    ({"q": [{"i": 1, "j": 2, "kind": "formal", "name": ["a"]}]},
+     "config.q[0].name"),
+    ({"q": [{"i": 1, "j": 2, "kind": "formal", "name": ""}]},
+     "config.q[0].name"),
 ], ids=["group-list", "ragged-mult", "q-int", "n-bool", "max-degree-bool",
-        "power-bool"])
+        "power-bool", "mult-identity", "name-list", "name-empty"])
 def test_malformed_config_exits_two(tmp_path, capsys, override, field):
     path = write_cfg(tmp_path, {**CFG_FORMAL, **override})
     code, out, err = run(capsys, ["dims", "--config", path])

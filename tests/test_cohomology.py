@@ -4,9 +4,12 @@ from itertools import product
 import pytest
 
 from qhoch import (Cochain, average, build_algebra, class_equal,
-                   g_action_on_cochain, hh_component_basis,
+                   formal_algebra, g_action_on_cochain, hh_component_basis,
                    hom_differential, in_C_g, invariant_basis, invariant_dims,
-                   invariant_rank_oracle, is_cocycle, rank_oracle)
+                   invariant_rank_oracle, is_coboundary, is_cocycle,
+                   quantum_coefficient_action_algebra, rank_oracle)
+from qhoch.cohomology import full_basis
+from qhoch.linalg import in_span
 from qhoch.resolution import compositions
 
 
@@ -263,3 +266,52 @@ def test_class_equal_requires_cocycles(A2):
 def test_rank_oracle_seed_disagreement_reported(A2):
     # agreement across fresh seeds
     assert rank_oracle(A2, 1, 0, seeds=(5, 6, 7))[2] == 2
+
+
+# ---------------------------------------------------------------------------
+# work kept in A.caches
+# ---------------------------------------------------------------------------
+
+def test_is_coboundary_cached_image_interleaved_degrees():
+    """The image of the differential is kept per degree; interleaving the
+    degrees must not mix them up, and repeat calls answer the same."""
+    A = quantum_coefficient_action_algebra(3)
+
+    def boundary(m):
+        for alpha, beta, g in full_basis(A, m - 1):
+            b = hom_differential(A, Cochain.basis(A, alpha, beta, g))
+            if not b.is_zero():
+                return b
+
+    def span_check(c):
+        rows = [hom_differential(A, Cochain.basis(A, *k)).to_frac().terms
+                for k in full_basis(A, c.degree - 1)]
+        return in_span([r for r in rows if r], c.to_frac().terms)
+
+    cases = []
+    for m in (2, 3):
+        cases.append((boundary(m), True))
+        cases.append((invariant_basis(A, m).classes[0], False))
+    order = [cases[0], cases[3], cases[1], cases[2]]
+    for _ in range(2):
+        for c, expected in order:
+            assert is_coboundary(A, c) is expected
+            assert span_check(c) is expected
+
+
+def test_invariant_rank_oracle_cache_is_per_seed():
+    """Ranks are kept per (degree, seed): answers on one algebra across
+    seed lists equal those on fresh algebras.  Seed 63 draws q = 1, a
+    non-generic point with different ranks, so a cache that ignored the
+    seed would show here."""
+    def make():
+        return formal_algebra(2, group_spec=("cyclic", 3, [(1, 0), (1, 0)]))
+
+    shared = make()
+    for seeds in ((5,), (63,), (7,), (5, 7)):
+        for m in range(5):
+            assert invariant_rank_oracle(shared, m, seeds=seeds) == \
+                invariant_rank_oracle(make(), m, seeds=seeds), (seeds, m)
+    assert [invariant_rank_oracle(shared, m, seeds=(63,))
+            for m in range(3)] != [invariant_rank_oracle(shared, m, seeds=(5,))
+                                   for m in range(3)]

@@ -1,12 +1,15 @@
+import hashlib
 import random
 from itertools import product
 
 import pytest
 
-from qhoch import (Cochain, bracket, bracket_oracle, circ, circ_oracle,
-                   cup, cup_oracle, g_action_on_cochain, hom_differential,
-                   invariant_basis, is_coboundary, is_cocycle, unit_cochain)
-from qhoch.gerstenhaber import axiom_suite
+import qhoch.gerstenhaber
+from qhoch import (Cochain, bracket, bracket_oracle, build_algebra, circ,
+                   circ_oracle, cup, cup_oracle, g_action_on_cochain,
+                   hom_differential, invariant_basis, is_coboundary,
+                   is_cocycle, unit_cochain)
+from qhoch.gerstenhaber import axiom_suite, product_table
 from qhoch.resolution import compositions
 
 
@@ -256,3 +259,38 @@ def test_bracket_descends_to_cohomology(Ad3):
 def test_axiom_suite_small(A2, Ad3):
     assert axiom_suite(A2, 2) == []
     assert axiom_suite(Ad3, 3) == []
+
+
+def test_bracket_table_entries_equal_bracket(A2_Z3):
+    classes = [(f"d{m}#{i}", c) for m in range(4)
+               for i, c in enumerate(invariant_basis(A2_Z3, m).classes)]
+    table = product_table(A2_Z3, classes, bracket)
+    assert len(table) == len(classes) ** 2
+    entries = iter(table)
+    for la, ca in classes:
+        for lb, cb in classes:
+            left, right, res = next(entries)
+            assert (left, right) == (la, lb)
+            assert res == bracket(A2_Z3, ca, cb)
+
+
+def test_axiom_suite_reports_every_failure_of_a_broken_circ(monkeypatch):
+    """With circ scaled by 2 on (outer degree 2, inner degree 1) the suite
+    must report the same failures, in the same order, as when every check
+    recomputed its products: 108 Jacobi and 28 derivation-rule failures."""
+    real_circ = qhoch.gerstenhaber.circ
+
+    def broken(A, outer, inner):
+        res = real_circ(A, outer, inner)
+        if outer.degree == 2 and inner.degree == 1:
+            return res.scale(2)
+        return res
+
+    monkeypatch.setattr(qhoch.gerstenhaber, "circ", broken)
+    A = build_algebra(2, N=2, q_spec={(0, 1): ("rational", -1)})
+    failures = axiom_suite(A, 3)
+    assert len(failures) == 136
+    assert failures[0] == "Jacobi fails: d0#1,d1#0,d2#2"
+    assert failures[-1] == "derivation rule fails: d2#3,d1#2,d1#0"
+    assert hashlib.sha256("\n".join(failures).encode()).hexdigest() == \
+        "8cfa0b8833f10d4e8ea563a57bb2a9f034ac299406a3439c96eeb7279e3e9a91"

@@ -211,3 +211,29 @@ def test_frac_absorbs_monomial_denominator():
     t = uni.from_unit(uni.param_unit(0))
     f = Frac(uni.one + t, t)
     assert f.den == uni.one
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 12, 60])
+def test_cyclo_inverse_roots_and_rationals(N):
+    field = CycloField(N)
+    # zeta^k by the generic product of untagged elements, independent of
+    # the tagged roots that the inverse returns
+    zeta = field.element(field.zeta.coeffs)
+    powers = [field.element(field.one.coeffs)]
+    for _ in range(N - 1):
+        powers.append(powers[-1] * zeta)
+    for k in range(N):
+        for sign in (1, -1):
+            want = tuple(sign * c for c in powers[(-k) % N].coeffs)
+            tagged = field.root(sign, k)
+            untagged = field.element(tagged.coeffs)
+            assert untagged.root is None
+            for x in (tagged, untagged):
+                inv = x.inv()
+                assert inv.coeffs == want
+                assert x * inv == field.one
+    for r in (Fraction(2), Fraction(-3, 7), Fraction(5, 4)):
+        x = field.from_rational(r)
+        inv = x.inv()
+        assert inv.coeffs == (1 / r,) + (Fraction(0),) * (field.degree - 1)
+        assert x * inv == field.one
