@@ -27,7 +27,7 @@ class Group:
 
     __slots__ = ("order", "mult", "inverse", "chi")
 
-    def __init__(self, mult, chi, validate=True):
+    def __init__(self, mult, chi):
         self.mult = tuple(tuple(row) for row in mult)
         self.order = len(self.mult)
         self.chi = tuple(tuple(row) for row in chi)
@@ -37,8 +37,7 @@ class Group:
                 if self.mult[g][h] == 0:
                     inv[g] = h
         self.inverse = tuple(inv)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n = self.order
@@ -75,7 +74,7 @@ class Group:
 
 
 def trivial_group(uni, n):
-    return Group(((0,),), ((uni.unit_one,) * n,), validate=False)
+    return Group(((0,),), ((uni.unit_one,) * n,))
 
 
 def make_cyclic_group(uni, n, order, chi_gen):
@@ -91,7 +90,7 @@ def make_cyclic_group(uni, n, order, chi_gen):
             raise ValueError("character order does not divide the group order")
     mult = [[(a + b) % order for b in range(order)] for a in range(order)]
     chi = [tuple(u ** a for u in chi_gen) for a in range(order)]
-    return Group(mult, chi, validate=True)
+    return Group(mult, chi)
 
 
 class Algebra:

@@ -14,10 +14,11 @@ import sys
 from fractions import Fraction
 
 from .algebra import Group, build_algebra
-from .cohomology import invariant_basis, invariant_rank_oracle
-from .gerstenhaber import axiom_suite, bracket, circ, circ_oracle, cup, cup_oracle
-from .resolution import (Cochain, bar_check, compositions, hom_differential,
-                         homotopy, phi_identity_check)
+from .cohomology import (collect_classes, flatness_check, invariant_basis,
+                         invariant_rank_oracle)
+from .gerstenhaber import axiom_suite, bracket, cup, product_check
+from .resolution import (bar_check, compositions, differential_check,
+                         phi_identity_check)
 from .scalars import scalar_str
 
 
@@ -139,7 +140,8 @@ def parse_config(raw):
     try:
         A = build_algebra(n, N=N, q_spec=q_spec, group_spec=group_spec)
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        # everything else build_algebra checks is validated above
+        raise ConfigError(f"config.group.chi: {exc}")
     max_degree = raw.get("max_degree")
     if not _is_int(max_degree, 0):
         raise ConfigError("config.max_degree: required nonnegative integer "
@@ -180,18 +182,6 @@ def cochain_json(c):
     } for (alpha, beta, g) in c.sorted_keys()]
 
 
-def class_label(m, idx):
-    return f"d{m}#{idx}"
-
-
-def collect_classes(A, max_degree):
-    labelled = []
-    for m in range(max_degree + 1):
-        for idx, c in enumerate(invariant_basis(A, m).classes):
-            labelled.append((class_label(m, idx), c))
-    return labelled
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -202,7 +192,10 @@ def cmd_dims(A, max_degree, seeds, verify):
         dim = len(invariant_basis(A, m).classes)
         row = {"degree": m, "dim": dim}
         if verify:
-            oracle = invariant_rank_oracle(A, m, seeds=tuple(seeds))
+            try:
+                oracle = invariant_rank_oracle(A, m, seeds=tuple(seeds))
+            except ArithmeticError as exc:
+                raise VerificationFailure(f"degree {m}: {exc}")
             row["rank_oracle"] = oracle
             if oracle != dim:
                 raise VerificationFailure(
@@ -213,19 +206,15 @@ def cmd_dims(A, max_degree, seeds, verify):
 
 
 def cmd_basis(A, max_degree, degree=None):
-    degrees = [degree] if degree is not None else list(range(max_degree + 1))
-    out = []
-    for m in degrees:
-        basis = invariant_basis(A, m)
-        for idx, c in enumerate(basis.classes):
-            out.append({"id": class_label(m, idx), "degree": m,
-                        "terms": cochain_json(c)})
-    return {"command": "basis", "classes": out}
+    degrees = [degree] if degree is not None else range(max_degree + 1)
+    return {"command": "basis", "classes": [
+        {"id": label, "degree": c.degree, "terms": cochain_json(c)}
+        for label, c in collect_classes(A, degrees)]}
 
 
 def cmd_products(A, max_degree, which):
     from .gerstenhaber import product_table
-    classes = collect_classes(A, max_degree)
+    classes = collect_classes(A, range(max_degree + 1))
     op = cup if which == "cup" else bracket
     table = []
     for la, lb, res in product_table(A, classes, op):
@@ -244,99 +233,57 @@ class VerificationFailure(Exception):
     pass
 
 
-def cmd_verify(A, max_degree, seeds, corrupt=None):
-    """Run the invariant suites; raises VerificationFailure with a witness
-    on the first violated identity."""
-    from itertools import product as iproduct
-    report = []
-    omega_variant = "unsigned" if corrupt == "omega-sign" else "derivation"
+def cmd_verify(A, max_degree, seeds):
+    """Run the identity suites in order; raises VerificationFailure with a
+    witness on the first violated identity."""
+    top, limit = min(max_degree, 6), min(max_degree, 4)
 
-    def record(name, bound, witness):
-        if witness is None:
-            report.append(f"PASS {name} ({bound})")
-        else:
+    def bar_failure():
+        for m in range(limit + 1):
+            for beta in compositions(A.n, m):
+                if not bar_check(A, beta):
+                    return beta
+        return None
+
+    def axiom_failure():
+        failures = axiom_suite(A, limit)
+        return failures[0] if failures else None
+
+    suites = [
+        ("differential squares to zero", f"degree <= {top}",
+         lambda: differential_check(A, top)),
+        # gamma_l <= 2 and alpha_l <= 1, so beta_l = gamma_l + alpha_l <= 3
+        ("flatness and contracting homotopy", "each beta_l <= 3",
+         lambda: flatness_check(A, 2)),
+        ("contraction identity", f"degree <= {limit}",
+         lambda: phi_identity_check(A, limit)),
+        ("bar-resolution boundary agreement", f"degree <= {limit}",
+         bar_failure),
+        ("product formulas equal chain-level oracles",
+         f"total degree <= {limit}", lambda: product_check(A, limit)),
+        ("graded algebra axioms", f"degree <= {limit}", axiom_failure),
+    ]
+    report = []
+    for name, bound, check in suites:
+        witness = check()
+        if witness is not None:
             report.append(f"FAIL {name} ({bound}): witness {witness}")
             raise VerificationFailure("\n".join(report))
-
-    # d . d = 0
-    witness = None
-    top = min(max_degree, 6)
-    for m in range(top + 1):
-        for beta in compositions(A.n, m):
-            for alpha in iproduct((0, 1), repeat=A.n):
-                for g in range(A.group.order):
-                    c = Cochain.basis(A, alpha, beta, g)
-                    dd = hom_differential(
-                        A, hom_differential(A, c, omega_variant), omega_variant)
-                    if not dd.is_zero():
-                        witness = (alpha, beta, g)
-                        break
-    record("differential squares to zero", f"degree <= {top}", witness)
-    # flat subcomplexes + contracting homotopy
-    from .cohomology import in_C_g
-    witness = None
-    for g in range(A.group.order):
-        for gamma in iproduct(range(-1, 3), repeat=A.n):
-            member = in_C_g(A, gamma, g) is not None
-            for alpha in iproduct((0, 1), repeat=A.n):
-                beta = tuple(gg + aa for gg, aa in zip(gamma, alpha))
-                if any(b < 0 for b in beta):
-                    continue
-                c = Cochain.basis(A, alpha, beta, g)
-                if member:
-                    if not hom_differential(A, c).is_zero():
-                        witness = ("flat", g, gamma, alpha)
-                else:
-                    cf = c.to_frac()
-                    res = homotopy(A, hom_differential(A, cf)) + \
-                        hom_differential(A, homotopy(A, cf))
-                    if not (res == cf):
-                        witness = ("homotopy", g, gamma, alpha)
-    record("flatness and contracting homotopy", "each beta_l <= 3", witness)
-    # diagonal / bar / contraction identities
-    limit = min(max_degree, 4)
-    witness = phi_identity_check(A, limit)
-    record("contraction identity", f"degree <= {limit}", witness)
-    witness = None
-    for m in range(limit + 1):
-        for beta in compositions(A.n, m):
-            if not bar_check(A, beta):
-                witness = beta
-    record("bar-resolution boundary agreement", f"degree <= {limit}", witness)
-    # closed formulas against the chain-level oracles
-    witness = None
-    keys = []
-    for m in range(limit + 1):
-        for beta in compositions(A.n, m):
-            for alpha in iproduct((0, 1), repeat=A.n):
-                for g in range(A.group.order):
-                    keys.append((alpha, beta, g))
-    for k1 in keys:
-        c1 = Cochain.basis(A, *k1)
-        for k2 in keys:
-            if sum(k1[1]) + sum(k2[1]) > limit:
-                continue
-            c2 = Cochain.basis(A, *k2)
-            if not (cup(A, c1, c2) == cup_oracle(A, c1, c2)):
-                witness = ("cup", k1, k2)
-                break
-            if not (circ(A, c1, c2) == circ_oracle(A, c1, c2)):
-                witness = ("circle", k1, k2)
-                break
-        if witness:
-            break
-    record("product formulas equal chain-level oracles",
-           f"total degree <= {limit}", witness)
-    # graded-algebra axioms on the invariant classes
-    failures = axiom_suite(A, limit)
-    record("graded algebra axioms", f"degree <= {limit}",
-           failures[0] if failures else None)
+        report.append(f"PASS {name} ({bound})")
     return {"command": "verify", "report": report}
 
 
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
+
+def _terms_text(terms):
+    """One line for the JSON terms of a cochain."""
+    return " + ".join(
+        f"({t['coefficient_str']})*"
+        f"(x^{tuple(t['alpha'])}(x)g{t['g']})e{tuple(t['beta'])}^*"
+        for t in terms)
+
 
 def render_text(result):
     cmd = result["command"]
@@ -351,19 +298,13 @@ def render_text(result):
     elif cmd == "basis":
         lines.append("id\tdegree\tterms")
         for rec in result["classes"]:
-            terms = " + ".join(
-                f"({t['coefficient_str']})*"
-                f"(x^{tuple(t['alpha'])}(x)g{t['g']})e{tuple(t['beta'])}^*"
-                for t in rec["terms"])
-            lines.append(f"{rec['id']}\t{rec['degree']}\t{terms}")
+            lines.append(f"{rec['id']}\t{rec['degree']}\t"
+                         f"{_terms_text(rec['terms'])}")
     elif cmd in ("cup", "bracket"):
         lines.append("left\tright\tdegree\tresult")
         for rec in result["table"]:
-            terms = " + ".join(
-                f"({t['coefficient_str']})*"
-                f"(x^{tuple(t['alpha'])}(x)g{t['g']})e{tuple(t['beta'])}^*"
-                for t in rec["terms"])
-            lines.append(f"{rec['left']}\t{rec['right']}\t{rec['degree']}\t{terms}")
+            lines.append(f"{rec['left']}\t{rec['right']}\t{rec['degree']}\t"
+                         f"{_terms_text(rec['terms'])}")
     elif cmd == "verify":
         lines.extend(result["report"])
     return "\n".join(lines) + "\n"
@@ -386,10 +327,12 @@ def main(argv=None):
                         help="cross-check dims against the rank oracle")
     parser.add_argument("--degree", type=int, default=None,
                         help="restrict basis output to one degree")
-    parser.add_argument("--corrupt", choices=["omega-sign"], default=None,
-                        help=argparse.SUPPRESS)  # regression hook
     args = parser.parse_args(argv)
     try:
+        for flag, value in (("--max-degree", args.max_degree),
+                            ("--degree", args.degree)):
+            if value is not None and value < 0:
+                raise ConfigError(f"{flag}: must be a nonnegative integer")
         A, max_degree, seeds = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -406,7 +349,7 @@ def main(argv=None):
         elif args.command in ("cup", "bracket"):
             result = cmd_products(A, max_degree, args.command)
         else:
-            result = cmd_verify(A, max_degree, seeds, corrupt=args.corrupt)
+            result = cmd_verify(A, max_degree, seeds)
     except VerificationFailure as exc:
         print(f"verification failed:\n{exc}", file=sys.stderr)
         return 1

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .linalg import RowReducer, accumulate
-from .resolution import (Cochain, compositions, hom_differential,
-                         slot_condition_holds, sub_index)
+from .resolution import (Cochain, add_index, compositions, full_basis,
+                         hom_differential, homotopy, slot_condition_holds,
+                         sub_index)
 from .scalars import Frac, QQ
 
 
@@ -50,15 +51,29 @@ def hh_component_basis(A, m, g):
     return out
 
 
-def full_basis(A, m):
-    """Every basis symbol (alpha, beta, g) in homological degree m,
-    ordered lexicographically by (g, beta, alpha)."""
-    out = []
+def flatness_check(A, top):
+    """Check, on every subcomplex K_{g,gamma} with each gamma_l in
+    -1..top, that d vanishes when gamma is in the flat set and that the
+    contracting homotopy h satisfies h d + d h = 1 when it is not.
+    Returns None, or the first failure as ("flat" or "homotopy", g, gamma,
+    alpha)."""
     for g in range(A.group.order):
-        for beta in sorted(compositions(A.n, m)):
-            for alpha in sorted(iproduct((0, 1), repeat=A.n)):
-                out.append((tuple(alpha), beta, g))
-    return out
+        for gamma in iproduct(range(-1, top + 1), repeat=A.n):
+            member = in_C_g(A, gamma, g) is not None
+            for alpha in iproduct((0, 1), repeat=A.n):
+                beta = add_index(gamma, alpha)
+                if min(beta) < 0:
+                    continue
+                c = Cochain.basis(A, alpha, beta, g)
+                if member:
+                    if not hom_differential(A, c).is_zero():
+                        return ("flat", g, gamma, alpha)
+                    continue
+                cf = c.to_frac()
+                if homotopy(A, hom_differential(A, cf)) + \
+                        hom_differential(A, homotopy(A, cf)) != cf:
+                    return ("homotopy", g, gamma, alpha)
+    return None
 
 
 def _act_into(out, A, h, c):
@@ -128,6 +143,13 @@ def invariant_dims(A, max_degree):
     return [len(invariant_basis(A, m).classes) for m in range(max_degree + 1)]
 
 
+def collect_classes(A, degrees):
+    """The invariant classes of the given degrees as (label, Cochain), the
+    label d{m}#{i} naming the i-th class of `invariant_basis` in degree m."""
+    return [(f"d{m}#{i}", c) for m in degrees
+            for i, c in enumerate(invariant_basis(A, m).classes)]
+
+
 # ---------------------------------------------------------------------------
 # the rank oracle
 # ---------------------------------------------------------------------------
@@ -157,35 +179,62 @@ def _seed_values(A, seed):
     return values
 
 
-def _component_delta_rank(A, m, g, values):
-    """Rank of the differential out of degree m on the g-component."""
-    rows = []
-    for beta in compositions(A.n, m):
-        for alpha in iproduct((0, 1), repeat=A.n):
-            img = hom_differential(A, Cochain.basis(A, alpha, beta, g))
-            if img.is_zero():
-                continue
-            rows.append(_substituted_row(A, img, values))
-    red = RowReducer()
-    for row in rows:
-        red.add(row)
-    return red.rank
+def _subcomplex(A, m, g):
+    """(dimension, nonzero images under the differential) of a subcomplex
+    in degree m: the g-component, spanned by the basis cochains with group
+    part g, or for g=None the invariant subcomplex, spanned by the averages
+    of the basis cochains that are independent by exact elimination.
+    Averaged coefficients are cyclotomic constants, as in
+    `invariant_basis`, so neither depends on a seed; each is kept in
+    A.caches per (degree, g)."""
+    key = ("subcomplex", m, g)
+    hit = A.caches.get(key)
+    if hit is None:
+        # full_basis(A, -1) is not empty when n = 1
+        symbols = full_basis(A, m) if m >= 0 else []
+        if g is None:
+            red = RowReducer()
+            basis = []
+            for sym in symbols:
+                avg = average(A, Cochain.basis(A, *sym))
+                if not avg.is_zero() and red.add(_constant_row(avg)):
+                    basis.append(avg)
+        else:
+            basis = [Cochain.basis(A, *sym) for sym in symbols if sym[2] == g]
+        images = [img for img in (hom_differential(A, c) for c in basis)
+                  if not img.is_zero()]
+        hit = A.caches[key] = (len(basis), images)
+    return hit
 
 
-def rank_oracle(A, m, g, seeds=(1,)):
-    """(dim kernel, dim image-from-below, dim cohomology) for the
-    g-component in degree m, by exact elimination after substituting the
-    formal parameters at each seed; all seeds must agree."""
+def _delta_rank(A, m, g, seed):
+    """Rank of the differential out of degree m on the subcomplex selected
+    by g (see `_subcomplex`) after substituting the formal parameters at
+    one seed; kept in A.caches per (degree, g, seed), so the rank into
+    degree m + 1 reuses it."""
+    key = ("delta-rank", m, g, seed)
+    rank = A.caches.get(key)
+    if rank is None:
+        values = _seed_values(A, seed) if seed is not None else []
+        red = RowReducer()
+        for img in _subcomplex(A, m, g)[1]:
+            red.add(_substituted_row(A, img, values))
+        rank = A.caches[key] = red.rank
+    return rank
+
+
+def _ranks(A, m, g, seeds):
+    """(dim kernel, dim image from below, dim cohomology) in degree m of the
+    subcomplex selected by g, from the ranks at each seed; all seeds must
+    agree."""
     if A.uni.nparams == 0:
         seeds = (None,)
+    dim = _subcomplex(A, m, g)[0]
     results = []
     for seed in seeds:
-        values = _seed_values(A, seed) if seed is not None else []
-        dim_m = num_compositions(A.n, m) * (2 ** A.n)
-        rank_out = _component_delta_rank(A, m, g, values)
-        rank_in = _component_delta_rank(A, m - 1, g, values) if m > 0 else 0
-        results.append((dim_m - rank_out, rank_in,
-                        dim_m - rank_out - rank_in))
+        rank_out = _delta_rank(A, m, g, seed)
+        rank_in = _delta_rank(A, m - 1, g, seed)
+        results.append((dim - rank_out, rank_in, dim - rank_out - rank_in))
     if len(set(results)) != 1:
         raise ArithmeticError(
             f"rank oracle disagrees across seeds: {results} "
@@ -193,71 +242,18 @@ def rank_oracle(A, m, g, seeds=(1,)):
     return results[0]
 
 
-def num_compositions(n, total):
-    if total < 0:
-        return 0
-    from math import comb
-    return comb(total + n - 1, n - 1)
-
-
-def _invariant_images(A, m):
-    """(dimension, images under the differential) of the invariant
-    subcomplex in degree m.  Its basis is the averages of the basis
-    cochains that are independent by exact elimination of their rows;
-    averaged coefficients are cyclotomic constants, as in
-    `invariant_basis`, so the subcomplex does not depend on any seed and is
-    kept in A.caches per degree."""
-    key = ("invariant-images", m)
-    hit = A.caches.get(key)
-    if hit is None:
-        red = RowReducer()
-        images = []
-        # full_basis(A, -1) is not empty when n = 1
-        for alpha, beta, g in full_basis(A, m) if m >= 0 else ():
-            avg = average(A, Cochain.basis(A, alpha, beta, g))
-            if avg.is_zero() or not red.add(_constant_row(avg)):
-                continue
-            img = hom_differential(A, avg)
-            if not img.is_zero():
-                images.append(img)
-        hit = A.caches[key] = (red.rank, images)
-    return hit
-
-
-def _invariant_delta_rank(A, m, seed):
-    """Rank of the differential out of degree m on the invariant subcomplex
-    after substituting the formal parameters at one seed; kept in A.caches
-    per (degree, seed), so the rank into degree m + 1 reuses it."""
-    key = ("invariant-delta-rank", m, seed)
-    rank = A.caches.get(key)
-    if rank is None:
-        values = _seed_values(A, seed) if seed is not None else []
-        red = RowReducer()
-        for img in _invariant_images(A, m)[1]:
-            red.add(_substituted_row(A, img, values))
-        rank = A.caches[key] = red.rank
-    return rank
+def rank_oracle(A, m, g, seeds=(1,)):
+    """(dim kernel, dim image-from-below, dim cohomology) for the
+    g-component in degree m, by exact elimination after substituting the
+    formal parameters at each seed; all seeds must agree."""
+    return _ranks(A, m, g, seeds)
 
 
 def invariant_rank_oracle(A, m, seeds=(1,)):
     """Dimension of the invariant cohomology in degree m computed from
-    ranks of the differential restricted to the invariant subcomplex.
-
-    Everything it computes depends only on the algebra, the degree and the
-    seed, so it is kept in A.caches: the invariant subcomplex of each
-    degree with its images under the differential (seed-free, see
-    `_invariant_images`), and the rank of the differential per (degree,
-    seed), which serves as the rank out of degree m here and as the rank
-    into degree m + 1 on the next call."""
-    if A.uni.nparams == 0:
-        seeds = (None,)
-    dim_m = _invariant_images(A, m)[0]
-    results = [dim_m - _invariant_delta_rank(A, m, seed)
-               - _invariant_delta_rank(A, m - 1, seed) for seed in seeds]
-    if len(set(results)) != 1:
-        raise ArithmeticError(
-            f"invariant rank oracle disagrees across seeds: {results}")
-    return results[0]
+    ranks of the differential restricted to the invariant subcomplex; all
+    seeds must agree."""
+    return _ranks(A, m, None, seeds)[2]
 
 
 # ---------------------------------------------------------------------------

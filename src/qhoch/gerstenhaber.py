@@ -17,9 +17,10 @@ cocycles is no longer invariant
 from __future__ import annotations
 
 from .algebra import SkewElement
-from .cohomology import is_cocycle
+from .cohomology import collect_classes, is_cocycle
 from .linalg import accumulate
-from .resolution import Cochain, add_index, diagonal, phi_generator, sub_index
+from .resolution import (Cochain, add_index, diagonal, full_basis,
+                         phi_generator, sub_index)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +232,26 @@ def bracket(A, f1, f2):
 
 
 def bracket_oracle(A, f1, f2):
-    m, l = f1.degree, f2.degree
-    first = circ_oracle(A, f1, f2)
-    second = circ_oracle(A, f2, f1)
-    if ((m - 1) * (l - 1)) % 2:
-        return first + second
-    return first - second
+    return _signed_sum(circ_oracle(A, f1, f2), circ_oracle(A, f2, f1),
+                       f1.degree, f2.degree)
+
+
+def product_check(A, top):
+    """Check cup == cup_oracle and circ == circ_oracle on every ordered pair
+    of basis cochains of total degree <= top.  Returns None, or the first
+    failure as ("cup" or "circle", key1, key2)."""
+    keys = {m: full_basis(A, m) for m in range(top + 1)}
+    for m in range(top + 1):
+        for l in range(top + 1 - m):
+            for k1 in keys[m]:
+                c1 = Cochain.basis(A, *k1)
+                for k2 in keys[l]:
+                    c2 = Cochain.basis(A, *k2)
+                    if cup(A, c1, c2) != cup_oracle(A, c1, c2):
+                        return ("cup", k1, k2)
+                    if circ(A, c1, c2) != circ_oracle(A, c1, c2):
+                        return ("circle", k1, k2)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +327,11 @@ def axiom_suite(A, max_degree, up_to=None):
     brackets of Jacobi, the products in the derivation rule) are formed
     afresh.  `is_coboundary` keeps its image of the differential in
     `A.caches` (see there)."""
-    from .cohomology import invariant_basis, is_coboundary
+    from .cohomology import is_coboundary
     failures = []
-    labels, cochains = [], []
-    for m in range(max_degree + 1):
-        for i, c in enumerate(invariant_basis(A, m).classes):
-            labels.append(f"d{m}#{i}")
-            cochains.append(c)
+    classes = collect_classes(A, range(max_degree + 1))
+    labels = [label for label, _ in classes]
+    cochains = [c for _, c in classes]
     products = PairProducts(A, cochains)
     deg = [c.degree for c in cochains]
     idx = range(len(cochains))

@@ -15,6 +15,7 @@ the basis symbols (x^alpha (x) g) e_beta^*.
 
 from __future__ import annotations
 
+from itertools import product as iproduct
 from operator import add, sub
 
 from .linalg import SparseVector, accumulate
@@ -58,7 +59,6 @@ def compositions(n, total):
 def splittings(beta):
     """All ordered pairs (b1, b2) with b1 + b2 = beta."""
     ranges = [range(x + 1) for x in beta]
-    from itertools import product as iproduct
     for b1 in iproduct(*ranges):
         yield tuple(b1), tuple(x - y for x, y in zip(beta, b1))
 
@@ -94,22 +94,17 @@ def norm_g(A, g, gamma):
     return count
 
 
-def omega_big(A, g, alpha, beta, l, variant="derivation"):
+def omega_big(A, g, alpha, beta, l):
     """Coefficient of (x^{alpha+[l]} (x) g) e_{beta+[l]}^* in the cochain
     differential of (x^alpha (x) g) e_beta^*.
 
     The k > l exponents follow the boundary-map derivation (beta_k -
-    alpha_k).  Two corrupted readings are kept for regression tests only:
-    variant="boxed" negates those exponents (it still squares to zero but
-    ruins the flat subcomplexes at roots of unity), and variant="unsigned"
-    drops the leading alternating sign (breaking d^2 = 0 outright).
+    alpha_k); the regression tests keep the readings that fail (see
+    tests/test_resolution.py).
     """
     if alpha[l] == 1:
         return A.zero()
-    head = sum(beta[:l])
-    if variant == "unsigned":
-        head = 0
-    sign = A.uni.unit(sign=-1 if head % 2 else 1)
+    sign = A.uni.unit(sign=-1 if sum(beta[:l]) % 2 else 1)
     t1 = sign
     for k in range(l):
         e = beta[k] - alpha[k]
@@ -118,8 +113,6 @@ def omega_big(A, g, alpha, beta, l, variant="derivation"):
     t2 = sign * A.uni.unit(sign=-1 if beta[l] % 2 else 1) * A.chi(g, l)
     for k in range(l + 1, A.n):
         e = beta[k] - alpha[k]
-        if variant == "boxed":
-            e = -e
         if e:
             t2 = t2 * (A.nq[l][k] ** e)
     if t1 == t2:
@@ -213,18 +206,41 @@ class Cochain(SparseVector):
         return "Cochain(" + " + ".join(bits) + ")"
 
 
-def hom_differential(A, c, variant="derivation"):
+def hom_differential(A, c):
     """Induced differential on cochains: the linear extension of
     delta((x^a (x) g) e_b^*) = sum_l Omega_g(a, b, l)
     (x^{a+[l]} (x) g) e_{b+[l]}^*."""
     out = {}
     for (alpha, beta, g), coeff in c.terms.items():
         for l in range(A.n):
-            w = omega_big(A, g, alpha, beta, l, variant=variant)
+            w = omega_big(A, g, alpha, beta, l)
             if w.is_zero():
                 continue
             accumulate(out, (bump(alpha, l), bump(beta, l), g), coeff * w)
     return Cochain(A, c.degree + 1, out)
+
+
+def full_basis(A, m):
+    """Every basis symbol (alpha, beta, g) in homological degree m,
+    ordered lexicographically by (g, beta, alpha)."""
+    out = []
+    for g in range(A.group.order):
+        for beta in sorted(compositions(A.n, m)):
+            for alpha in sorted(iproduct((0, 1), repeat=A.n)):
+                out.append((tuple(alpha), beta, g))
+    return out
+
+
+def differential_check(A, top):
+    """Check d . d = 0 on every basis cochain of degree <= top.  Returns
+    None, or the first (alpha, beta, g) whose image under d . d is not
+    zero."""
+    for m in range(top + 1):
+        for key in full_basis(A, m):
+            c = Cochain.basis(A, *key)
+            if not hom_differential(A, hom_differential(A, c)).is_zero():
+                return key
+    return None
 
 
 def homotopy(A, c):
@@ -497,7 +513,7 @@ def bar_check(A, beta):
 # the contraction phi
 # ---------------------------------------------------------------------------
 
-def phi_generator(A, beta, mid, gamma, variant="verified"):
+def phi_generator(A, beta, mid, gamma):
     """Closed form of the contraction on e_beta (x) x^mid e_gamma.
 
     The coefficient of the slot-l term is
@@ -507,11 +523,11 @@ def phi_generator(A, beta, mid, gamma, variant="verified"):
                       prod_{r<l<s} (-q_{rs})^{mid_r(mid_s+gamma_s)+mid_s beta_r}
 
     This reading is forced by the identity d(phi) = F (solved degreewise
-    and enforced by phi_identity_check); variant="printed" keeps the other
-    published reading, which fails that identity, for the regression test.
+    and enforced by phi_identity_check); the other published reading,
+    which fails that identity, is kept by the regression tests.
     """
     n = A.n
-    cache_key = ("phi", tuple(beta), tuple(mid), tuple(gamma), variant)
+    cache_key = ("phi", tuple(beta), tuple(mid), tuple(gamma))
     cached = A.caches.get(cache_key)
     if cached is not None:
         return cached
@@ -523,23 +539,14 @@ def phi_generator(A, beta, mid, gamma, variant="verified"):
         if any(beta[l + 1:]) or any(gamma[:l]):
             continue
         u = A.uni.unit(sign=sign_beta)
-        if variant == "printed":
-            e_above, e_below = gamma[l] + 1, beta[l] + 1
-        else:
-            e_above, e_below = beta[l] + 1, gamma[l] + 1
         for k in range(l + 1, n):
             if mid[k]:
-                u = u * (A.nq[l][k] ** e_above)
+                u = u * (A.nq[l][k] ** (beta[l] + 1))
         for k in range(l):
             if mid[k]:
-                u = u * (A.nq[k][l] ** e_below)
-        for r in range(n):
-            for s in range(r + 1, n):
-                if variant == "printed":
-                    if r == l or s == l:
-                        continue
-                elif not (r < l < s):
-                    continue
+                u = u * (A.nq[k][l] ** (gamma[l] + 1))
+        for r in range(l):
+            for s in range(l + 1, n):
                 e = mid[r] * (mid[s] + gamma[s]) + mid[s] * beta[r]
                 if e:
                     u = u * (A.nq[r][s] ** e)
@@ -552,12 +559,12 @@ def phi_generator(A, beta, mid, gamma, variant="verified"):
     return result
 
 
-def phi_tensor(A, t, variant="verified"):
+def phi_tensor(A, t):
     """Contraction applied to a two-tensor element, extended as a bimodule
     map over the outer coefficient slots."""
     out = {}
     for (a, beta, mid, gamma, b), c in t.terms.items():
-        base = phi_generator(A, beta, mid, gamma, variant=variant)
+        base = phi_generator(A, beta, mid, gamma)
         for (pa, pbeta, pb), pc in base.terms.items():
             la = A.mono_mul(a, pa)
             if la is None:
@@ -571,11 +578,10 @@ def phi_tensor(A, t, variant="verified"):
     return Tensor(A, out)
 
 
-def phi_identity_check(A, max_degree, variant="verified"):
+def phi_identity_check(A, max_degree):
     """Check d(phi) = F degreewise: delta . phi + phi . delta2 = F on every
     generator e_beta (x) x^mid e_gamma with |beta| + |gamma| <= max_degree.
     Returns None, or the first violating (beta, mid, gamma)."""
-    from itertools import product as iproduct
     n = A.n
     for total in range(max_degree + 1):
         for dleft in range(total + 1):
@@ -583,8 +589,8 @@ def phi_identity_check(A, max_degree, variant="verified"):
                 for gamma in compositions(n, total - dleft):
                     for mid in iproduct((0, 1), repeat=n):
                         t = Tensor2.generator(A, beta, mid, gamma)
-                        lhs = tensor_delta(A, phi_tensor(A, t, variant)) + \
-                            phi_tensor(A, tensor2_delta(A, t), variant)
+                        lhs = tensor_delta(A, phi_tensor(A, t)) + \
+                            phi_tensor(A, tensor2_delta(A, t))
                         rhs = tensor2_F(A, t)
                         if lhs != rhs:
                             return (beta, tuple(mid), gamma)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import qhoch.resolution
 from qhoch.cli import ConfigError, main, parse_config, scalar_json
+from test_resolution import unsigned_omega
 
 
 CFG_FORMAL = {
@@ -101,7 +103,7 @@ def test_empty_degree_exits_zero(tmp_path, capsys):
     assert json.loads(out)["classes"] == []
 
 
-def test_verify_pass_and_regression(tmp_path, capsys):
+def test_verify_pass_and_regression(tmp_path, capsys, monkeypatch):
     path = write_cfg(tmp_path, CFG_FORMAL)
     code, out, _ = run(capsys, ["verify", "--config", path, "--max-degree", "3"])
     assert code == 0
@@ -120,11 +122,39 @@ def test_verify_pass_and_regression(tmp_path, capsys):
         "PASS product formulas equal chain-level oracles (total degree <= 4)",
         "PASS graded algebra axioms (degree <= 4)",
     ]
+    monkeypatch.setattr(qhoch.resolution, "omega_big", unsigned_omega)
     code, out, err = run(capsys, ["verify", "--config", path,
-                                  "--max-degree", "3",
-                                  "--corrupt", "omega-sign"])
+                                  "--max-degree", "3"])
     assert code == 1
     assert "differential squares to zero" in err and "witness" in err
+
+
+def test_verify_has_no_corrupt_option(tmp_path, capsys):
+    path = write_cfg(tmp_path, CFG_FORMAL)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", path, "--corrupt", "omega-sign"])
+    assert exc.value.code == 2
+    assert "--corrupt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--max-degree", "-2"],
+    ["verify", "--max-degree", "-2"],
+    ["basis", "--degree", "-1"],
+], ids=["dims", "verify", "basis"])
+def test_negative_degree_override_exits_two(tmp_path, capsys, argv):
+    path = write_cfg(tmp_path, CFG_FORMAL)
+    code, out, err = run(capsys, argv + ["--config", path])
+    assert code == 2 and out == ""
+    assert err == f"config error: {argv[1]}: must be a nonnegative integer\n"
+
+
+def test_dims_seed_disagreement_is_verification_failure(tmp_path, capsys):
+    path = write_cfg(tmp_path, {**CFG_FORMAL, "seeds": [5, 63]})
+    code, out, err = run(capsys, ["dims", "--config", path, "--verify"])
+    assert code == 1 and out == ""
+    assert "rank oracle disagrees across seeds" in err
+    assert "Traceback" not in err
 
 
 def test_verify_action_datum(tmp_path, capsys):
@@ -166,8 +196,22 @@ def test_config_errors_exit_two(tmp_path, capsys):
      "config.q[0].name"),
     ({"q": [{"i": 1, "j": 2, "kind": "formal", "name": ""}]},
      "config.q[0].name"),
+    ({"group": {"kind": "table", "mult": [[0, 1], [1, 0]],
+                "chi": [[{"sign": -1}, {}], [{}, {}]]}}, "config.group.chi"),
+    ({"N": 2, "group": {"kind": "table",
+                        "mult": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                        "chi": [[{}, {}], [{"sign": -1}, {}], [{}, {}]]}},
+     "config.group.chi"),
+    ({"group": {"kind": "table", "mult": [[0, 1], [1, 0]],
+                "chi": [[{}, {}], [{"sign": -1}, {}]]}}, "config.group.chi"),
+    ({"N": 3, "group": {"kind": "cyclic", "order": 2,
+                        "chi": [{"zeta": 1}, {}]}}, "config.group.chi"),
+    ({"group": {"kind": "cyclic", "order": 2,
+                "chi": [{"sign": -1}, {}]}}, "config.group.chi"),
 ], ids=["group-list", "ragged-mult", "q-int", "n-bool", "max-degree-bool",
-        "power-bool", "mult-identity", "name-list", "name-empty"])
+        "power-bool", "mult-identity", "name-list", "name-empty",
+        "chi-identity", "chi-homomorphism", "chi-order-N",
+        "cyclic-chi-order", "cyclic-chi-order-N"])
 def test_malformed_config_exits_two(tmp_path, capsys, override, field):
     path = write_cfg(tmp_path, {**CFG_FORMAL, **override})
     code, out, err = run(capsys, ["dims", "--config", path])

@@ -263,9 +263,18 @@ def test_class_equal_requires_cocycles(A2):
         class_equal(A2, not_cocycle, not_cocycle)
 
 
-def test_rank_oracle_seed_disagreement_reported(A2):
-    # agreement across fresh seeds
-    assert rank_oracle(A2, 1, 0, seeds=(5, 6, 7))[2] == 2
+def test_rank_oracle_seed_disagreement_reported():
+    """Seed 63 draws q = 1, a non-generic point with different ranks, so
+    seeds (5, 63) disagree.  Ranks are kept per (degree, g, seed): after
+    the disagreement the same algebra answers each seed alone as a fresh
+    algebra does."""
+    A = formal_algebra(2)
+    with pytest.raises(ArithmeticError, match="disagrees"):
+        rank_oracle(A, 1, 0, seeds=(5, 63))
+    for seeds in ((5,), (63,)):
+        for m in range(4):
+            assert rank_oracle(A, m, 0, seeds=seeds) == \
+                rank_oracle(formal_algebra(2), m, 0, seeds=seeds), (seeds, m)
 
 
 # ---------------------------------------------------------------------------
