@@ -2,8 +2,8 @@
 cup-product and bracket tables over the invariant classes, and run the
 verification suites.
 
-Exit codes: 0 on success, 2 for configuration errors, 1 for verification
-failures.
+Exit codes: 0 on success, 1 for verification failures, 2 for configuration
+errors, 3 for any other error (an internal fault, reported in one line).
 """
 
 from __future__ import annotations
@@ -28,12 +28,16 @@ class ConfigError(Exception):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError("config is not valid JSON: nested too deeply")
     return parse_config(raw)
 
 
@@ -334,14 +338,10 @@ def main(argv=None):
             if value is not None and value < 0:
                 raise ConfigError(f"{flag}: must be a nonnegative integer")
         A, max_degree, seeds = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.max_degree is not None:
-        max_degree = args.max_degree
-    if args.seed:
-        seeds = args.seed
-    try:
+        if args.max_degree is not None:
+            max_degree = args.max_degree
+        if args.seed:
+            seeds = args.seed
         if args.command == "dims":
             result = cmd_dims(A, max_degree, seeds, args.verify)
         elif args.command == "basis":
@@ -350,9 +350,16 @@ def main(argv=None):
             result = cmd_products(A, max_degree, args.command)
         else:
             result = cmd_verify(A, max_degree, seeds)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except VerificationFailure as exc:
         print(f"verification failed:\n{exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # exit 1 must mean only that a verification failed
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.format == "json":
         print(json.dumps(result, indent=2, sort_keys=True))
     else:

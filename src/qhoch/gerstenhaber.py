@@ -12,6 +12,14 @@ implementations.  This is what makes the middle insertion well defined
 over the skew group algebra: without it the bracket of two invariant
 cocycles is no longer invariant
 (tests/test_gerstenhaber.py::test_bracket_of_invariant_cocycles_is_invariant_cocycle).
+
+The oracles keep the part of their walk that does not depend on the outer
+cochain in A.caches: `_cup_legs` holds the diagonal's leg pairs per degree
+pair (m, l), and `_contractions` holds the doubly split and contracted
+generators per inner basis symbol and outer degree, indexed by the kappa
+the outer cochain is applied to.  Both are built from `diagonal`,
+`phi_generator`, `chi_prod` and skew-algebra arithmetic alone, never from
+the closed forms, so the oracles stay independent of `cup` and `circ`.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from __future__ import annotations
 from .algebra import SkewElement
 from .cohomology import collect_classes, is_cocycle
 from .linalg import accumulate
-from .resolution import (Cochain, add_index, diagonal, full_basis,
-                         phi_generator, sub_index)
+from .resolution import (Cochain, add_index, compositions, diagonal,
+                         full_basis, phi_generator, sub_index)
 
 
 # ---------------------------------------------------------------------------
@@ -48,28 +56,49 @@ def cup(A, f1, f2):
     return Cochain(A, f1.degree + f2.degree, out)
 
 
+def _cup_legs(A, m, l):
+    """Leg pairs of the diagonal in total degree m + l, kept in A.caches:
+    {(b1, b2): (rho, u)} over every splitting of every e_rho of degree
+    m + l with |b1| = m, where u is the diagonal coefficient.  Each leg
+    pair splits exactly one generator, rho = b1 + b2."""
+    key = ("cup-legs", m, l)
+    legs = A.caches.get(key)
+    if legs is None:
+        legs = {}
+        for rho in compositions(A.n, m + l):
+            for b1, b2, u in diagonal(A, rho):
+                if sum(b1) == m:
+                    legs[(b1, b2)] = (rho, u)
+        A.caches[key] = legs
+    return legs
+
+
+def _blocks(A, f):
+    """The terms of a cochain grouped by generator index:
+    {beta: SkewElement of the (x^alpha (x) g) parts on e_beta^*}."""
+    blocks = {}
+    for (alpha, beta, g), c in f.terms.items():
+        blocks.setdefault(beta, {})[(alpha, g)] = c
+    return {b: SkewElement(A, block) for b, block in blocks.items()}
+
+
 def cup_oracle(A, f1, f2):
-    """Cup product evaluated as multiply-after-diagonal on every generator
-    of the appropriate degree; independent of the closed form."""
-    from .resolution import compositions
+    """Cup product evaluated as multiply-after-diagonal: on e_rho, the
+    block of f1 on the left leg e_b1 times the block of f2 on the right leg
+    e_b2, summed over the splittings (b1, b2) of rho with their diagonal
+    coefficients; independent of the closed form."""
     total = f1.degree + f2.degree
+    legs = _cup_legs(A, f1.degree, f2.degree)
+    right = _blocks(A, f2)
     out = {}
-    for rho in compositions(A.n, total):
-        acc = SkewElement(A)
-        for b1, b2, u in diagonal(A, rho):
-            if sum(b1) != f1.degree:
+    for b1, left in _blocks(A, f1).items():
+        for b2, r in right.items():
+            hit = legs.get((b1, b2))
+            if hit is None:
                 continue
-            left = {(alpha, g): c for (alpha, beta, g), c in f1.terms.items()
-                    if beta == b1}
-            if not left:
-                continue
-            right = {(gamma, h): c for (gamma, kappa, h), c in f2.terms.items()
-                     if kappa == b2}
-            if not right:
-                continue
-            acc = acc + (SkewElement(A, left) * SkewElement(A, right)).scale(u)
-        for (mono, g), c in acc.terms.items():
-            out[(mono, rho, g)] = c
+            rho, u = hit
+            for (mono, g), c in (left * r).scale(u).terms.items():
+                accumulate(out, (mono, rho, g), c)
     return Cochain(A, total, out)
 
 
@@ -77,54 +106,70 @@ def cup_oracle(A, f1, f2):
 # circle product
 # ---------------------------------------------------------------------------
 
+def _contractions(A, symbol, m):
+    """The part of the circle-product pipeline that does not depend on the
+    outer cochain, for the inner basis symbol (alpha, beta, g) and outer
+    degree m, kept in A.caches: split every generator e_rho of degree
+    m + |beta| - 1 by the diagonal and the left leg again so that e_beta
+    is the middle leg, apply x^alpha (x) g there with the Koszul sign, park
+    g across the right leg e_rho2 and contract.  Returns
+    {kappa: [(rho, a, b, coeff)]}: the contraction's term x^a e_kappa x^b
+    with its full coefficient, for the outer cochain to be applied to."""
+    key = ("contractions", symbol, m)
+    table = A.caches.get(key)
+    if table is not None:
+        return table
+    alpha, beta, g = symbol
+    l = sum(beta)
+    table = {}
+    for rho in compositions(A.n, m + l - 1):
+        for rho1, rho2, u_outer in diagonal(A, rho):
+            nu = sub_index(rho1, beta)
+            if any(x < 0 for x in nu):
+                continue
+            # coefficient of e_nu (x) e_beta in the diagonal of e_rho1
+            u_inner = A.uni.unit_one
+            for t in range(A.n):
+                if nu[t]:
+                    for k in range(t):
+                        if beta[k]:
+                            u_inner = u_inner * (A.q[k][t] ** (beta[k] * nu[t]))
+            coeff = A.scalar(u_outer * u_inner)
+            if (l * sum(nu)) % 2:
+                coeff = -coeff
+            coeff = coeff * A.chi_prod(g, rho2)
+            contracted = phi_generator(A, nu, alpha, rho2)
+            for (a, kappa, b), pc in contracted.terms.items():
+                table.setdefault(kappa, []).append((rho, a, b, coeff * pc))
+    A.caches[key] = table
+    return table
+
+
 def circ_oracle(A, outer, inner):
     """Circle product as the literal pipeline: split a generator twice by
     the diagonal, apply the inner cochain to the middle leg with the Koszul
-    sign, park its group part across the right leg, contract, then apply
-    the outer cochain and multiply the parked group element back in."""
-    from .resolution import compositions
+    sign, park its group part across the right leg, contract (all four in
+    `_contractions`, once per inner basis symbol), then apply the outer
+    cochain and multiply the parked group element back in."""
     m, l = outer.degree, inner.degree
-    total = m + l - 1
-    out = {}
-    if total < 0:
+    if m + l - 1 < 0:
         return Cochain(A, 0)
-    outer_by_kappa = {}
-    for (gamma, kappa, h), c in outer.terms.items():
-        outer_by_kappa.setdefault(kappa, []).append((gamma, h, c))
-    for rho in compositions(A.n, total):
-        acc = SkewElement(A)
-        for rho1, rho2, u_outer in diagonal(A, rho):
-            for (alpha, beta, g), c_in in inner.terms.items():
-                nu = sub_index(rho1, beta)
-                if any(x < 0 for x in nu):
-                    continue
-                # coefficient of e_nu (x) e_beta in the diagonal of e_rho1
-                u_inner = A.uni.unit_one
-                for t in range(A.n):
-                    if nu[t]:
-                        for k in range(t):
-                            if beta[k]:
-                                u_inner = u_inner * (A.q[k][t] ** (beta[k] * nu[t]))
-                coeff = A.scalar(u_outer * u_inner) * c_in
-                if (l * sum(nu)) % 2:
-                    coeff = -coeff
-                coeff = coeff * A.chi_prod(g, rho2)
-                contracted = phi_generator(A, nu, alpha, rho2)
-                for (a, kappa, b), pc in contracted.terms.items():
-                    hits = outer_by_kappa.get(kappa)
-                    if not hits:
-                        continue
-                    base = coeff * pc
-                    left = SkewElement.basis(A, a, 0)
-                    park = SkewElement.basis(A, (0,) * A.n, g)
-                    for gamma, h, c_out in hits:
-                        val = left * SkewElement.basis(A, gamma, h, c_out)
-                        val = val * SkewElement.basis(A, b, 0)
-                        val = val * park
-                        acc = acc + val.scale(base)
-        for (mono, gout), c in acc.terms.items():
-            out[(mono, rho, gout)] = c
-    return Cochain(A, total, out)
+    out = {}
+    for (alpha, beta, g), c_in in inner.terms.items():
+        table = _contractions(A, (alpha, beta, g), m)
+        park = SkewElement.basis(A, (0,) * A.n, g)
+        for (gamma, kappa, h), c_out in outer.terms.items():
+            hits = table.get(kappa)
+            if not hits:
+                continue
+            middle = SkewElement.basis(A, gamma, h, c_out)
+            for rho, a, b, coeff in hits:
+                val = SkewElement.basis(A, a, 0) * middle
+                val = val * SkewElement.basis(A, b, 0) * park
+                scale = coeff * c_in
+                for (mono, gout), c in val.terms.items():
+                    accumulate(out, (mono, rho, gout), c * scale)
+    return Cochain(A, m + l - 1, out)
 
 
 def circ(A, outer, inner):
@@ -240,13 +285,12 @@ def product_check(A, top):
     """Check cup == cup_oracle and circ == circ_oracle on every ordered pair
     of basis cochains of total degree <= top.  Returns None, or the first
     failure as ("cup" or "circle", key1, key2)."""
-    keys = {m: full_basis(A, m) for m in range(top + 1)}
+    basis = {m: [(k, Cochain.basis(A, *k)) for k in full_basis(A, m)]
+             for m in range(top + 1)}
     for m in range(top + 1):
         for l in range(top + 1 - m):
-            for k1 in keys[m]:
-                c1 = Cochain.basis(A, *k1)
-                for k2 in keys[l]:
-                    c2 = Cochain.basis(A, *k2)
+            for k1, c1 in basis[m]:
+                for k2, c2 in basis[l]:
                     if cup(A, c1, c2) != cup_oracle(A, c1, c2):
                         return ("cup", k1, k2)
                     if circ(A, c1, c2) != circ_oracle(A, c1, c2):

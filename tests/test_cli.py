@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qhoch.cli
 import qhoch.resolution
 from qhoch.cli import ConfigError, main, parse_config, scalar_json
 from test_resolution import unsigned_omega
@@ -217,6 +218,30 @@ def test_malformed_config_exits_two(tmp_path, capsys, override, field):
     code, out, err = run(capsys, ["dims", "--config", path])
     assert code == 2
     assert f"config error: {field}:" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "config error: config is not UTF-8 text"),
+    (b"[" * 100000 + b"]" * 100000,
+     "config error: config is not valid JSON: nested too deeply"),
+], ids=["not-utf8", "nested-100000"])
+def test_unreadable_config_exits_two(tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, ["dims", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(message) and len(err.splitlines()) == 1
+
+
+def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(qhoch.cli, "cmd_dims", broken)
+    path = write_cfg(tmp_path, CFG_FORMAL)
+    code, out, err = run(capsys, ["dims", "--config", path])
+    assert code == 3 and out == ""
+    assert err == "internal error: KeyError: 'lost'\n"
 
 
 def test_config_rejects_bad_rational(tmp_path):

@@ -5,12 +5,16 @@ from itertools import product
 import pytest
 
 import qhoch.gerstenhaber
+from conftest import random_scalar
 from qhoch import (Cochain, bracket, bracket_oracle, build_algebra, circ,
-                   circ_oracle, cup, cup_oracle, g_action_on_cochain,
-                   hom_differential, invariant_basis, is_coboundary,
-                   is_cocycle, unit_cochain)
-from qhoch.gerstenhaber import axiom_suite, product_table
-from qhoch.resolution import compositions
+                   circ_oracle, cup, cup_oracle, formal_algebra,
+                   g_action_on_cochain, hom_differential, invariant_basis,
+                   is_coboundary, is_cocycle,
+                   quantum_coefficient_action_algebra, unit_cochain)
+from qhoch.algebra import SkewElement
+from qhoch.gerstenhaber import axiom_suite, product_check, product_table
+from qhoch.resolution import (compositions, diagonal, full_basis,
+                              phi_generator, sub_index)
 
 
 def all_keys(A, m):
@@ -29,6 +33,118 @@ def sweep_formula_vs_oracle(A, maxtot, op, oracle):
                     if not (op(A, c1, c2) == oracle(A, c1, c2)):
                         return (k1, k2)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the chain-level oracles as literal walks over every generator and every
+# splitting, with nothing kept between calls: the reference the tabled
+# oracles are compared against
+# ---------------------------------------------------------------------------
+
+def walk_cup_oracle(A, f1, f2):
+    total = f1.degree + f2.degree
+    out = {}
+    for rho in compositions(A.n, total):
+        acc = SkewElement(A)
+        for b1, b2, u in diagonal(A, rho):
+            if sum(b1) != f1.degree:
+                continue
+            left = {(alpha, g): c for (alpha, beta, g), c in f1.terms.items()
+                    if beta == b1}
+            if not left:
+                continue
+            right = {(gamma, h): c for (gamma, kappa, h), c in f2.terms.items()
+                     if kappa == b2}
+            if not right:
+                continue
+            acc = acc + (SkewElement(A, left) * SkewElement(A, right)).scale(u)
+        for (mono, g), c in acc.terms.items():
+            out[(mono, rho, g)] = c
+    return Cochain(A, total, out)
+
+
+def walk_circ_oracle(A, outer, inner):
+    m, l = outer.degree, inner.degree
+    total = m + l - 1
+    out = {}
+    if total < 0:
+        return Cochain(A, 0)
+    outer_by_kappa = {}
+    for (gamma, kappa, h), c in outer.terms.items():
+        outer_by_kappa.setdefault(kappa, []).append((gamma, h, c))
+    for rho in compositions(A.n, total):
+        acc = SkewElement(A)
+        for rho1, rho2, u_outer in diagonal(A, rho):
+            for (alpha, beta, g), c_in in inner.terms.items():
+                nu = sub_index(rho1, beta)
+                if any(x < 0 for x in nu):
+                    continue
+                u_inner = A.uni.unit_one
+                for t in range(A.n):
+                    if nu[t]:
+                        for k in range(t):
+                            if beta[k]:
+                                u_inner = u_inner * (A.q[k][t] ** (beta[k] * nu[t]))
+                coeff = A.scalar(u_outer * u_inner) * c_in
+                if (l * sum(nu)) % 2:
+                    coeff = -coeff
+                coeff = coeff * A.chi_prod(g, rho2)
+                contracted = phi_generator(A, nu, alpha, rho2)
+                for (a, kappa, b), pc in contracted.terms.items():
+                    hits = outer_by_kappa.get(kappa)
+                    if not hits:
+                        continue
+                    base = coeff * pc
+                    left = SkewElement.basis(A, a, 0)
+                    park = SkewElement.basis(A, (0,) * A.n, g)
+                    for gamma, h, c_out in hits:
+                        val = left * SkewElement.basis(A, gamma, h, c_out)
+                        val = val * SkewElement.basis(A, b, 0)
+                        val = val * park
+                        acc = acc + val.scale(base)
+        for (mono, gout), c in acc.terms.items():
+            out[(mono, rho, gout)] = c
+    return Cochain(A, total, out)
+
+
+def random_cochain(A, m, rng):
+    """A multi-term m-cochain with non-unit coefficients: up to two
+    generator indices, each carrying two monomials, and each monomial with
+    two group elements where the group has them."""
+    out = Cochain(A, m)
+    betas = list(compositions(A.n, m))
+    for beta in rng.sample(betas, min(2, len(betas))):
+        for alpha in rng.sample(list(product((0, 1), repeat=A.n)), 2):
+            for g in rng.sample(range(A.group.order), min(2, A.group.order)):
+                c = A.uni.zero
+                while c.is_zero():
+                    c = random_scalar(A.uni, rng, terms=2)
+                out = out + Cochain.basis(A, alpha, beta, g, c)
+    return out
+
+
+@pytest.mark.parametrize("fixture, maker", [
+    ("A3", lambda: formal_algebra(3)),
+    ("Ad3", lambda: quantum_coefficient_action_algebra(3)),
+], ids=["A3", "Ad3"])
+def test_tabled_oracles_equal_literal_walk(fixture, maker, request):
+    """The oracles' tables in A.caches change no answer: on random
+    multi-term cochains they equal the literal walks, for degree pairs
+    interleaved on one warm algebra (each inner cochain is reused with
+    every outer degree) and on a fresh one."""
+    rng = random.Random(29)
+    for A in (request.getfixturevalue(fixture), maker()):
+        cochains = {m: random_cochain(A, m, rng) for m in range(4)}
+        pairs = [(m, l) for m in range(4) for l in range(4)]
+        rng.shuffle(pairs)
+        nonzero = 0
+        for m, l in pairs:
+            f1, f2 = cochains[m], cochains[l]
+            got = cup_oracle(A, f1, f2), circ_oracle(A, f1, f2)
+            assert got == (walk_cup_oracle(A, f1, f2),
+                           walk_circ_oracle(A, f1, f2)), (m, l)
+            nonzero += sum(not c.is_zero() for c in got)
+        assert nonzero >= len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +269,40 @@ def test_circle_homotopy_identity_trivial_group(A2, A3):
                             -1 if (l * m) % 2 else 1)
                         rhs = rhs + cups.scale(-1 if l % 2 else 1)
                         assert lhs == rhs, (k1, k2)
+
+
+def test_product_check_names_the_broken_pair(A2, monkeypatch):
+    """With circ doubled on one basis pair, product_check returns exactly
+    that pair as its witness."""
+    k1, k2 = ((1, 0), (1, 0), 0), ((1, 1), (1, 1), 0)
+    c1, c2 = Cochain.basis(A2, *k1), Cochain.basis(A2, *k2)
+    assert not circ(A2, c1, c2).is_zero()
+    real_circ = qhoch.gerstenhaber.circ
+
+    def broken(A, outer, inner):
+        res = real_circ(A, outer, inner)
+        return res.scale(2) if (outer, inner) == (c1, c2) else res
+
+    monkeypatch.setattr(qhoch.gerstenhaber, "circ", broken)
+    assert product_check(A2, 3) == ("circle", k1, k2)
+
+
+def test_product_check_fails_on_a_broken_contraction(monkeypatch):
+    """With the sign of one contraction flipped where the circle oracle
+    sees it, product_check returns a witness: the first outer symbol on
+    e_(1,0) against the inner symbol x1 e_(0,0)^*, whose circle product is
+    that one contraction."""
+    A = formal_algebra(2)
+    target = ((0, 0), (1, 0), (0, 0))
+    real_phi = qhoch.gerstenhaber.phi_generator
+
+    def flipped(A, beta, mid, gamma):
+        res = real_phi(A, beta, mid, gamma)
+        return -res if (beta, mid, gamma) == target else res
+
+    monkeypatch.setattr(qhoch.gerstenhaber, "phi_generator", flipped)
+    first = next(k for k in full_basis(A, 1) if k[1] == (1, 0))
+    assert product_check(A, 2) == ("circle", first, ((1, 0), (0, 0), 0))
 
 
 # ---------------------------------------------------------------------------
