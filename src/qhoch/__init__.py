@@ -16,7 +16,6 @@ from .resolution import (Cochain, Tensor, Tensor2, bar_check, diagonal,
                          omega_big, omega_small, phi_generator,
                          phi_identity_check, resolution_differential)
 from .scalars import (CycloElement, CycloField, Frac, QQ, Scalar, Unit,
-                      Universe, cyclo_inverse, cyclotomic_polynomial,
-                      scalar_pow, scalar_str)
+                      Universe, cyclotomic_polynomial, scalar_str)
 
 __version__ = "0.1.0"

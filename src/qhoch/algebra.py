@@ -20,7 +20,7 @@ from .scalars import CycloField, Universe
 
 class Group:
     """Finite group with explicit multiplication table and diagonal
-    characters chi[g][i] (stored as monomial units of the ambient universe).
+    characters chi[g][i] (monomial `Unit`s of the ambient universe).
 
     Element 0 is the identity.
     """
@@ -60,7 +60,7 @@ class Group:
                 u = self.chi[g][i]
                 if any(u.exps):
                     raise ValueError("characters must be constants, not formal")
-                if not (u ** u.mod).is_one():
+                if not (u ** u.uni.field.N).is_one():
                     # a sign that survives means chi^N != 1: N too small
                     raise ValueError(
                         "character order does not divide the cyclotomic order N")
@@ -74,7 +74,7 @@ class Group:
 
 
 def trivial_group(uni, n):
-    return Group(((0,),), ((uni.unit_one,) * n,))
+    return Group(((0,),), ((uni.one,) * n,))
 
 
 def make_cyclic_group(uni, n, order, chi_gen):
@@ -128,12 +128,6 @@ class Algebra:
 
     # -- scalar conveniences -------------------------------------------------
 
-    def unit_one(self):
-        return self.uni.unit_one
-
-    def scalar(self, u):
-        return self.uni.from_unit(u)
-
     def one(self):
         return self.uni.one
 
@@ -144,8 +138,9 @@ class Algebra:
         return self.group.chi[g][i]
 
     def chi_prod(self, g, exps):
-        """prod_i chi_{g,i}^{exps_i} as a Unit."""
-        u = self.uni.unit_one
+        """prod_i chi_{g,i}^{exps_i} as a Unit: the character of g on the
+        monomial x^exps."""
+        u = self.uni.one
         for i, e in enumerate(exps):
             if e:
                 u = u * (self.group.chi[g][i] ** e)
@@ -156,7 +151,7 @@ class Algebra:
     def mono_mul(self, a, b):
         """Normal form of x^a * x^b: None if a slot repeats, else
         (coefficient unit, a | b)."""
-        coeff = self.uni.unit_one
+        coeff = self.uni.one
         for i in range(self.n):
             if a[i] and b[i]:
                 return None
@@ -167,10 +162,6 @@ class Algebra:
                         # x_l x_k = (-q_{kl})^{-1} x_k x_l for k < l
                         coeff = coeff * self.nq[k][l].inv()
         return coeff, tuple(ai | bi for ai, bi in zip(a, b))
-
-    def act(self, g, mono):
-        """Character of g on the monomial x^mono."""
-        return self.chi_prod(g, mono)
 
 
 class SkewElement(SparseVector):
@@ -200,7 +191,7 @@ class SkewElement(SparseVector):
                 if hit is None:
                     continue
                 u, mono = hit
-                u = u * alg.act(g, b)
+                u = u * alg.chi_prod(g, b)
                 key = (mono, alg.group.mult[g][h])
                 accumulate(out, key, c1 * c2 * u)
         return SkewElement(alg, out)
@@ -220,7 +211,7 @@ def group_act(alg, g, elem):
     """Diagonal action of g on the Lambda part of a skew element."""
     out = {}
     for (mono, h), c in elem.terms.items():
-        v = c * alg.act(g, mono)
+        v = c * alg.chi_prod(g, mono)
         if not v.is_zero():
             out[(mono, h)] = v
     return SkewElement(alg, out)

@@ -237,7 +237,7 @@ class VerificationFailure(Exception):
     pass
 
 
-def cmd_verify(A, max_degree, seeds):
+def cmd_verify(A, max_degree):
     """Run the identity suites in order; raises VerificationFailure with a
     witness on the first violated identity."""
     top, limit = min(max_degree, 6), min(max_degree, 4)
@@ -349,7 +349,7 @@ def main(argv=None):
         elif args.command in ("cup", "bracket"):
             result = cmd_products(A, max_degree, args.command)
         else:
-            result = cmd_verify(A, max_degree, seeds)
+            result = cmd_verify(A, max_degree)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

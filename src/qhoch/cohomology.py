@@ -116,6 +116,19 @@ class CohomologyBasis:
     classes: list      # invariant Cochain representatives
 
 
+def _independent_averages(A, symbols):
+    """The averages of the basis cochains (alpha, beta, g) in symbols that
+    are nonzero and independent of the earlier ones, by exact elimination
+    of their coefficients (cyclotomic constants), in the order given."""
+    red = RowReducer()
+    out = []
+    for sym in symbols:
+        avg = average(A, Cochain.basis(A, *sym))
+        if not avg.is_zero() and red.add(_constant_row(avg)):
+            out.append(avg)
+    return out
+
+
 def invariant_basis(A, m):
     """Basis of the invariant cohomology in degree m: average the
     closed-form classes of every component and extract an independent set
@@ -126,15 +139,7 @@ def invariant_basis(A, m):
             entries.append((alpha, beta, g,
                             in_C_g(A, sub_index(beta, alpha), g)))
     entries.sort(key=lambda e: (e[2], e[1], e[0]))
-    red = RowReducer()
-    classes = []
-    for alpha, beta, g, _w in entries:
-        avg = average(A, Cochain.basis(A, alpha, beta, g))
-        if avg.is_zero():
-            continue
-        # averaging coefficients are cyclotomic constants
-        if red.add(_constant_row(avg)):
-            classes.append(avg)
+    classes = _independent_averages(A, [e[:3] for e in entries])
     return CohomologyBasis(m, entries, classes)
 
 
@@ -183,22 +188,17 @@ def _subcomplex(A, m, g):
     """(dimension, nonzero images under the differential) of a subcomplex
     in degree m: the g-component, spanned by the basis cochains with group
     part g, or for g=None the invariant subcomplex, spanned by the averages
-    of the basis cochains that are independent by exact elimination.
-    Averaged coefficients are cyclotomic constants, as in
-    `invariant_basis`, so neither depends on a seed; each is kept in
-    A.caches per (degree, g)."""
+    of the basis cochains that are independent by exact elimination
+    (`_independent_averages`, shared with `invariant_basis`).  Averaged
+    coefficients are cyclotomic constants, so neither depends on a seed;
+    each is kept in A.caches per (degree, g)."""
     key = ("subcomplex", m, g)
     hit = A.caches.get(key)
     if hit is None:
         # full_basis(A, -1) is not empty when n = 1
         symbols = full_basis(A, m) if m >= 0 else []
         if g is None:
-            red = RowReducer()
-            basis = []
-            for sym in symbols:
-                avg = average(A, Cochain.basis(A, *sym))
-                if not avg.is_zero() and red.add(_constant_row(avg)):
-                    basis.append(avg)
+            basis = _independent_averages(A, symbols)
         else:
             basis = [Cochain.basis(A, *sym) for sym in symbols if sym[2] == g]
         images = [img for img in (hom_differential(A, c) for c in basis)

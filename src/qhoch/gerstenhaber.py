@@ -128,13 +128,13 @@ def _contractions(A, symbol, m):
             if any(x < 0 for x in nu):
                 continue
             # coefficient of e_nu (x) e_beta in the diagonal of e_rho1
-            u_inner = A.uni.unit_one
+            u_inner = A.uni.one
             for t in range(A.n):
                 if nu[t]:
                     for k in range(t):
                         if beta[k]:
                             u_inner = u_inner * (A.q[k][t] ** (beta[k] * nu[t]))
-            coeff = A.scalar(u_outer * u_inner)
+            coeff = u_outer * u_inner
             if (l * sum(nu)) % 2:
                 coeff = -coeff
             coeff = coeff * A.chi_prod(g, rho2)
@@ -359,14 +359,14 @@ def product_table(A, classes, op):
             for j, (lb, _) in enumerate(classes)]
 
 
-def axiom_suite(A, max_degree, up_to=None):
+def axiom_suite(A, max_degree):
     """Check the graded-algebra axioms on the invariant classes up to the
     given degree; every identity is asserted up to coboundary.  Returns a
     list of human-readable failure descriptions (empty = pass).
 
     The products of two classes come from one `PairProducts` table local to
     the call, so each is computed once however many checks read it; the
-    Jacobi check reaches pairs of total degree limit + 2 when the third
+    Jacobi check reaches pairs of total degree max_degree + 2 when the third
     class has degree 0.  Products involving a computed product (the outer
     brackets of Jacobi, the products in the derivation rule) are formed
     afresh.  `is_coboundary` keeps its image of the differential in
@@ -379,7 +379,6 @@ def axiom_suite(A, max_degree, up_to=None):
     products = PairProducts(A, cochains)
     deg = [c.degree for c in cochains]
     idx = range(len(cochains))
-    limit = max_degree if up_to is None else up_to
 
     def check(cond, text):
         if not cond:
@@ -388,7 +387,7 @@ def axiom_suite(A, max_degree, up_to=None):
     # graded commutativity of the cup product
     for a in idx:
         for b in idx:
-            if deg[a] + deg[b] > limit:
+            if deg[a] + deg[b] > max_degree:
                 continue
             ab = products.cup(a, b)
             ba = products.cup(b, a)
@@ -404,7 +403,7 @@ def axiom_suite(A, max_degree, up_to=None):
     # graded antisymmetry holds exactly at chain level
     for a in idx:
         for b in idx:
-            if deg[a] + deg[b] - 1 > limit or deg[a] + deg[b] == 0:
+            if deg[a] + deg[b] - 1 > max_degree or deg[a] + deg[b] == 0:
                 continue
             la, lb = labels[a], labels[b]
             br = products.bracket(a, b)
@@ -422,7 +421,7 @@ def axiom_suite(A, max_degree, up_to=None):
     for a in idx:
         for b in idx:
             for c in idx:
-                if deg[a] + deg[b] + deg[c] - 2 > limit:
+                if deg[a] + deg[b] + deg[c] - 2 > max_degree:
                     continue
                 key = min((a, b, c), (b, c, a), (c, a, b))
                 holds = jacobi_holds.get(key)
@@ -437,7 +436,7 @@ def axiom_suite(A, max_degree, up_to=None):
     for a in idx:
         for b in idx:
             for c in idx:
-                if deg[a] + deg[b] + deg[c] - 1 > limit:
+                if deg[a] + deg[b] + deg[c] - 1 > max_degree:
                     continue
                 lhs = bracket(A, products.cup(b, c), cochains[a])
                 rhs = cup(A, products.bracket(b, a), cochains[c])

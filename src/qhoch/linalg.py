@@ -13,8 +13,6 @@ per row), so elimination keeps rows as dicts.
 
 from __future__ import annotations
 
-from .scalars import Unit
-
 
 def accumulate(terms, key, value):
     """terms[key] += value, dropping the key when the sum vanishes."""
@@ -65,8 +63,6 @@ class SparseVector:
         return self + (-other)
 
     def scale(self, c):
-        if isinstance(c, Unit):
-            c = self.alg.scalar(c)
         out = {}
         for k, s in self.terms.items():
             v = s * c

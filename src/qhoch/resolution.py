@@ -87,11 +87,7 @@ def slot_condition_holds(A, g, gamma, l):
 
 def norm_g(A, g, gamma):
     """Number of slots violating both membership conditions."""
-    count = 0
-    for l in range(A.n):
-        if gamma[l] != -1 and slot_unit(A, g, gamma, l) != A.chi(g, l):
-            count += 1
-    return count
+    return sum(not slot_condition_holds(A, g, gamma, l) for l in range(A.n))
 
 
 def omega_big(A, g, alpha, beta, l):
@@ -117,23 +113,16 @@ def omega_big(A, g, alpha, beta, l):
             t2 = t2 * (A.nq[l][k] ** e)
     if t1 == t2:
         return A.zero()
-    return A.scalar(t1) - A.scalar(t2)
+    return t1 - t2
 
 
 def omega_small(A, g, alpha, beta, l):
     """Per-slot coefficient of the contracting homotopy; a Frac since it
-    inverts a difference of two monomials."""
-    zero = Frac(A.zero())
-    if alpha[l] == 0 or beta[l] == 0:
-        return zero
-    u = A.uni.unit(sign=-1 if beta[l] % 2 else 1)
-    for k in range(A.n):
-        if k != l:
-            e = beta[k] - alpha[k]
-            if e:
-                u = u * (A.nq[k][l] ** e)
-    if u == -A.chi(g, l):
-        return zero
+    inverts a difference of two monomials.  It vanishes where slot l of
+    gamma = beta - alpha meets a membership condition (gamma_l = -1 covers
+    beta_l = 0)."""
+    if alpha[l] == 0 or slot_condition_holds(A, g, sub_index(beta, alpha), l):
+        return Frac(A.zero())
     w = omega_big(A, g, bump(alpha, l, -1), bump(beta, l, -1), l)
     return Frac(A.one(), w)
 
@@ -316,17 +305,17 @@ def resolution_differential(A, beta):
             continue
         down = bump(beta, j, -1)
         xj = unit_index(n, j)
-        left = A.uni.unit_one
+        left = A.uni.one
         for l in range(j):
             if beta[l]:
                 left = left * (A.q[l][j] ** beta[l])
-        accumulate(out, (xj, down, z), A.scalar(left))
+        accumulate(out, (xj, down, z), left)
         sign = -1 if sum(beta[: j + 1]) % 2 else 1
         right = A.uni.unit(sign=sign)
         for l in range(j + 1, n):
             if beta[l]:
                 right = right * (A.nq[j][l] ** beta[l])
-        accumulate(out, (z, down, xj), A.scalar(right))
+        accumulate(out, (z, down, xj), right)
     return Tensor(A, out)
 
 
@@ -416,7 +405,7 @@ def diagonal(A, beta):
         return cached
     out = []
     for b1, b2 in splittings(beta):
-        u = A.uni.unit_one
+        u = A.uni.one
         for l in range(A.n):
             if b1[l]:
                 for k in range(l):
@@ -438,13 +427,13 @@ def f_beta_expand(A, beta):
     if any(b < 0 for b in beta):
         out = {}
     elif sum(beta) == 0:
-        out = {(): A.uni.unit_one}
+        out = {(): A.uni.one}
     else:
         out = {}
         for l in range(A.n):
             if beta[l] == 0:
                 continue
-            coeff = A.uni.unit_one
+            coeff = A.uni.one
             for k in range(l + 1, A.n):
                 if beta[k]:
                     coeff = coeff * (A.q[l][k] ** beta[k])
@@ -477,7 +466,6 @@ def bar_check(A, beta):
     lhs = {}
     for word, u in f_beta_expand(A, beta).items():
         legs = legs_of(word)
-        c = A.scalar(u)
         for i in range(m + 1):
             hit = A.mono_mul(legs[i], legs[i + 1])
             if hit is None:
@@ -485,14 +473,14 @@ def bar_check(A, beta):
             mu, mono = hit
             sign = -1 if i % 2 else 1
             merged = legs[:i] + (mono,) + legs[i + 2:]
-            accumulate(lhs, merged, (c * mu) * sign)
+            accumulate(lhs, merged, (u * mu) * sign)
     # expected value
     rhs = {}
     for j in range(n):
         if beta[j] == 0:
             continue
         down = bump(beta, j, -1)
-        left = A.uni.unit_one
+        left = A.uni.one
         for l in range(j):
             if beta[l]:
                 left = left * (A.q[l][j] ** beta[l])
@@ -502,10 +490,8 @@ def bar_check(A, beta):
                 right = right * (A.q[j][l] ** beta[l])
         for word, u in f_beta_expand(A, down).items():
             mid = tuple(unit_index(n, l) for l in word)
-            accumulate(rhs, (unit_index(n, j),) + mid + (z,),
-                       A.scalar(u * left))
-            accumulate(rhs, (z,) + mid + (unit_index(n, j),),
-                       A.scalar(u * right))
+            accumulate(rhs, (unit_index(n, j),) + mid + (z,), u * left)
+            accumulate(rhs, (z,) + mid + (unit_index(n, j),), u * right)
     return lhs == rhs
 
 
@@ -552,8 +538,7 @@ def phi_generator(A, beta, mid, gamma):
                     u = u * (A.nq[r][s] ** e)
         left = tuple(mid[i] if i > l else 0 for i in range(n))
         right = tuple(mid[i] if i < l else 0 for i in range(n))
-        accumulate(out, (left, bump(add_index(beta, gamma), l), right),
-                   A.scalar(u))
+        accumulate(out, (left, bump(add_index(beta, gamma), l), right), u)
     result = Tensor(A, out)
     A.caches[cache_key] = result
     return result

@@ -7,9 +7,11 @@ are coordinate vectors in the power basis ``1, zeta, ..., zeta^{phi(N)-1}``
 reduced modulo the N-th cyclotomic polynomial, so representatives are unique
 and equality is structural.  No floating point is used anywhere.
 
-The `Unit` class is a fast path for the monomial units ``+-zeta^k * t^e``
-that make up the quantum coefficients and the diagonal characters; the
-vanishing conditions of the differential compare such units structurally.
+The monomial units ``+-zeta^k * t^e`` (the quantum coefficients, the
+diagonal characters and their products) are `Unit`s: one-term Scalars whose
+coefficient is the tagged root ``field.root(sign, k)``.  They compare and
+hash as the Scalars they are; the subclass only adds the products, powers
+and inverses that stay inside the units.
 """
 
 from __future__ import annotations
@@ -133,9 +135,6 @@ class CycloField:
         coeffs = [QQ(0)] * self.degree
         coeffs[0] = QQ(r)
         return CycloElement(self, tuple(coeffs))
-
-    def zeta_power(self, k):
-        return self.root(1, k)
 
     def root(self, sign, k):
         """The element sign * zeta^k, tagged as a root of unity so that
@@ -297,96 +296,36 @@ class CycloElement:
         return f"Cyclo{self.coeffs}"
 
 
-def cyclo_inverse(a):
-    return a.inv()
-
-
 # ---------------------------------------------------------------------------
-# monomial units and the scalar ring
+# the scalar ring and its monomial units
 # ---------------------------------------------------------------------------
-
-class Unit:
-    """A monomial unit  sign * zeta^z * t1^{e1} ... tp^{ep}.
-
-    Quantum coefficients, their products, and the diagonal characters all
-    live here; comparing two units is the structural equality behind the
-    vanishing conditions.
-    """
-
-    __slots__ = ("sign", "z", "mod", "exps")
-
-    def __init__(self, sign, z, mod, exps):
-        # canonical form: for even N the sign folds into the zeta power,
-        # so structural equality of units is equality in Q(zeta_N)
-        if sign == -1 and mod % 2 == 0:
-            z += mod // 2
-            sign = 1
-        self.sign = sign
-        self.z = z % mod
-        self.mod = mod
-        self.exps = exps
-
-    def __mul__(self, other):
-        if self.mod != other.mod or len(self.exps) != len(other.exps):
-            raise ValueError("mismatched scalar universes")
-        return Unit(self.sign * other.sign, self.z + other.z, self.mod,
-                    tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __pow__(self, e):
-        return Unit(self.sign if e % 2 else 1, self.z * e, self.mod,
-                    tuple(a * e for a in self.exps))
-
-    def inv(self):
-        return self ** -1
-
-    def __neg__(self):
-        return Unit(-self.sign, self.z, self.mod, self.exps)
-
-    def __eq__(self, other):
-        return (isinstance(other, Unit) and self.sign == other.sign
-                and self.z == other.z and self.mod == other.mod
-                and self.exps == other.exps)
-
-    def __hash__(self):
-        return hash((self.sign, self.z, self.mod, self.exps))
-
-    def is_one(self):
-        return self.sign == 1 and self.z == 0 and not any(self.exps)
-
-    def __repr__(self):
-        return f"Unit({self.sign},z^{self.z},{self.exps})"
-
 
 class Universe:
     """Shared context: the cyclotomic field plus the formal parameter slots."""
 
-    __slots__ = ("field", "nparams", "param_names", "zero", "one", "unit_one")
+    __slots__ = ("field", "nparams", "param_names", "zero", "one")
 
     def __init__(self, field, param_names=()):
         self.field = field
         self.param_names = tuple(param_names)
         self.nparams = len(self.param_names)
         self.zero = Scalar(self, {})
-        e0 = (0,) * self.nparams
-        self.one = Scalar(self, {e0: field.one})
-        self.unit_one = Unit(1, 0, field.N, e0)
+        self.one = self.unit()
 
     def compatible(self, other):
         return (self.field.N == other.field.N
                 and self.param_names == other.param_names)
 
     def unit(self, sign=1, zeta=0, exps=None):
+        """The monomial unit sign * zeta^zeta * t^exps."""
         if exps is None:
             exps = (0,) * self.nparams
-        return Unit(sign, zeta, self.field.N, tuple(exps))
+        return Unit(self, {tuple(exps): self.field.root(sign, zeta)})
 
     def param_unit(self, index):
         exps = [0] * self.nparams
         exps[index] = 1
-        return Unit(1, 0, self.field.N, tuple(exps))
-
-    def from_unit(self, u):
-        return Scalar(self, {u.exps: self.field.root(u.sign, u.z)})
+        return self.unit(exps=exps)
 
     def from_cyclo(self, c):
         if c.is_zero():
@@ -413,6 +352,9 @@ class Scalar:
 
     def is_zero(self):
         return not self.terms
+
+    def is_one(self):
+        return self.terms == self.uni.one.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -449,7 +391,7 @@ class Scalar:
         return Scalar(self.uni, out)
 
     def __neg__(self):
-        return Scalar(self.uni, {e: -c for e, c in self.terms.items()})
+        return self.__class__(self.uni, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -457,7 +399,7 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if other.__class__ is not Scalar:
+        if not isinstance(other, Scalar):
             if isinstance(other, (int, Fraction)):
                 if other == 0:
                     return self.uni.zero
@@ -465,8 +407,6 @@ class Scalar:
                                          for e, c in self.terms.items()})
             if isinstance(other, CycloElement):
                 other = self.uni.from_cyclo(other)
-            if isinstance(other, Unit):
-                other = self.uni.from_unit(other)
         self._check(other)
         if len(self.terms) == 1 and len(other.terms) == 1:
             # monomial times monomial, the common case
@@ -512,17 +452,16 @@ class Scalar:
         if len(self.terms) != 1:
             return None
         (exps, c), = self.terms.items()
-        hit = self.uni.field.root_of_unity_exponent(c)
+        hit = c.root or self.uni.field.root_of_unity_exponent(c)
         if hit is None:
             return None
-        sign, k = hit
-        return Unit(sign, k, self.uni.field.N, exps)
+        return Unit(self.uni, {exps: self.uni.field.root(*hit)})
 
     def __pow__(self, e):
         u = self.as_unit()
         if u is None:
-            raise ValueError("scalar_pow requires a monomial unit")
-        return self.uni.from_unit(u ** e)
+            raise ValueError("only a monomial unit has integer powers")
+        return u ** e
 
     def substitute(self, values):
         """Exact evaluation with each formal parameter set to a nonzero
@@ -541,11 +480,46 @@ class Scalar:
         return total
 
     def __repr__(self):
-        return f"Scalar({scalar_str(self)})"
+        return f"{self.__class__.__name__}({scalar_str(self)})"
 
 
-def scalar_pow(a, e):
-    return a ** e
+class Unit(Scalar):
+    """A monomial unit sign * zeta^k * t^e: the one-term Scalar
+    {e: field.root(sign, k)}.
+
+    Quantum coefficients, their products, and the diagonal characters all
+    live here.  Equality and hashing are those of Scalar, so a Unit equals
+    the Scalar with the same term; products, powers and inverses of units
+    stay units.
+    """
+
+    __slots__ = ()
+
+    @property
+    def exps(self):
+        """The Laurent exponent vector e."""
+        return next(iter(self.terms))
+
+    def __mul__(self, other):
+        if other.__class__ is not Unit:
+            return Scalar.__mul__(self, other)
+        if self.uni is not other.uni:
+            self._check(other)
+        (e1, c1), = self.terms.items()
+        (e2, c2), = other.terms.items()
+        (s1, k1), (s2, k2) = c1.root, c2.root
+        return Unit(self.uni, {tuple(map(add, e1, e2)):
+                               self.uni.field.root(s1 * s2, k1 + k2)})
+
+    def __pow__(self, e):
+        (exps, c), = self.terms.items()
+        sign, k = c.root
+        return Unit(self.uni, {tuple([a * e for a in exps]):
+                               self.uni.field.root(sign if e % 2 else 1,
+                                                   k * e)})
+
+    def inv(self):
+        return self ** -1
 
 
 def scalar_str(s, param_names=None):
@@ -636,10 +610,6 @@ class Frac:
             return x
         if isinstance(x, Scalar):
             return Frac(x)
-        if isinstance(x, Unit):
-            if uni is None:
-                raise ValueError("universe required to coerce a unit")
-            return Frac(uni.from_unit(x))
         if isinstance(x, CycloElement):
             if uni is None:
                 raise ValueError("universe required to coerce a field element")

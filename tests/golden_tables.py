@@ -280,12 +280,12 @@ def expected_terms(A, terms, d):
         kind = coeff[0]
         if kind == "intq":
             _, c, p = coeff
-            s = A.scalar(A.uni.unit(zeta=p % d)) * c
+            s = A.uni.unit(zeta=p % d) * c
         elif kind == "qsum":
             _, lo, hi, shift, sign = coeff
             s = A.zero()
             for r in range(lo, hi + 1):
-                s = s + A.scalar(A.uni.unit(zeta=(r + shift) % d))
+                s = s + A.uni.unit(zeta=(r + shift) % d)
             s = s * sign
         else:
             raise ValueError(kind)

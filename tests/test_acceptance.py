@@ -196,7 +196,7 @@ def test_criterion_2b_displayed_x1_coefficient_as_printed(d):
         x1_key = ((1, 0), (2 * tp * d - 1, 2 * t * d - 2), 2)
         x2_key = ((0, 1), (2 * tp * d - 2, 2 * t * d - 1), 2)
         assert set(b1.terms) == {x1_key, x2_key}, (t, tp)
-        derived = (A.scalar(A.uni.unit(zeta=(2 - 2 * t * d) % d))
+        derived = (A.uni.unit(zeta=(2 - 2 * t * d) % d)
                    * (-(2 * t * d - 1)))
         assert b1.terms[x1_key] == derived, (t, tp)
         assert b1.terms[x2_key] == A.uni.from_rational(2 * tp * d - 1), (t, tp)
@@ -207,7 +207,7 @@ def test_criterion_2b_displayed_x1_coefficient_as_printed(d):
         printed = Cochain(A, b1.degree, expected_terms(A, e1[3], d))
         assert set(printed.terms) == {x1_key, x2_key}, (t, tp)
         assert printed.terms[x2_key] == b1.terms[x2_key], (t, tp)
-        assert printed.terms[x1_key] == (A.scalar(A.uni.unit(zeta=1))
+        assert printed.terms[x1_key] == (A.uni.unit(zeta=1)
                                          * (-(2 * t * d - 1))), (t, tp)
         assert not class_equal(A, b1, printed), (t, tp)
 

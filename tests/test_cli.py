@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,9 +276,33 @@ def test_runs_deterministic(tmp_path, capsys):
 
 
 def test_scalar_json_exact(A2):
-    s = A2.one() - A2.scalar(A2.uni.param_unit(0) ** -2)
+    s = A2.one() - A2.uni.param_unit(0) ** -2
     rec = scalar_json(s)
     assert rec == [
         {"formal_exponents": [-2], "zeta_power_terms": [["-1", "1"]]},
         {"formal_exponents": [0], "zeta_power_terms": [["1", "1"]]},
     ]
+
+
+def test_console_script_and_module_exit_codes(tmp_path):
+    """The installed ``qhoch`` script calls the pyproject entry point and
+    exits with its return value; ``python -m qhoch.cli`` does the same
+    through the module's ``__main__`` block."""
+    root = Path(__file__).resolve().parent.parent
+    module, func = re.search(r'^qhoch = "([\w.]+):(\w+)"$',
+                             (root / "pyproject.toml").read_text(),
+                             re.M).groups()
+    script = f"import sys; from {module} import {func}; sys.exit({func}())"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    config = write_cfg(tmp_path, CFG_ACTION_D3)
+    missing = str(tmp_path / "missing.json")
+    for prefix in (["-c", script], ["-m", "qhoch.cli"]):
+        def qhoch(*argv):
+            return subprocess.run([sys.executable, *prefix, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+        ok = qhoch("verify", "--config", config, "--max-degree", "2")
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.count("PASS") == 6 and "FAIL" not in ok.stdout
+        bad = qhoch("verify", "--config", missing)
+        assert bad.returncode == 2 and bad.stdout == ""
+        assert bad.stderr.startswith("config error: cannot read config")

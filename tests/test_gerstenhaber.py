@@ -79,13 +79,13 @@ def walk_circ_oracle(A, outer, inner):
                 nu = sub_index(rho1, beta)
                 if any(x < 0 for x in nu):
                     continue
-                u_inner = A.uni.unit_one
+                u_inner = A.uni.one
                 for t in range(A.n):
                     if nu[t]:
                         for k in range(t):
                             if beta[k]:
                                 u_inner = u_inner * (A.q[k][t] ** (beta[k] * nu[t]))
-                coeff = A.scalar(u_outer * u_inner) * c_in
+                coeff = u_outer * u_inner * c_in
                 if (l * sum(nu)) % 2:
                     coeff = -coeff
                 coeff = coeff * A.chi_prod(g, rho2)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_cyclo, random_scalar
-from qhoch import (CycloField, Frac, Universe, cyclo_inverse,
-                   cyclotomic_polynomial, scalar_pow)
+from qhoch import (CycloField, Frac, Scalar, Unit, Universe,
+                   cyclotomic_polynomial)
 
 
 def test_cyclotomic_polynomial_small():
@@ -72,8 +73,8 @@ def test_zeta_relations():
 def test_cyclo_inverse_example_n3():
     f3 = CycloField(3)
     e = f3.element([1, 1])  # 1 + zeta
-    assert cyclo_inverse(e) == f3.element([0, -1])  # -zeta
-    assert e * cyclo_inverse(e) == f3.one
+    assert e.inv() == f3.element([0, -1])  # -zeta
+    assert e * e.inv() == f3.one
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12])
@@ -108,14 +109,14 @@ def test_scalar_ring_axioms_randomized():
 def test_scalar_add_cancellation():
     uni = Universe(CycloField(3), ())
     z = uni.from_cyclo(uni.field.zeta)
-    z2 = uni.from_cyclo(uni.field.zeta_power(2))
+    z2 = uni.from_cyclo(uni.field.root(1, 2))
     assert (z + z2) + (-z2) == z
 
 
 def test_laurent_inverse_monomial():
     uni = Universe(CycloField(1), ("t",))
-    t = uni.from_unit(uni.param_unit(0))
-    tinv = uni.from_unit(uni.param_unit(0).inv())
+    t = uni.param_unit(0)
+    tinv = uni.param_unit(0).inv()
     assert t * tinv == uni.one
 
 
@@ -128,39 +129,38 @@ def test_zeta_cubed_reduces():
 def test_scalar_pow_monomials():
     uni = Universe(CycloField(1), ("q",))
     q = uni.param_unit(0)
-    minus_q = uni.from_unit(-q)
-    assert scalar_pow(minus_q, 0) == uni.one
+    minus_q = -q
+    assert minus_q ** 0 == uni.one
     # (-q)^{-1} = -q^{-1}
-    assert scalar_pow(minus_q, -1) == uni.from_unit(-(q.inv()))
+    assert minus_q ** -1 == -(q.inv())
     uni4 = Universe(CycloField(4), ())
-    minus_zeta = uni4.from_unit(uni4.unit(sign=-1, zeta=1))
-    assert scalar_pow(minus_zeta, 2) == uni4.from_rational(-1)
+    minus_zeta = uni4.unit(sign=-1, zeta=1)
+    assert minus_zeta ** 2 == uni4.from_rational(-1)
 
 
 def test_scalar_pow_rejects_nonmonomial():
     uni = Universe(CycloField(1), ("q",))
-    s = uni.one + uni.from_unit(uni.param_unit(0))
+    s = uni.one + uni.param_unit(0)
     with pytest.raises(ValueError):
-        scalar_pow(s, 2)
+        s ** 2
 
 
 def test_scalar_pow_additive_in_exponent():
     rng = random.Random(9)
     uni = Universe(CycloField(4), ("t",))
     for _ in range(200):
-        u = uni.unit(sign=rng.choice((1, -1)), zeta=rng.randrange(4),
+        s = uni.unit(sign=rng.choice((1, -1)), zeta=rng.randrange(4),
                      exps=(rng.randint(-3, 3),))
-        s = uni.from_unit(u)
         e1, e2 = rng.randint(-4, 4), rng.randint(-4, 4)
-        assert scalar_pow(s, e1) * scalar_pow(s, e2) == scalar_pow(s, e1 + e2)
+        assert s ** e1 * s ** e2 == s ** (e1 + e2)
 
 
 def test_substitute_examples():
     uni = Universe(CycloField(4), ("t",))
     five = uni.from_rational(5)
     assert five.substitute([Fraction(3)]) == uni.field.from_rational(5)
-    t = uni.from_unit(uni.param_unit(0))
-    tinv = uni.from_unit(uni.param_unit(0).inv())
+    t = uni.param_unit(0)
+    tinv = uni.param_unit(0).inv()
     s = t + tinv
     assert s.substitute([2]) == uni.field.from_rational(Fraction(5, 2))
     zt = uni.from_cyclo(uni.field.zeta) * t
@@ -196,7 +196,7 @@ def test_universe_mismatch_rejected():
 @settings(max_examples=200, deadline=None)
 def test_frac_field_laws(num, den, e1, e2):
     uni = Universe(CycloField(1), ("t",))
-    t = uni.from_unit(uni.param_unit(0))
+    t = uni.param_unit(0)
     a = Frac(uni.from_rational(Fraction(num, den)) + t, uni.one + t * t)
     b = Frac(t * Fraction(e1 or 1), uni.one + t)
     assert a + b == b + a
@@ -208,7 +208,7 @@ def test_frac_field_laws(num, den, e1, e2):
 
 def test_frac_absorbs_monomial_denominator():
     uni = Universe(CycloField(1), ("t",))
-    t = uni.from_unit(uni.param_unit(0))
+    t = uni.param_unit(0)
     f = Frac(uni.one + t, t)
     assert f.den == uni.one
 
@@ -237,3 +237,48 @@ def test_cyclo_inverse_roots_and_rationals(N):
         inv = x.inv()
         assert inv.coeffs == (1 / r,) + (Fraction(0),) * (field.degree - 1)
         assert x * inv == field.one
+
+
+@lru_cache(maxsize=None)
+def _universe(N, nparams):
+    return Universe(CycloField(N), ("t", "u")[:nparams])
+
+
+@given(N=st.sampled_from((1, 3, 4, 6)), nparams=st.sampled_from((1, 2)),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_unit_is_its_one_term_scalar(N, nparams, data):
+    """A Unit is the one-term Scalar {exps: field.root(sign, k)}: equal,
+    with the same hash, and its products, powers, negation and inverse are
+    the generic Scalar results, computed here on plain Scalars whose
+    coefficients carry no root tag."""
+    uni = _universe(N, nparams)
+    field = uni.field
+
+    def draw():
+        sign = data.draw(st.sampled_from((1, -1)))
+        k = data.draw(st.integers(-2 * N, 2 * N))
+        exps = tuple(data.draw(st.integers(-3, 3)) for _ in range(nparams))
+        u = uni.unit(sign=sign, zeta=k, exps=exps)
+        tagged = Scalar(uni, {exps: field.root(sign, k)})
+        plain = Scalar(uni, {exps: field.element(field.root(sign, k).coeffs)})
+        assert type(u) is Unit and type(tagged) is type(plain) is Scalar
+        assert u == tagged == plain and tagged == u and plain == u
+        assert hash(u) == hash(tagged) == hash(plain)
+        assert u.exps == exps
+        return u, plain
+
+    (u, s), (v, t) = draw(), draw()
+    e = data.draw(st.integers(-4, 4))
+    (exps, c), = s.terms.items()
+    s_inv = Scalar(uni, {tuple(-a for a in exps): c.inv()})
+    power = Scalar(uni, {(0,) * nparams: field.element(field.one.coeffs)})
+    for _ in range(abs(e)):
+        power = power * (s if e > 0 else s_inv)
+    for got, want in ((u * v, s * t), (u ** e, power), (-u, -s),
+                      (u.inv(), s_inv)):
+        assert type(got) is Unit
+        assert got == want and hash(got) == hash(want)
+    assert u * t == s * t == t * u
+    assert u.inv() * s == uni.one
+    assert s ** e == u ** e
