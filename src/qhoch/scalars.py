@@ -10,7 +10,8 @@ and equality is structural.  No floating point is used anywhere.
 The monomial units ``+-zeta^k * t^e`` (the quantum coefficients, the
 diagonal characters and their products) are `Unit`s: one-term Scalars whose
 coefficient is the tagged root ``field.root(sign, k)``.  They compare and
-hash as the Scalars they are; the subclass only adds the products, powers
+hash as the Scalars they are.  A product of two monomials whose
+coefficients are tagged roots is a Unit; the subclass only adds the powers
 and inverses that stay inside the units.
 """
 
@@ -215,7 +216,11 @@ class CycloElement:
 
     def __mul__(self, other):
         f = self.field
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycloElement):
+            # tested this way round: isinstance against Fraction, an ABC,
+            # costs more than a root-by-root product
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             q = QQ(other)
             return CycloElement(f, tuple(a * q for a in self.coeffs))
         if self.root is not None:
@@ -409,10 +414,13 @@ class Scalar:
                 other = self.uni.from_cyclo(other)
         self._check(other)
         if len(self.terms) == 1 and len(other.terms) == 1:
-            # monomial times monomial, the common case
+            # monomial times monomial, the common case; two tagged roots
+            # multiply to a tagged root, so the product of units is a Unit
             (e1, c1), = self.terms.items()
             (e2, c2), = other.terms.items()
             c = c1 * c2
+            if c.root is not None:
+                return Unit(self.uni, {tuple(map(add, e1, e2)): c})
             if c.is_zero():
                 return Scalar(self.uni, {})
             return Scalar(self.uni, {tuple(map(add, e1, e2)): c})
@@ -501,15 +509,10 @@ class Unit(Scalar):
         return next(iter(self.terms))
 
     def __mul__(self, other):
-        if other.__class__ is not Unit:
-            return Scalar.__mul__(self, other)
-        if self.uni is not other.uni:
-            self._check(other)
-        (e1, c1), = self.terms.items()
-        (e2, c2), = other.terms.items()
-        (s1, k1), (s2, k2) = c1.root, c2.root
-        return Unit(self.uni, {tuple(map(add, e1, e2)):
-                               self.uni.field.root(s1 * s2, k1 + k2)})
+        # Scalar's product already returns a Unit for two units.  This method
+        # exists so that unit products can be traced on their own, and looks
+        # Scalar.__mul__ up per call so that a wrapper put there sees them too.
+        return Scalar.__mul__(self, other)
 
     def __pow__(self, e):
         (exps, c), = self.terms.items()

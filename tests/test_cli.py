@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -285,24 +286,24 @@ def test_scalar_json_exact(A2):
 
 
 def test_console_script_and_module_exit_codes(tmp_path):
-    """The installed ``qhoch`` script calls the pyproject entry point and
-    exits with its return value; ``python -m qhoch.cli`` does the same
-    through the module's ``__main__`` block."""
+    """The pyproject entry point is ``qhoch.cli.main``, and ``python -m
+    qhoch.cli`` exits with its return value through ``sys.exit(main())``."""
     root = Path(__file__).resolve().parent.parent
     module, func = re.search(r'^qhoch = "([\w.]+):(\w+)"$',
                              (root / "pyproject.toml").read_text(),
                              re.M).groups()
-    script = f"import sys; from {module} import {func}; sys.exit({func}())"
+    assert getattr(importlib.import_module(module), func) is main
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    config = write_cfg(tmp_path, CFG_ACTION_D3)
-    missing = str(tmp_path / "missing.json")
-    for prefix in (["-c", script], ["-m", "qhoch.cli"]):
-        def qhoch(*argv):
-            return subprocess.run([sys.executable, *prefix, *argv], env=env,
-                                  capture_output=True, text=True, timeout=120)
-        ok = qhoch("verify", "--config", config, "--max-degree", "2")
-        assert ok.returncode == 0, ok.stderr
-        assert ok.stdout.count("PASS") == 6 and "FAIL" not in ok.stdout
-        bad = qhoch("verify", "--config", missing)
-        assert bad.returncode == 2 and bad.stdout == ""
-        assert bad.stderr.startswith("config error: cannot read config")
+
+    def qhoch(*argv):
+        return subprocess.run([sys.executable, "-m", "qhoch.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    ok = qhoch("verify", "--config", write_cfg(tmp_path, CFG_ACTION_D3),
+               "--max-degree", "2")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.count("PASS") == 6 and "FAIL" not in ok.stdout
+    bad = qhoch("verify", "--config", str(tmp_path / "missing.json"))
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("config error: cannot read config")
