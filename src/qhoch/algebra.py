@@ -10,12 +10,18 @@ coefficient derives from the single defining relation.
 A group element g scales each generator: g.x_i = chi_{g,i} x_i with
 chi_{g,i} a root of unity.  The skew product on Lambda x kG is
 (a (x) g)(b (x) h) = a * (g.b) (x) gh.
+
+Every structure constant is a product of integer powers of the q_{ij}, the
+-q_{ij} and the chi_{g,i}.  The algebra keeps each of these units as its
+exponents (sign bit, zeta power, Laurent exponents) in the tables q_exp,
+nq_exp and chi_exp, and `Algebra.unit_product` builds each unit coefficient
+once from the summed exponents instead of as a running product of units.
 """
 
 from __future__ import annotations
 
 from .linalg import SparseVector, accumulate
-from .scalars import CycloField, Universe
+from .scalars import CycloField, Unit, Universe
 
 
 class Group:
@@ -93,20 +99,36 @@ def make_cyclic_group(uni, n, order, chi_gen):
     return Group(mult, chi)
 
 
+_ONE_EXPONENTS = (0, 0, ())
+
+
+def _unit_exponents(u):
+    """(sign bit, zeta power, nonzero (slot, Laurent exponent) pairs) of
+    the Unit u = (-1)^sign * zeta^k * t^e, read from its root tag."""
+    (exps, c), = u.terms.items()
+    sign, k = c.root
+    return (1 if sign == -1 else 0, k,
+            tuple((p, e) for p, e in enumerate(exps) if e))
+
+
 class Algebra:
     """Bundle of the quantum datum, the group datum, and the scalar universe.
 
     q[i][j] is the full matrix of units with q[i][i] = -1 and
     q[j][i] = q[i][j]^{-1}; nq[i][j] = -q[i][j] (so nq[i][i] = 1).
+    q_exp, nq_exp and chi_exp hold the `_unit_exponents` of q, nq and the
+    group characters, the factors `unit_product` takes.
     Indices are 0-based throughout the code.
     """
 
-    __slots__ = ("n", "uni", "q", "nq", "group", "caches")
+    __slots__ = ("n", "uni", "q", "nq", "group", "caches",
+                 "q_exp", "nq_exp", "chi_exp", "_signs")
 
     def __init__(self, n, uni, q_upper, group=None):
         self.n = n
         self.uni = uni
         minus_one = uni.unit(sign=-1)
+        self._signs = (uni.one, minus_one)
         q = [[None] * n for _ in range(n)]
         for i in range(n):
             q[i][i] = minus_one
@@ -124,6 +146,9 @@ class Algebra:
         self.group = group if group is not None else trivial_group(uni, n)
         if len(self.group.chi[0]) != n:
             raise ValueError("character matrix width must equal n")
+        self.q_exp, self.nq_exp, self.chi_exp = (
+            tuple(tuple(_unit_exponents(u) for u in row) for row in table)
+            for table in (self.q, self.nq, self.group.chi))
         self.caches = {}
 
     # -- scalar conveniences -------------------------------------------------
@@ -137,30 +162,41 @@ class Algebra:
     def chi(self, g, i):
         return self.group.chi[g][i]
 
+    def unit_product(self, factors, sign=0):
+        """The Unit (-1)^sign * prod u^e over the pairs (exponents of u, e)
+        in factors, each taken from q_exp, nq_exp or chi_exp: the exponents
+        are summed and the unit is built once."""
+        if not factors:
+            return self._signs[sign % 2]
+        k = 0
+        exps = [0] * self.uni.nparams
+        for (s, z, t), e in factors:
+            sign += s * e
+            k += z * e
+            for p, v in t:
+                exps[p] += v * e
+        return Unit(self.uni, {tuple(exps): self.uni.field.root(
+            -1 if sign % 2 else 1, k)})
+
     def chi_prod(self, g, exps):
         """prod_i chi_{g,i}^{exps_i} as a Unit: the character of g on the
         monomial x^exps."""
-        u = self.uni.one
-        for i, e in enumerate(exps):
-            if e:
-                u = u * (self.group.chi[g][i] ** e)
-        return u
+        return self.unit_product([(c, e) for c, e in zip(self.chi_exp[g], exps)
+                                  if e and c != _ONE_EXPONENTS])
 
     # -- monomial arithmetic -------------------------------------------------
 
     def mono_mul(self, a, b):
         """Normal form of x^a * x^b: None if a slot repeats, else
         (coefficient unit, a | b)."""
-        coeff = self.uni.one
-        for i in range(self.n):
+        n = self.n
+        for i in range(n):
             if a[i] and b[i]:
                 return None
-        for k in range(self.n):
-            if b[k]:
-                for l in range(k + 1, self.n):
-                    if a[l]:
-                        # x_l x_k = (-q_{kl})^{-1} x_k x_l for k < l
-                        coeff = coeff * self.nq[k][l].inv()
+        # x_l x_k = (-q_{kl})^{-1} x_k x_l for k < l
+        coeff = self.unit_product([(self.nq_exp[k][l], -1)
+                                   for k in range(n) if b[k]
+                                   for l in range(k + 1, n) if a[l]])
         return coeff, tuple(ai | bi for ai, bi in zip(a, b))
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import Group, build_algebra
 from .cohomology import (collect_classes, flatness_check, invariant_basis,
@@ -169,8 +168,7 @@ def scalar_json(s):
         c = s.terms[exps]
         out.append({
             "formal_exponents": list(exps),
-            "zeta_power_terms": [[str(Fraction(a).numerator),
-                                  str(Fraction(a).denominator)]
+            "zeta_power_terms": [[str(a.numerator), str(a.denominator)]
                                  for a in c.coeffs],
         })
     return out

@@ -93,11 +93,19 @@ def g_action_on_cochain(A, h, c):
 
 
 def average(A, c):
-    """Reynolds operator: the mean of the translates over the group."""
+    """Reynolds operator: the mean of the translates over the group.  A
+    coefficient that comes back to a monomial unit +-zeta^k * t^e is
+    returned as that `Unit`, so that products with it stay on the units'
+    fast path."""
     out = {}
     for h in range(A.group.order):
         _act_into(out, A, h, c)
-    return Cochain(A, c.degree, out).scale(QQ(1, A.group.order))
+    scale = QQ(1, A.group.order)
+    terms = {}
+    for key, v in out.items():
+        v = v * scale
+        terms[key] = v.as_unit() or v
+    return Cochain(A, c.degree, terms)
 
 
 def _constant_row(c):

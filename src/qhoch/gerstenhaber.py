@@ -18,8 +18,11 @@ cochain in A.caches: `_cup_legs` holds the diagonal's leg pairs per degree
 pair (m, l), and `_contractions` holds the doubly split and contracted
 generators per inner basis symbol and outer degree, indexed by the kappa
 the outer cochain is applied to.  Both are built from `diagonal`,
-`phi_generator`, `chi_prod` and skew-algebra arithmetic alone, never from
-the closed forms, so the oracles stay independent of `cup` and `circ`.
+`phi_generator`, `Algebra.unit_product` and skew-algebra arithmetic alone,
+never from the closed forms, so the oracles stay independent of `cup` and
+`circ`.  Every unit coefficient, in the closed forms and in the oracles
+alike, is built once by `Algebra.unit_product` from its list of (q, -q or
+character, exponent) factors.
 """
 
 from __future__ import annotations
@@ -38,21 +41,23 @@ from .resolution import (Cochain, add_index, compositions, diagonal,
 def cup(A, f1, f2):
     """Closed-form cup product, extended bilinearly."""
     out = {}
+    q_exp = A.q_exp
     for (alpha, beta, g), c1 in f1.terms.items():
+        chi = A.chi_exp[g]
         for (gamma, kappa, h), c2 in f2.terms.items():
             if any(a and b for a, b in zip(alpha, gamma)):
                 continue
-            u = A.chi_prod(g, gamma)
+            factors = [(chi[i], e) for i, e in enumerate(gamma) if e]
+            sign = 0
             for l in range(A.n):
                 for k in range(l):
                     e = kappa[k] * beta[l] - gamma[k] * alpha[l]
                     if e:
-                        u = u * (A.q[k][l] ** e)
-                    if gamma[k] * alpha[l] % 2:
-                        u = -u
+                        factors.append((q_exp[k][l], e))
+                    sign += gamma[k] * alpha[l]
             key = (add_index(alpha, gamma), add_index(beta, kappa),
                    A.group.mult[g][h])
-            accumulate(out, key, (c1 * c2) * u)
+            accumulate(out, key, (c1 * c2) * A.unit_product(factors, sign))
     return Cochain(A, f1.degree + f2.degree, out)
 
 
@@ -121,23 +126,20 @@ def _contractions(A, symbol, m):
         return table
     alpha, beta, g = symbol
     l = sum(beta)
+    chi = A.chi_exp[g]
     table = {}
     for rho in compositions(A.n, m + l - 1):
         for rho1, rho2, u_outer in diagonal(A, rho):
             nu = sub_index(rho1, beta)
             if any(x < 0 for x in nu):
                 continue
-            # coefficient of e_nu (x) e_beta in the diagonal of e_rho1
-            u_inner = A.uni.one
-            for t in range(A.n):
-                if nu[t]:
-                    for k in range(t):
-                        if beta[k]:
-                            u_inner = u_inner * (A.q[k][t] ** (beta[k] * nu[t]))
-            coeff = u_outer * u_inner
-            if (l * sum(nu)) % 2:
-                coeff = -coeff
-            coeff = coeff * A.chi_prod(g, rho2)
+            # the coefficient of e_nu (x) e_beta in the diagonal of e_rho1,
+            # the Koszul sign, and chi_prod(g, rho2)
+            factors = [(A.q_exp[k][t], beta[k] * nu[t])
+                       for t in range(A.n) if nu[t]
+                       for k in range(t) if beta[k]]
+            factors += [(chi[i], e) for i, e in enumerate(rho2) if e]
+            coeff = u_outer * A.unit_product(factors, l * sum(nu))
             contracted = phi_generator(A, nu, alpha, rho2)
             for (a, kappa, b), pc in contracted.terms.items():
                 table.setdefault(kappa, []).append((rho, a, b, coeff * pc))
@@ -182,8 +184,11 @@ def circ(A, outer, inner):
         return Cochain(A, 0)
     out = {}
     n = A.n
+    q_exp, nq_exp = A.q_exp, A.nq_exp
     for (gamma, kappa, h), c_out in outer.terms.items():
+        chi_outer = A.chi_exp[h]
         for (alpha, beta, g), c_in in inner.terms.items():
+            chi_inner = A.chi_exp[g]
             base = c_out * c_in
             for r in range(n):
                 if alpha[r] != 1:
@@ -206,50 +211,52 @@ def circ(A, outer, inner):
                                  for s in range(n))
                     rho2 = sub_index(rho, rho1)
                     nu = sub_index(rho1, beta)
-                    u = A.uni.unit(sign=-1 if (sum(nu) * (l + 1)) % 2 else 1)
+                    factors = []
                     # diagonal coefficients (both stages)
                     for k in range(n):
                         for t in range(k + 1, n):
                             e = rho2[k] * rho1[t] + beta[k] * nu[t]
                             if e:
-                                u = u * (A.q[k][t] ** e)
+                                factors.append((q_exp[k][t], e))
                     # contraction coefficients at the active slot
                     for s in range(r + 1, n):
                         if alpha[s]:
-                            u = u * (A.nq[r][s] ** (nu[r] + 1))
+                            factors.append((nq_exp[r][s], nu[r] + 1))
                     for s in range(r):
                         if alpha[s]:
-                            u = u * (A.nq[s][r] ** (rho2[r] + 1))
+                            factors.append((nq_exp[s][r], rho2[r] + 1))
                     for t in range(r):
                         for s2 in range(r + 1, n):
                             e = alpha[t] * (alpha[s2] + rho2[s2]) \
                                 + alpha[s2] * nu[t]
                             if e:
-                                u = u * (A.nq[t][s2] ** e)
+                                factors.append((nq_exp[t][s2], e))
                     # outer characters on the generators moved past it
                     for s in range(r):
                         if alpha[s]:
-                            u = u * A.chi(h, s)
+                            factors.append((chi_outer[s], 1))
                     # reordering the three generator blocks into normal form
                     for s in range(r):
                         if alpha[s]:
                             for v in range(s + 1, n):
                                 if gamma[v]:
-                                    u = u * (A.nq[s][v] ** (-1))
+                                    factors.append((nq_exp[s][v], -1))
                     for v in range(r):
                         if gamma[v] + alpha[v]:
                             for s in range(r + 1, n):
                                 if alpha[s]:
-                                    u = u * (A.nq[v][s]
-                                             ** (-(gamma[v] + alpha[v])))
+                                    factors.append(
+                                        (nq_exp[v][s], -(gamma[v] + alpha[v])))
                     for s in range(r + 1, n):
                         if alpha[s]:
                             for v in range(r, s):
                                 if gamma[v]:
-                                    u = u * (A.nq[v][s] ** (-1))
+                                    factors.append((nq_exp[v][s], -1))
                     # the inner group element passes the right-hand
                     # generator leg e_{rho2}
-                    u = u * A.chi_prod(g, rho2)
+                    factors += [(chi_inner[i], e)
+                                for i, e in enumerate(rho2) if e]
+                    u = A.unit_product(factors, sum(nu) * (l + 1))
                     accumulate(out, (mono, rho, group_key), base * u)
     return Cochain(A, m + l - 1, out)
 

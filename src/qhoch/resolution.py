@@ -70,11 +70,8 @@ def splittings(beta):
 def slot_unit(A, g, gamma, l):
     """(-1)^{gamma_l} prod_{k != l} (-q_{kl})^{gamma_k} compared against
     chi_{g,l}; returns the left-hand unit."""
-    u = A.uni.unit(sign=-1 if gamma[l] % 2 else 1)
-    for k in range(A.n):
-        if k != l and gamma[k]:
-            u = u * (A.nq[k][l] ** gamma[k])
-    return u
+    return A.unit_product([(A.nq_exp[k][l], gamma[k]) for k in range(A.n)
+                           if k != l and gamma[k]], gamma[l])
 
 
 def slot_condition_holds(A, g, gamma, l):
@@ -100,17 +97,14 @@ def omega_big(A, g, alpha, beta, l):
     """
     if alpha[l] == 1:
         return A.zero()
-    sign = A.uni.unit(sign=-1 if sum(beta[:l]) % 2 else 1)
-    t1 = sign
-    for k in range(l):
-        e = beta[k] - alpha[k]
-        if e:
-            t1 = t1 * (A.nq[k][l] ** e)
-    t2 = sign * A.uni.unit(sign=-1 if beta[l] % 2 else 1) * A.chi(g, l)
-    for k in range(l + 1, A.n):
-        e = beta[k] - alpha[k]
-        if e:
-            t2 = t2 * (A.nq[l][k] ** e)
+    sign = sum(beta[:l])
+    nq = A.nq_exp
+    t1 = A.unit_product([(nq[k][l], beta[k] - alpha[k]) for k in range(l)
+                         if beta[k] != alpha[k]], sign)
+    t2 = A.unit_product([(A.chi_exp[g][l], 1)]
+                        + [(nq[l][k], beta[k] - alpha[k])
+                           for k in range(l + 1, A.n) if beta[k] != alpha[k]],
+                        sign + beta[l])
     if t1 == t2:
         return A.zero()
     return t1 - t2
@@ -305,16 +299,12 @@ def resolution_differential(A, beta):
             continue
         down = bump(beta, j, -1)
         xj = unit_index(n, j)
-        left = A.uni.one
-        for l in range(j):
-            if beta[l]:
-                left = left * (A.q[l][j] ** beta[l])
+        left = A.unit_product([(A.q_exp[l][j], beta[l]) for l in range(j)
+                               if beta[l]])
         accumulate(out, (xj, down, z), left)
-        sign = -1 if sum(beta[: j + 1]) % 2 else 1
-        right = A.uni.unit(sign=sign)
-        for l in range(j + 1, n):
-            if beta[l]:
-                right = right * (A.nq[j][l] ** beta[l])
+        right = A.unit_product([(A.nq_exp[j][l], beta[l])
+                                for l in range(j + 1, n) if beta[l]],
+                               sum(beta[: j + 1]))
         accumulate(out, (z, down, xj), right)
     return Tensor(A, out)
 
@@ -404,13 +394,11 @@ def diagonal(A, beta):
     if cached is not None:
         return cached
     out = []
+    n = A.n
     for b1, b2 in splittings(beta):
-        u = A.uni.one
-        for l in range(A.n):
-            if b1[l]:
-                for k in range(l):
-                    if b2[k]:
-                        u = u * (A.q[k][l] ** (b2[k] * b1[l]))
+        u = A.unit_product([(A.q_exp[k][l], b2[k] * b1[l])
+                            for l in range(n) if b1[l]
+                            for k in range(l) if b2[k]])
         out.append((b1, b2, u))
     A.caches[key] = out
     return out
@@ -433,10 +421,8 @@ def f_beta_expand(A, beta):
         for l in range(A.n):
             if beta[l] == 0:
                 continue
-            coeff = A.uni.one
-            for k in range(l + 1, A.n):
-                if beta[k]:
-                    coeff = coeff * (A.q[l][k] ** beta[k])
+            coeff = A.unit_product([(A.q_exp[l][k], beta[k])
+                                    for k in range(l + 1, A.n) if beta[k]])
             sub = f_beta_expand(A, bump(beta, l, -1))
             for word, u in sub.items():
                 key2 = word + (l,)
@@ -480,14 +466,10 @@ def bar_check(A, beta):
         if beta[j] == 0:
             continue
         down = bump(beta, j, -1)
-        left = A.uni.one
-        for l in range(j):
-            if beta[l]:
-                left = left * (A.q[l][j] ** beta[l])
-        right = A.uni.unit(sign=-1 if m % 2 else 1)
-        for l in range(j + 1, n):
-            if beta[l]:
-                right = right * (A.q[j][l] ** beta[l])
+        left = A.unit_product([(A.q_exp[l][j], beta[l]) for l in range(j)
+                               if beta[l]])
+        right = A.unit_product([(A.q_exp[j][l], beta[l])
+                                for l in range(j + 1, n) if beta[l]], m)
         for word, u in f_beta_expand(A, down).items():
             mid = tuple(unit_index(n, l) for l in word)
             accumulate(rhs, (unit_index(n, j),) + mid + (z,), u * left)
@@ -518,24 +500,21 @@ def phi_generator(A, beta, mid, gamma):
     if cached is not None:
         return cached
     out = {}
-    sign_beta = -1 if degree(beta) % 2 else 1
+    nq = A.nq_exp
     for l in range(n):
         if mid[l] != 1:
             continue
         if any(beta[l + 1:]) or any(gamma[:l]):
             continue
-        u = A.uni.unit(sign=sign_beta)
-        for k in range(l + 1, n):
-            if mid[k]:
-                u = u * (A.nq[l][k] ** (beta[l] + 1))
-        for k in range(l):
-            if mid[k]:
-                u = u * (A.nq[k][l] ** (gamma[l] + 1))
+        factors = [(nq[l][k], beta[l] + 1) for k in range(l + 1, n)
+                   if mid[k]]
+        factors += [(nq[k][l], gamma[l] + 1) for k in range(l) if mid[k]]
         for r in range(l):
             for s in range(l + 1, n):
                 e = mid[r] * (mid[s] + gamma[s]) + mid[s] * beta[r]
                 if e:
-                    u = u * (A.nq[r][s] ** e)
+                    factors.append((nq[r][s], e))
+        u = A.unit_product(factors, degree(beta))
         left = tuple(mid[i] if i > l else 0 for i in range(n))
         right = tuple(mid[i] if i < l else 0 for i in range(n))
         accumulate(out, (left, bump(add_index(beta, gamma), l), right), u)

@@ -10,6 +10,10 @@ from qhoch import (build_algebra, formal_algebra,
                    quantum_coefficient_action_algebra)
 
 
+# Names of the session algebra fixtures below, for tests that run on each.
+SESSION_ALGEBRAS = ("A2", "A3", "A2_Z3", "Ad3", "Ad4", "A_comm", "A_ext")
+
+
 @pytest.fixture(scope="session")
 def A2():
     """Two generators, one formal quantum parameter, trivial group."""

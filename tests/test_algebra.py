@@ -1,12 +1,15 @@
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_scalar
+from conftest import SESSION_ALGEBRAS, random_scalar
 from qhoch import (Group, SkewElement, build_algebra, formal_algebra,
                    group_act, make_cyclic_group,
                    quantum_coefficient_action_algebra)
+from qhoch.scalars import Unit
 
 
 def basis_elements(A):
@@ -163,3 +166,94 @@ def test_nonabelian_group_conjugation():
     a, b = three_cycles
     swap = next(i for i, p in enumerate(perms) if sign(p) == -1)
     assert G.conjugate(swap, a) == b
+
+
+# ---------------------------------------------------------------------------
+# units built from their exponents against the literal unit products
+# ---------------------------------------------------------------------------
+
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+@lru_cache(maxsize=None)
+def _mixed_algebra(N, q_kinds, chi_gen):
+    """Three generators over Q(zeta_N), one q_spec entry per pair, and the
+    cyclic group of order min(N, 6) with generator characters chi_gen."""
+    order = min(N, 6)
+    return build_algebra(3, N=N, q_spec=dict(zip(PAIRS, q_kinds)),
+                         group_spec=("cyclic", order, list(chi_gen)))
+
+
+@st.composite
+def mixed_algebras(draw):
+    N = draw(st.sampled_from((1, 2, 3, 4, 6, 60)))
+    q_kinds = tuple(draw(st.one_of(
+        st.just(("formal", f"q{i + 1}{j + 1}")),
+        st.tuples(st.just("zeta"), st.integers(0, N - 1)),
+        st.tuples(st.just("rational"), st.sampled_from((1, -1)))))
+        for i, j in PAIRS)
+    # characters of order dividing min(N, 6); -1 only when N is even
+    step = N // min(N, 6)
+    signs = (1, -1) if N % 2 == 0 else (1,)
+    chi_gen = tuple((draw(st.sampled_from(signs)),
+                     step * draw(st.integers(0, min(N, 6) - 1)))
+                    for _ in range(3))
+    return _mixed_algebra(N, q_kinds, chi_gen)
+
+
+def _literal(A, sign, factors):
+    """(-1)^sign * prod u^e by Unit powers and Scalar products."""
+    out = A.uni.unit(sign=-1 if sign % 2 else 1)
+    for u, e in factors:
+        out = out * (u ** e)
+    return out
+
+
+def _same_unit(got, want):
+    """Equal by value, and both carry the same root tag."""
+    assert isinstance(got, Unit) and got == want
+    (c1,), (c2,) = got.terms.values(), want.terms.values()
+    assert c1.root is not None and c1.root == c2.root
+
+
+@given(A=mixed_algebras(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_unit_matches_literal_product(A, data):
+    """Algebra.unit_product sums exponents; the literal product multiplies
+    the units of q, nq and the characters one power at a time.  Covers
+    negative exponents, even N (where -1 folds into zeta^{N/2}) and formal
+    parameters."""
+    tables = {"q": (A.q, A.q_exp), "nq": (A.nq, A.nq_exp),
+              "chi": (A.group.chi, A.chi_exp)}
+    picks = data.draw(st.lists(st.tuples(
+        st.sampled_from(sorted(tables)), st.integers(0, A.group.order - 1),
+        st.integers(0, 2), st.integers(-5, 5)), max_size=8))
+    sign = data.draw(st.integers(-3, 3))
+    units, exps = [], []
+    for name, i, j, e in picks:
+        if name != "chi":
+            i %= 3
+        units.append((tables[name][0][i][j], e))
+        exps.append((tables[name][1][i][j], e))
+    _same_unit(A.unit_product(exps, sign), _literal(A, sign, units))
+
+
+@pytest.mark.parametrize("name", SESSION_ALGEBRAS)
+def test_chi_prod_and_mono_mul_match_literal_products(name, request):
+    A = request.getfixturevalue(name)
+    for g in range(A.group.order):
+        for exps in product(range(-2, 3), repeat=A.n):
+            _same_unit(A.chi_prod(g, exps), _literal(
+                A, 0, [(A.chi(g, i), e) for i, e in enumerate(exps)]))
+    for a in product((0, 1), repeat=A.n):
+        for b in product((0, 1), repeat=A.n):
+            hit = A.mono_mul(a, b)
+            if any(x and y for x, y in zip(a, b)):
+                assert hit is None
+                continue
+            # x_l x_k = (-q_{kl})^{-1} x_k x_l for k < l
+            want = _literal(A, 0, [(A.nq[k][l], -1) for k in range(A.n)
+                                   if b[k] for l in range(k + 1, A.n)
+                                   if a[l]])
+            _same_unit(hit[0], want)
+            assert hit[1] == tuple(x | y for x, y in zip(a, b))

@@ -1,16 +1,19 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from conftest import SESSION_ALGEBRAS
 from qhoch import (Cochain, average, build_algebra, class_equal,
                    formal_algebra, g_action_on_cochain, hh_component_basis,
                    hom_differential, in_C_g, invariant_basis, invariant_dims,
                    invariant_rank_oracle, is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, rank_oracle)
 from qhoch.cohomology import full_basis
-from qhoch.linalg import in_span
+from qhoch.linalg import RowReducer, in_span
 from qhoch.resolution import compositions
+from qhoch.scalars import Unit
 
 
 def all_keys(A, m):
@@ -118,6 +121,37 @@ def test_trivial_group_invariant_basis_is_component_basis(A2):
         got = [(alpha, beta) for (alpha, beta, g, _w) in basis.entries]
         assert got == expected
         assert len(basis.classes) == len(expected)
+
+
+@pytest.mark.parametrize("name", SESSION_ALGEBRAS)
+def test_invariant_class_units_carry_root_tags(name, request):
+    """Each invariant class equals the plain Reynolds average of its
+    closed-form symbol (the translates summed and scaled by 1/|G|, with no
+    retagging), and each of its coefficients that is +-zeta^k * t^e by
+    value is that Unit, its coefficient tagged as a root."""
+    A = request.getfixturevalue(name)
+    tagged = 0
+    for m in range(4):
+        basis = invariant_basis(A, m)
+        red = RowReducer()
+        plain = []
+        for alpha, beta, g, _w in basis.entries:
+            c = Cochain.basis(A, alpha, beta, g)
+            avg = Cochain(A, m)
+            for h in range(A.group.order):
+                avg = avg + g_action_on_cochain(A, h, c)
+            avg = avg.scale(Fraction(1, A.group.order))
+            if not avg.is_zero() and red.add(
+                    {k: v.constant() for k, v in avg.terms.items()}):
+                plain.append(avg)
+        assert basis.classes == plain
+        for cls in basis.classes:
+            for v in cls.terms.values():
+                if v.as_unit() is not None:
+                    (c,) = v.terms.values()
+                    assert isinstance(v, Unit) and c.root is not None
+                    tagged += 1
+    assert tagged
 
 
 def test_degree_one_invariants_two_generator_formal(A2_Z3):
