@@ -178,26 +178,30 @@ class Algebra:
         return Unit(self.uni, {tuple(exps): self.uni.field.root(
             -1 if sign % 2 else 1, k)})
 
+    def chi_factors(self, g, exps):
+        """The factors of prod_i chi_{g,i}^{exps_i}, the character of g on
+        the monomial x^exps, for `unit_product`; characters equal to 1 are
+        left out."""
+        return [(c, e) for c, e in zip(self.chi_exp[g], exps)
+                if e and c != _ONE_EXPONENTS]
+
     def chi_prod(self, g, exps):
-        """prod_i chi_{g,i}^{exps_i} as a Unit: the character of g on the
-        monomial x^exps."""
-        return self.unit_product([(c, e) for c, e in zip(self.chi_exp[g], exps)
-                                  if e and c != _ONE_EXPONENTS])
+        """prod_i chi_{g,i}^{exps_i} as a Unit."""
+        return self.unit_product(self.chi_factors(g, exps))
 
     # -- monomial arithmetic -------------------------------------------------
 
     def mono_mul(self, a, b):
         """Normal form of x^a * x^b: None if a slot repeats, else
-        (coefficient unit, a | b)."""
+        (factors, a | b) with the coefficient unit_product(factors)."""
         n = self.n
         for i in range(n):
             if a[i] and b[i]:
                 return None
         # x_l x_k = (-q_{kl})^{-1} x_k x_l for k < l
-        coeff = self.unit_product([(self.nq_exp[k][l], -1)
-                                   for k in range(n) if b[k]
-                                   for l in range(k + 1, n) if a[l]])
-        return coeff, tuple(ai | bi for ai, bi in zip(a, b))
+        return ([(self.nq_exp[k][l], -1) for k in range(n) if b[k]
+                 for l in range(k + 1, n) if a[l]],
+                tuple(ai | bi for ai, bi in zip(a, b)))
 
 
 class SkewElement(SparseVector):
@@ -226,10 +230,9 @@ class SkewElement(SparseVector):
                 hit = alg.mono_mul(a, b)
                 if hit is None:
                     continue
-                u, mono = hit
-                u = u * alg.chi_prod(g, b)
-                key = (mono, alg.group.mult[g][h])
-                accumulate(out, key, c1 * c2 * u)
+                factors, mono = hit
+                u = alg.unit_product(factors + alg.chi_factors(g, b))
+                accumulate(out, (mono, alg.group.mult[g][h]), c1 * c2 * u)
         return SkewElement(alg, out)
 
     def __repr__(self):

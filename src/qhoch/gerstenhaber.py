@@ -7,10 +7,11 @@ Conventions.  circ(outer, inner) evaluates the composition in which the
 inner cochain is applied to the middle tensor leg; the result's group part
 is (outer group) * (inner group).  When the inner cochain's value crosses
 the remaining right-hand generator leg e_{rho2}, its group element g acts
-on that leg through its characters, a factor chi_prod(g, rho2) in both
-implementations.  This is what makes the middle insertion well defined
-over the skew group algebra: without it the bracket of two invariant
-cocycles is no longer invariant
+on that leg through its characters, the factors chi_factors(g, rho2) in
+both implementations, and g ends up right of the outer cochain's value.
+This is what makes the middle insertion well defined over the skew group
+algebra: without it the bracket of two invariant cocycles is no longer
+invariant
 (tests/test_gerstenhaber.py::test_bracket_of_invariant_cocycles_is_invariant_cocycle).
 
 The oracles keep the part of their walk that does not depend on the outer
@@ -43,11 +44,10 @@ def cup(A, f1, f2):
     out = {}
     q_exp = A.q_exp
     for (alpha, beta, g), c1 in f1.terms.items():
-        chi = A.chi_exp[g]
         for (gamma, kappa, h), c2 in f2.terms.items():
             if any(a and b for a, b in zip(alpha, gamma)):
                 continue
-            factors = [(chi[i], e) for i, e in enumerate(gamma) if e]
+            factors = A.chi_factors(g, gamma)
             sign = 0
             for l in range(A.n):
                 for k in range(l):
@@ -116,7 +116,7 @@ def _contractions(A, symbol, m):
     outer cochain, for the inner basis symbol (alpha, beta, g) and outer
     degree m, kept in A.caches: split every generator e_rho of degree
     m + |beta| - 1 by the diagonal and the left leg again so that e_beta
-    is the middle leg, apply x^alpha (x) g there with the Koszul sign, park
+    is the middle leg, apply x^alpha (x) g there with the Koszul sign, move
     g across the right leg e_rho2 and contract.  Returns
     {kappa: [(rho, a, b, coeff)]}: the contraction's term x^a e_kappa x^b
     with its full coefficient, for the outer cochain to be applied to."""
@@ -126,7 +126,6 @@ def _contractions(A, symbol, m):
         return table
     alpha, beta, g = symbol
     l = sum(beta)
-    chi = A.chi_exp[g]
     table = {}
     for rho in compositions(A.n, m + l - 1):
         for rho1, rho2, u_outer in diagonal(A, rho):
@@ -134,11 +133,11 @@ def _contractions(A, symbol, m):
             if any(x < 0 for x in nu):
                 continue
             # the coefficient of e_nu (x) e_beta in the diagonal of e_rho1,
-            # the Koszul sign, and chi_prod(g, rho2)
+            # the Koszul sign, and the character of g on e_rho2
             factors = [(A.q_exp[k][t], beta[k] * nu[t])
                        for t in range(A.n) if nu[t]
                        for k in range(t) if beta[k]]
-            factors += [(chi[i], e) for i, e in enumerate(rho2) if e]
+            factors += A.chi_factors(g, rho2)
             coeff = u_outer * A.unit_product(factors, l * sum(nu))
             contracted = phi_generator(A, nu, alpha, rho2)
             for (a, kappa, b), pc in contracted.terms.items():
@@ -150,24 +149,23 @@ def _contractions(A, symbol, m):
 def circ_oracle(A, outer, inner):
     """Circle product as the literal pipeline: split a generator twice by
     the diagonal, apply the inner cochain to the middle leg with the Koszul
-    sign, park its group part across the right leg, contract (all four in
-    `_contractions`, once per inner basis symbol), then apply the outer
-    cochain and multiply the parked group element back in."""
+    sign, move its group part across the right leg, contract (all four in
+    `_contractions`, once per inner basis symbol), then multiply the outer
+    cochain's value in between x^a (x) 1 and x^b (x) g."""
     m, l = outer.degree, inner.degree
     if m + l - 1 < 0:
         return Cochain(A, 0)
     out = {}
     for (alpha, beta, g), c_in in inner.terms.items():
         table = _contractions(A, (alpha, beta, g), m)
-        park = SkewElement.basis(A, (0,) * A.n, g)
         for (gamma, kappa, h), c_out in outer.terms.items():
             hits = table.get(kappa)
             if not hits:
                 continue
             middle = SkewElement.basis(A, gamma, h, c_out)
             for rho, a, b, coeff in hits:
-                val = SkewElement.basis(A, a, 0) * middle
-                val = val * SkewElement.basis(A, b, 0) * park
+                val = SkewElement.basis(A, a, 0) * middle \
+                    * SkewElement.basis(A, b, g)
                 scale = coeff * c_in
                 for (mono, gout), c in val.terms.items():
                     accumulate(out, (mono, rho, gout), c * scale)
@@ -188,7 +186,6 @@ def circ(A, outer, inner):
     for (gamma, kappa, h), c_out in outer.terms.items():
         chi_outer = A.chi_exp[h]
         for (alpha, beta, g), c_in in inner.terms.items():
-            chi_inner = A.chi_exp[g]
             base = c_out * c_in
             for r in range(n):
                 if alpha[r] != 1:
@@ -254,8 +251,7 @@ def circ(A, outer, inner):
                                     factors.append((nq_exp[v][s], -1))
                     # the inner group element passes the right-hand
                     # generator leg e_{rho2}
-                    factors += [(chi_inner[i], e)
-                                for i, e in enumerate(rho2) if e]
+                    factors += A.chi_factors(g, rho2)
                     u = A.unit_product(factors, sum(nu) * (l + 1))
                     accumulate(out, (mono, rho, group_key), base * u)
     return Cochain(A, m + l - 1, out)

@@ -9,6 +9,14 @@ x^a e_beta x^c e_gamma x^b, with all coefficients pushed into the designated
 slots by the normal-form reordering rules; a generator index with a negative
 entry is the zero element.
 
+The differential and the contraction are given on generators
+(`resolution_differential`, `phi_generator`) and extended as bimodule maps
+by one helper, `_sandwich`, which multiplies the neighbouring monomials in
+from both sides with one `Algebra.unit_product` per term.  `tensor_delta`
+applies it to each generator slot of a one- or two-tensor word, with the
+Koszul sign on the second slot, and `phi_tensor` to the contracted
+generator between the two outer monomials.
+
 Cochains are maps from the complex into the skew group algebra, stored on
 the basis symbols (x^alpha (x) g) e_beta^*.
 """
@@ -309,59 +317,35 @@ def resolution_differential(A, beta):
     return Tensor(A, out)
 
 
+def _sandwich(A, left, t, right, c):
+    """The terms of c * x^left t x^right for a one-tensor element t, as
+    (key, coefficient) pairs; both monomial products go into one
+    unit_product per term."""
+    for (a, beta, b), tc in t.terms.items():
+        la = A.mono_mul(left, a)
+        if la is None:
+            continue
+        rb = A.mono_mul(b, right)
+        if rb is None:
+            continue
+        yield (la[1], beta, rb[1]), (c * tc) * A.unit_product(la[0] + rb[0])
+
+
 def tensor_delta(A, t):
-    """Differential on one-tensor elements, extended as a bimodule map."""
+    """Differential on one- and two-tensor elements, extended as a bimodule
+    map: on x^a e_beta x^mid e_gamma x^b it is (d (x) 1) + (-1)^{|beta|}
+    (1 (x) d).  A word alternates monomials and generator indices, and d
+    acts on each generator slot between its two neighbouring monomials."""
     out = {}
-    for (a, beta, b), c in t.terms.items():
-        base = resolution_differential(A, beta)
-        for (da, dbeta, db), dc in base.terms.items():
-            # da is either 0 or a single generator x_j; same for db
-            coeff = c * dc
-            la = A.mono_mul(a, da)
-            if la is None:
-                continue
-            u1, mono_a = la
-            rb = A.mono_mul(db, b)
-            if rb is None:
-                continue
-            u2, mono_b = rb
-            accumulate(out, (mono_a, dbeta, mono_b), coeff * u1 * u2)
-    return Tensor(A, out)
-
-
-def tensor2_delta(A, t):
-    """Differential on two-tensor elements with the Koszul sign
-    (d (x) 1) + (-1)^{|first|} (1 (x) d)."""
-    out = {}
-    for (a, beta, mid, gamma, b), c in t.terms.items():
-        # left factor
-        base = resolution_differential(A, beta)
-        for (da, dbeta, db), dc in base.terms.items():
-            coeff = c * dc
-            la = A.mono_mul(a, da)
-            if la is None:
-                continue
-            u1, mono_a = la
-            rm = A.mono_mul(db, mid)
-            if rm is None:
-                continue
-            u2, mono_m = rm
-            accumulate(out, (mono_a, dbeta, mono_m, gamma, b), coeff * u1 * u2)
-        # right factor, with sign by the left homological degree
-        sign = -1 if degree(beta) % 2 else 1
-        base = resolution_differential(A, gamma)
-        for (da, dgamma, db), dc in base.terms.items():
-            coeff = (c * dc) * sign
-            lm = A.mono_mul(mid, da)
-            if lm is None:
-                continue
-            u1, mono_m = lm
-            rb = A.mono_mul(db, b)
-            if rb is None:
-                continue
-            u2, mono_b = rb
-            accumulate(out, (a, beta, mono_m, dgamma, mono_b), coeff * u1 * u2)
-    return Tensor2(A, out)
+    for word, c in t.terms.items():
+        for i in range(1, len(word), 2):
+            for (a, beta, b), v in _sandwich(
+                    A, word[i - 1], resolution_differential(A, word[i]),
+                    word[i + 1], c):
+                accumulate(out, word[:i - 1] + (a, beta, b) + word[i + 2:], v)
+            if degree(word[i]) % 2:
+                c = -c
+    return t._like(out)
 
 
 def tensor2_F(A, t):
@@ -372,13 +356,13 @@ def tensor2_F(A, t):
         if beta == z:
             hit = A.mono_mul(a, mid)
             if hit is not None:
-                u, mono = hit
-                accumulate(out, (mono, gamma, b), c * u)
+                accumulate(out, (hit[1], gamma, b),
+                           c * A.unit_product(hit[0]))
         if gamma == z:
             hit = A.mono_mul(mid, b)
             if hit is not None:
-                u, mono = hit
-                accumulate(out, (a, beta, mono), -(c * u))
+                accumulate(out, (a, beta, hit[1]),
+                           c * A.unit_product(hit[0], 1))
     return Tensor(A, out)
 
 
@@ -436,30 +420,24 @@ def f_beta_expand(A, beta):
     return out
 
 
-def bar_check(A, beta):
-    """Verify that the bar differential of 1 (x) f_beta (x) 1 equals the
+def _bar_agrees(A, beta):
+    """True when the bar differential of 1 (x) f_beta (x) 1 equals the
     expected boundary within the subcomplex spanned by the expansions."""
     n = A.n
     m = degree(beta)
     if m == 0:
         return True
     z = (0,) * n
-
-    def legs_of(word):
-        return (z,) + tuple(unit_index(n, l) for l in word) + (z,)
-
     # bar differential of the tensor expansion
     lhs = {}
     for word, u in f_beta_expand(A, beta).items():
-        legs = legs_of(word)
+        legs = (z,) + tuple(unit_index(n, l) for l in word) + (z,)
         for i in range(m + 1):
             hit = A.mono_mul(legs[i], legs[i + 1])
             if hit is None:
                 continue
-            mu, mono = hit
-            sign = -1 if i % 2 else 1
-            merged = legs[:i] + (mono,) + legs[i + 2:]
-            accumulate(lhs, merged, (u * mu) * sign)
+            merged = legs[:i] + (hit[1],) + legs[i + 2:]
+            accumulate(lhs, merged, u * A.unit_product(hit[0], i))
     # expected value
     rhs = {}
     for j in range(n):
@@ -475,6 +453,16 @@ def bar_check(A, beta):
             accumulate(rhs, (unit_index(n, j),) + mid + (z,), u * left)
             accumulate(rhs, (z,) + mid + (unit_index(n, j),), u * right)
     return lhs == rhs
+
+
+def bar_check(A, top):
+    """Check the bar-resolution boundary agreement on every e_beta with
+    |beta| <= top.  Returns None, or the first beta where it fails."""
+    for m in range(top + 1):
+        for beta in compositions(A.n, m):
+            if not _bar_agrees(A, beta):
+                return beta
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +516,9 @@ def phi_tensor(A, t):
     map over the outer coefficient slots."""
     out = {}
     for (a, beta, mid, gamma, b), c in t.terms.items():
-        base = phi_generator(A, beta, mid, gamma)
-        for (pa, pbeta, pb), pc in base.terms.items():
-            la = A.mono_mul(a, pa)
-            if la is None:
-                continue
-            u1, mono_a = la
-            rb = A.mono_mul(pb, b)
-            if rb is None:
-                continue
-            u2, mono_b = rb
-            accumulate(out, (mono_a, pbeta, mono_b), (c * pc) * (u1 * u2))
+        contracted = phi_generator(A, beta, mid, gamma)
+        for key, v in _sandwich(A, a, contracted, b, c):
+            accumulate(out, key, v)
     return Tensor(A, out)
 
 
@@ -554,7 +534,7 @@ def phi_identity_check(A, max_degree):
                     for mid in iproduct((0, 1), repeat=n):
                         t = Tensor2.generator(A, beta, mid, gamma)
                         lhs = tensor_delta(A, phi_tensor(A, t)) + \
-                            phi_tensor(A, tensor2_delta(A, t))
+                            phi_tensor(A, tensor_delta(A, t))
                         rhs = tensor2_F(A, t)
                         if lhs != rhs:
                             return (beta, tuple(mid), gamma)

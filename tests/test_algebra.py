@@ -9,6 +9,7 @@ from conftest import SESSION_ALGEBRAS, random_scalar
 from qhoch import (Group, SkewElement, build_algebra, formal_algebra,
                    group_act, make_cyclic_group,
                    quantum_coefficient_action_algebra)
+from qhoch.linalg import accumulate
 from qhoch.scalars import Unit
 
 
@@ -255,5 +256,38 @@ def test_chi_prod_and_mono_mul_match_literal_products(name, request):
             want = _literal(A, 0, [(A.nq[k][l], -1) for k in range(A.n)
                                    if b[k] for l in range(k + 1, A.n)
                                    if a[l]])
-            _same_unit(hit[0], want)
+            _same_unit(A.unit_product(hit[0]), want)
             assert hit[1] == tuple(x | y for x, y in zip(a, b))
+
+
+def literal_skew_mul(A, s, t):
+    """(a (x) g)(b (x) h) = a * (g.b) (x) gh with the reordering unit and
+    the character unit each multiplied out power by power, then multiplied
+    together."""
+    out = {}
+    for (a, g), c1 in s.terms.items():
+        for (b, h), c2 in t.terms.items():
+            if any(x and y for x, y in zip(a, b)):
+                continue
+            mono_unit = _literal(A, 0, [(A.nq[k][l], -1) for k in range(A.n)
+                                        if b[k] for l in range(k + 1, A.n)
+                                        if a[l]])
+            chi_unit = _literal(A, 0, [(A.chi(g, i), e)
+                                       for i, e in enumerate(b)])
+            accumulate(out, (tuple(x | y for x, y in zip(a, b)),
+                             A.group.mult[g][h]),
+                       c1 * c2 * (mono_unit * chi_unit))
+    return SkewElement(A, out)
+
+
+@pytest.mark.parametrize("name", SESSION_ALGEBRAS)
+def test_skew_product_matches_literal_unit_product(name, request):
+    A = request.getfixturevalue(name)
+    rng = random.Random(17)
+    nonzero = 0
+    for _ in range(40):
+        s, t = random_skew(A, rng), random_skew(A, rng)
+        want = literal_skew_mul(A, s, t)
+        assert s * t == want, (s, t)
+        nonzero += not want.is_zero()
+    assert nonzero > 10

@@ -1,12 +1,16 @@
 import importlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qhoch.cli
 import qhoch.resolution
@@ -215,10 +219,18 @@ def test_config_errors_exit_two(tmp_path, capsys):
                         "chi": [{"zeta": 1}, {}]}}, "config.group.chi"),
     ({"group": {"kind": "cyclic", "order": 2,
                 "chi": [{"sign": -1}, {}]}}, "config.group.chi"),
+    ({"q": [{"i": 1, "j": 2, "kind": "formal"},
+            {"i": 1, "j": 2, "kind": "zeta"}]}, "config.q[1]"),
+    ({"n": 3, "q": [{"i": 1, "j": 2, "kind": "formal", "name": "x"},
+                    {"i": 1, "j": 3, "kind": "formal", "name": "x"}]},
+     "config.q[1].name"),
+    ({"n": 3, "q": [{"i": 1, "j": 2, "kind": "formal", "name": "q13"}]},
+     "config.q[0].name"),
 ], ids=["group-list", "ragged-mult", "q-int", "n-bool", "max-degree-bool",
         "power-bool", "mult-identity", "name-list", "name-empty",
         "chi-identity", "chi-homomorphism", "chi-order-N",
-        "cyclic-chi-order", "cyclic-chi-order-N"])
+        "cyclic-chi-order", "cyclic-chi-order-N", "q-duplicate-pair",
+        "q-duplicate-name", "q-default-name"])
 def test_malformed_config_exits_two(tmp_path, capsys, override, field):
     path = write_cfg(tmp_path, {**CFG_FORMAL, **override})
     code, out, err = run(capsys, ["dims", "--config", path])
@@ -226,11 +238,87 @@ def test_malformed_config_exits_two(tmp_path, capsys, override, field):
     assert f"config error: {field}:" in err
 
 
+def _refuse_to_build(monkeypatch):
+    """Make any algebra or group construction inside parse_config fail."""
+    def build(*args, **kwargs):
+        raise AssertionError("built past a size check")
+    monkeypatch.setattr(qhoch.cli, "build_algebra", build)
+    monkeypatch.setattr(qhoch.cli, "Group", build)
+
+
+def _cyclic_table(order):
+    return {"kind": "table",
+            "mult": [[(a + b) % order for b in range(order)]
+                     for a in range(order)],
+            "chi": [[{}, {}] for _ in range(order)]}
+
+
+@pytest.mark.parametrize("override, field, limit", [
+    ({"n": qhoch.cli.MAX_N + 1}, "config.n", qhoch.cli.MAX_N),
+    ({"N": qhoch.cli.MAX_CYCLOTOMIC_ORDER + 1}, "config.N",
+     qhoch.cli.MAX_CYCLOTOMIC_ORDER),
+    ({"max_degree": qhoch.cli.MAX_DEGREE + 1}, "config.max_degree",
+     qhoch.cli.MAX_DEGREE),
+    ({"group": {"kind": "cyclic", "order": qhoch.cli.MAX_GROUP_ORDER + 1,
+                "chi": [{}, {}]}}, "config.group.order",
+     qhoch.cli.MAX_GROUP_ORDER),
+    ({"group": _cyclic_table(qhoch.cli.MAX_GROUP_ORDER + 1)},
+     "config.group.mult", qhoch.cli.MAX_GROUP_ORDER),
+], ids=["n", "N", "max-degree", "cyclic-order", "table-order"])
+def test_size_above_limit_exits_two(tmp_path, capsys, monkeypatch, override,
+                                    field, limit):
+    """One past each size limit is a configuration error raised before any
+    field, group or algebra is built."""
+    _refuse_to_build(monkeypatch)
+    path = write_cfg(tmp_path, {**CFG_FORMAL, **override})
+    code, out, err = run(capsys, ["dims", "--config", path])
+    assert code == 2 and out == ""
+    assert err == f"config error: {field}: must be at most {limit}\n"
+
+
+@pytest.mark.parametrize("override", [
+    {"n": qhoch.cli.MAX_N},
+    {"N": qhoch.cli.MAX_CYCLOTOMIC_ORDER},
+    {"max_degree": qhoch.cli.MAX_DEGREE},
+    {"group": {"kind": "cyclic", "order": qhoch.cli.MAX_GROUP_ORDER,
+               "chi": [{}, {}]}},
+    {"group": _cyclic_table(qhoch.cli.MAX_GROUP_ORDER)},
+], ids=["n", "N", "max-degree", "cyclic-order", "table-order"])
+def test_size_at_limit_is_accepted(monkeypatch, override):
+    """Each size limit itself passes the front end's checks: the algebra is
+    requested (here from a stand-in that builds nothing)."""
+    monkeypatch.setattr(qhoch.cli, "Group", lambda *args: None)
+    monkeypatch.setattr(qhoch.cli, "build_algebra",
+                        lambda *args, **kwargs: "algebra")
+    cfg = {**CFG_FORMAL, **override}
+    if "n" in override:
+        cfg["q"] = []
+    assert parse_config(cfg)[0] == "algebra"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--max-degree"], ["verify", "--max-degree"],
+    ["basis", "--degree"],
+], ids=["dims", "verify", "basis"])
+def test_degree_override_above_limit_exits_two(tmp_path, capsys, monkeypatch,
+                                               argv):
+    def load(path):
+        raise AssertionError("read the config past a size check")
+    monkeypatch.setattr(qhoch.cli, "load_config", load)
+    path = write_cfg(tmp_path, CFG_FORMAL)
+    limit = qhoch.cli.MAX_DEGREE
+    code, out, err = run(capsys, argv + [str(limit + 1), "--config", path])
+    assert code == 2 and out == ""
+    assert err == f"config error: {argv[1]}: must be at most {limit}\n"
+
+
 @pytest.mark.parametrize("content, message", [
     (b"\xff\xfe", "config error: config is not UTF-8 text"),
     (b"[" * 100000 + b"]" * 100000,
      "config error: config is not valid JSON: nested too deeply"),
-], ids=["not-utf8", "nested-100000"])
+    (b'{"n": ' + b"1" * 5000 + b"}",
+     "config error: config is not valid JSON: Exceeds the limit"),
+], ids=["not-utf8", "nested-100000", "int-5000-digits"])
 def test_unreadable_config_exits_two(tmp_path, capsys, content, message):
     path = tmp_path / "cfg.json"
     path.write_bytes(content)
@@ -307,3 +395,113 @@ def test_console_script_and_module_exit_codes(tmp_path):
     bad = qhoch("verify", "--config", str(tmp_path / "missing.json"))
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.startswith("config error: cannot read config")
+
+
+# ---------------------------------------------------------------------------
+# the config front end on random JSON trees shaped like configs
+# ---------------------------------------------------------------------------
+
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=4), kids,
+                                           max_size=3)),
+    max_leaves=6)
+
+
+# huge, negative or junk values for any field
+BAD = st.one_of(st.integers(min_value=1001), st.integers(max_value=-1), JUNK)
+
+
+def spoil(draw, record):
+    """Remove up to two fields of record or replace them with BAD values;
+    often none, so that most examples reach the later checks."""
+    keys = draw(st.lists(st.sampled_from(sorted(record)), max_size=2,
+                         unique=True))
+    for key in keys:
+        if draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(BAD)
+    return record
+
+
+@st.composite
+def characters(draw):
+    return spoil(draw, {"sign": draw(st.sampled_from((1, -1))),
+                        "zeta": draw(st.integers(-3, 12))})
+
+
+@st.composite
+def q_entries(draw, n):
+    i = draw(st.integers(1, n))
+    entry = {"i": i, "j": draw(st.integers(i, n + 1)),
+             "kind": draw(st.sampled_from(("formal", "zeta", "rational"))),
+             "name": draw(st.sampled_from(("q", "q12", "q13", "x"))),
+             "power": draw(st.integers(-5, 5)),
+             "value": draw(st.sampled_from((1, -1, 2)))}
+    return spoil(draw, entry)
+
+
+@st.composite
+def groups(draw, n):
+    order = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("trivial", "cyclic", "table")))
+    if kind == "table":
+        # the cyclic group's table, or a random square of indices
+        mult = draw(st.one_of(
+            st.just([[(a + b) % order for b in range(order)]
+                     for a in range(order)]),
+            st.lists(st.lists(st.integers(0, order - 1), min_size=order,
+                              max_size=order), min_size=order,
+                     max_size=order)))
+        group = {"kind": kind, "mult": mult,
+                 "chi": [[draw(characters()) for _ in range(n)]
+                         for _ in range(order)]}
+    else:
+        group = {"kind": kind, "order": order,
+                 "chi": [draw(characters()) for _ in range(n)]}
+    return spoil(draw, group)
+
+
+@st.composite
+def configs(draw):
+    """A JSON tree shaped like a config: small fields of the right kinds,
+    then some fields removed or spoilt at every level; one in ten is junk
+    from the root."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    n = draw(st.integers(1, 3))
+    config = {"n": n, "N": draw(st.sampled_from((1, 2, 3, 4, 6, 12))),
+              "q": draw(st.lists(q_entries(n), max_size=3)),
+              "group": draw(groups(n)),
+              "max_degree": draw(st.integers(0, 3)),
+              "seeds": draw(st.lists(st.integers(), min_size=1, max_size=3))}
+    return spoil(draw, config)
+
+
+CONFIGS = configs()
+
+
+@given(raw=CONFIGS)
+@settings(max_examples=200, deadline=None)
+def test_parse_config_returns_or_raises_config_error(raw):
+    try:
+        parse_config(raw)
+    except ConfigError:
+        pass
+
+
+@given(raw=CONFIGS)
+@settings(max_examples=100, deadline=None)
+def test_main_on_random_config_exits_cleanly(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["dims", "--config", path, "--max-degree", "1"])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
