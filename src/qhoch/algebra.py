@@ -20,6 +20,8 @@ once from the summed exponents instead of as a running product of units.
 
 from __future__ import annotations
 
+from functools import wraps
+
 from .linalg import SparseVector, accumulate
 from .scalars import CycloField, Unit, Universe
 
@@ -202,6 +204,23 @@ class Algebra:
         return ([(self.nq_exp[k][l], -1) for k in range(n) if b[k]
                  for l in range(k + 1, n) if a[l]],
                 tuple(ai | bi for ai, bi in zip(a, b)))
+
+
+def cached(fn):
+    """Memoize fn(A, *args) per algebra: the result is kept in A.caches
+    under (fn.__name__,) + args, computed on a miss only and stored whole.
+    The arguments after A are hashable (multi-indices as tuples), and no
+    cached result is None, so a falsy result such as {} or 0 is kept too."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def memo(A, *args):
+        key = (name,) + args
+        hit = A.caches.get(key)
+        if hit is None:
+            hit = A.caches[key] = fn(A, *args)
+        return hit
+    return memo
 
 
 class SkewElement(SparseVector):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from .algebra import Group, build_algebra
 from .cohomology import (collect_classes, flatness_check, invariant_basis,
@@ -34,6 +35,21 @@ MAX_N = 12
 MAX_CYCLOTOMIC_ORDER = 1000
 MAX_GROUP_ORDER = 128
 MAX_DEGREE = 32
+
+# Work limits, checked before any command runs, on counts of n, |G| and the
+# degrees in force alone: basis symbols (alpha, beta, g), |G| 2^n
+# C(m+n-1, n-1) of them in degree m; for `verify`, the |G| 7^n cochains of
+# its flatness check and the basis pairs its product check compares.  The
+# counts cannot see how many symbols are classes, so each limit comes from
+# the slowest configuration measured for its count (README table): `dims`
+# takes 22 s at 372,736 symbols, `basis` 29 s and 1.3 GB at 372,736,
+# `dims --verify` 45 s at 4096, `cup` 8.5 s at 1792 and `bracket` 31 s at
+# 1120.  The pair limit admits every checked-in config, and `verify` takes
+# 150 s at 54,880 pairs where every symbol is a class.
+MAX_SYMBOLS = {"dims": 400_000, "basis": 100_000, "dims --verify": 2500,
+               "cup": 2000, "bracket": 1000}
+MAX_FLATNESS_COCHAINS = 5000
+MAX_PRODUCT_PAIRS = 65_000
 
 
 def load_config(path):
@@ -63,6 +79,34 @@ def _is_int(value, minimum=None):
 def _at_most(value, limit, where):
     if value > limit:
         raise ConfigError(f"{where}: must be at most {limit}")
+
+
+def basis_symbols(n, order, m):
+    """The number of basis symbols (alpha, beta, g) in degree m."""
+    return order * 2 ** n * comb(m + n - 1, n - 1)
+
+
+def check_work(command, n, order, degrees):
+    """Raise ConfigError when the work of command over the given degrees,
+    counted from n and the group order alone, is above its limit."""
+    if command == "verify":
+        top = min(max(degrees), 4)
+        sym = [basis_symbols(n, order, m) for m in range(top + 1)]
+        counts = [("flatness cochains", order * 7 ** n,
+                   MAX_FLATNESS_COCHAINS),
+                  (f"basis pairs of total degree <= {top}",
+                   sum(sym[m] * sym[l] for m in range(top + 1)
+                       for l in range(top + 1 - m)), MAX_PRODUCT_PAIRS)]
+    else:
+        lo, hi = min(degrees), max(degrees)
+        where = f"degree {lo}" if lo == hi else f"degrees {lo}..{hi}"
+        counts = [(f"basis symbols in {where}",
+                   sum(basis_symbols(n, order, m) for m in degrees),
+                   MAX_SYMBOLS[command])]
+    for what, count, limit in counts:
+        if count > limit:
+            raise ConfigError(f"{command}: {count} {what} (n = {n}, group "
+                              f"order {order}); must be at most {limit}")
 
 
 def _chi_pair(entry, where):
@@ -248,8 +292,7 @@ def cmd_dims(A, max_degree, seeds, verify):
     return {"command": "dims", "dims": rows}
 
 
-def cmd_basis(A, max_degree, degree=None):
-    degrees = [degree] if degree is not None else range(max_degree + 1)
+def cmd_basis(A, degrees):
     return {"command": "basis", "classes": [
         {"id": label, "degree": c.degree, "terms": cochain_json(c)}
         for label, c in collect_classes(A, degrees)]}
@@ -376,10 +419,17 @@ def main(argv=None):
             max_degree = args.max_degree
         if args.seed:
             seeds = args.seed
+        command = args.command
+        if command == "dims" and args.verify:
+            command = "dims --verify"
+        degrees = range(max_degree + 1)
+        if command == "basis" and args.degree is not None:
+            degrees = [args.degree]
+        check_work(command, A.n, A.group.order, degrees)
         if args.command == "dims":
             result = cmd_dims(A, max_degree, seeds, args.verify)
         elif args.command == "basis":
-            result = cmd_basis(A, max_degree, args.degree)
+            result = cmd_basis(A, degrees)
         elif args.command in ("cup", "bracket"):
             result = cmd_products(A, max_degree, args.command)
         else:

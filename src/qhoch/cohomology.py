@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from .algebra import cached
 from .linalg import RowReducer, accumulate
 from .resolution import (Cochain, add_index, compositions, full_basis,
                          hom_differential, homotopy, slot_condition_holds,
@@ -192,6 +193,7 @@ def _seed_values(A, seed):
     return values
 
 
+@cached
 def _subcomplex(A, m, g):
     """(dimension, nonzero images under the differential) of a subcomplex
     in degree m: the g-component, spanned by the basis cochains with group
@@ -199,36 +201,29 @@ def _subcomplex(A, m, g):
     of the basis cochains that are independent by exact elimination
     (`_independent_averages`, shared with `invariant_basis`).  Averaged
     coefficients are cyclotomic constants, so neither depends on a seed;
-    each is kept in A.caches per (degree, g)."""
-    key = ("subcomplex", m, g)
-    hit = A.caches.get(key)
-    if hit is None:
-        # full_basis(A, -1) is not empty when n = 1
-        symbols = full_basis(A, m) if m >= 0 else []
-        if g is None:
-            basis = _independent_averages(A, symbols)
-        else:
-            basis = [Cochain.basis(A, *sym) for sym in symbols if sym[2] == g]
-        images = [img for img in (hom_differential(A, c) for c in basis)
-                  if not img.is_zero()]
-        hit = A.caches[key] = (len(basis), images)
-    return hit
+    each is cached per (degree, g)."""
+    # full_basis(A, -1) is not empty when n = 1
+    symbols = full_basis(A, m) if m >= 0 else []
+    if g is None:
+        basis = _independent_averages(A, symbols)
+    else:
+        basis = [Cochain.basis(A, *sym) for sym in symbols if sym[2] == g]
+    images = [img for img in (hom_differential(A, c) for c in basis)
+              if not img.is_zero()]
+    return len(basis), images
 
 
+@cached
 def _delta_rank(A, m, g, seed):
     """Rank of the differential out of degree m on the subcomplex selected
     by g (see `_subcomplex`) after substituting the formal parameters at
-    one seed; kept in A.caches per (degree, g, seed), so the rank into
-    degree m + 1 reuses it."""
-    key = ("delta-rank", m, g, seed)
-    rank = A.caches.get(key)
-    if rank is None:
-        values = _seed_values(A, seed) if seed is not None else []
-        red = RowReducer()
-        for img in _subcomplex(A, m, g)[1]:
-            red.add(_substituted_row(A, img, values))
-        rank = A.caches[key] = red.rank
-    return rank
+    one seed; cached per (degree, g, seed), so the rank into degree m + 1
+    reuses it."""
+    values = _seed_values(A, seed) if seed is not None else []
+    red = RowReducer()
+    for img in _subcomplex(A, m, g)[1]:
+        red.add(_substituted_row(A, img, values))
+    return red.rank
 
 
 def _ranks(A, m, g, seeds):
@@ -272,18 +267,15 @@ def is_cocycle(A, c):
     return hom_differential(A, c).is_zero()
 
 
+@cached
 def _image_reducer(A, m):
     """Echelon form of the image of the differential into degree m, over
     the quotient field of the coefficient ring."""
-    key = ("coboundary-image", m)
-    red = A.caches.get(key)
-    if red is None:
-        red = RowReducer()
-        for alpha, beta, g in full_basis(A, m - 1):
-            img = hom_differential(A, Cochain.basis(A, alpha, beta, g))
-            if not img.is_zero():
-                red.add(img.to_frac().terms)
-        A.caches[key] = red
+    red = RowReducer()
+    for alpha, beta, g in full_basis(A, m - 1):
+        img = hom_differential(A, Cochain.basis(A, alpha, beta, g))
+        if not img.is_zero():
+            red.add(img.to_frac().terms)
     return red
 
 
@@ -292,8 +284,8 @@ def is_coboundary(A, c):
     degree below, over the quotient field of the coefficient ring.
 
     The echelon form of that image depends only on the algebra and the
-    degree, and membership tests leave it unchanged, so it is built once
-    per (algebra, degree) and kept in A.caches."""
+    degree, and membership tests leave it unchanged, so `_image_reducer`
+    builds it once per (algebra, degree)."""
     if c.is_zero():
         return True
     if c.degree == 0:

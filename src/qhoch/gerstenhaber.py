@@ -14,11 +14,11 @@ algebra: without it the bracket of two invariant cocycles is no longer
 invariant
 (tests/test_gerstenhaber.py::test_bracket_of_invariant_cocycles_is_invariant_cocycle).
 
-The oracles keep the part of their walk that does not depend on the outer
-cochain in A.caches: `_cup_legs` holds the diagonal's leg pairs per degree
-pair (m, l), and `_contractions` holds the doubly split and contracted
-generators per inner basis symbol and outer degree, indexed by the kappa
-the outer cochain is applied to.  Both are built from `diagonal`,
+The oracles memoize per algebra, with `cached`, the part of their walk
+that does not depend on the outer cochain: `_cup_legs` holds the
+diagonal's leg pairs per degree pair (m, l), and `_contractions` holds the
+doubly split and contracted generators per inner basis symbol and outer
+degree, indexed by the kappa the outer cochain is applied to.  Both are built from `diagonal`,
 `phi_generator`, `Algebra.unit_product` and skew-algebra arithmetic alone,
 never from the closed forms, so the oracles stay independent of `cup` and
 `circ`.  Every unit coefficient, in the closed forms and in the oracles
@@ -28,7 +28,7 @@ character, exponent) factors.
 
 from __future__ import annotations
 
-from .algebra import SkewElement
+from .algebra import SkewElement, cached
 from .cohomology import collect_classes, is_cocycle
 from .linalg import accumulate
 from .resolution import (Cochain, add_index, compositions, diagonal,
@@ -61,20 +61,17 @@ def cup(A, f1, f2):
     return Cochain(A, f1.degree + f2.degree, out)
 
 
+@cached
 def _cup_legs(A, m, l):
-    """Leg pairs of the diagonal in total degree m + l, kept in A.caches:
+    """Leg pairs of the diagonal in total degree m + l:
     {(b1, b2): (rho, u)} over every splitting of every e_rho of degree
     m + l with |b1| = m, where u is the diagonal coefficient.  Each leg
     pair splits exactly one generator, rho = b1 + b2."""
-    key = ("cup-legs", m, l)
-    legs = A.caches.get(key)
-    if legs is None:
-        legs = {}
-        for rho in compositions(A.n, m + l):
-            for b1, b2, u in diagonal(A, rho):
-                if sum(b1) == m:
-                    legs[(b1, b2)] = (rho, u)
-        A.caches[key] = legs
+    legs = {}
+    for rho in compositions(A.n, m + l):
+        for b1, b2, u in diagonal(A, rho):
+            if sum(b1) == m:
+                legs[(b1, b2)] = (rho, u)
     return legs
 
 
@@ -111,19 +108,16 @@ def cup_oracle(A, f1, f2):
 # circle product
 # ---------------------------------------------------------------------------
 
+@cached
 def _contractions(A, symbol, m):
     """The part of the circle-product pipeline that does not depend on the
-    outer cochain, for the inner basis symbol (alpha, beta, g) and outer
-    degree m, kept in A.caches: split every generator e_rho of degree
+    outer cochain, for the inner basis symbol (alpha, beta, g), a tuple,
+    and outer degree m: split every generator e_rho of degree
     m + |beta| - 1 by the diagonal and the left leg again so that e_beta
     is the middle leg, apply x^alpha (x) g there with the Koszul sign, move
     g across the right leg e_rho2 and contract.  Returns
     {kappa: [(rho, a, b, coeff)]}: the contraction's term x^a e_kappa x^b
     with its full coefficient, for the outer cochain to be applied to."""
-    key = ("contractions", symbol, m)
-    table = A.caches.get(key)
-    if table is not None:
-        return table
     alpha, beta, g = symbol
     l = sum(beta)
     table = {}
@@ -142,7 +136,6 @@ def _contractions(A, symbol, m):
             contracted = phi_generator(A, nu, alpha, rho2)
             for (a, kappa, b), pc in contracted.terms.items():
                 table.setdefault(kappa, []).append((rho, a, b, coeff * pc))
-    A.caches[key] = table
     return table
 
 
@@ -372,8 +365,8 @@ def axiom_suite(A, max_degree):
     Jacobi check reaches pairs of total degree max_degree + 2 when the third
     class has degree 0.  Products involving a computed product (the outer
     brackets of Jacobi, the products in the derivation rule) are formed
-    afresh.  `is_coboundary` keeps its image of the differential in
-    `A.caches` (see there)."""
+    afresh.  `is_coboundary` builds its image of the differential once
+    per degree (see there)."""
     from .cohomology import is_coboundary
     failures = []
     classes = collect_classes(A, range(max_degree + 1))

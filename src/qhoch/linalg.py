@@ -86,16 +86,10 @@ class RowReducer:
             piv = self.pivots.get(col)
             if piv is None:
                 return row, col
-            c = row.pop(col)
+            c = -row.pop(col)
             for k, v in piv.items():
-                if k == col:
-                    continue
-                w = row.get(k)
-                w = -(c * v) if w is None else w - c * v
-                if w.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = w
+                if k != col:
+                    accumulate(row, k, c * v)
         return row, None
 
     def add(self, row):

@@ -26,6 +26,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 from operator import add, sub
 
+from .algebra import cached
 from .linalg import SparseVector, accumulate
 from .scalars import Frac, QQ
 
@@ -370,13 +371,10 @@ def tensor2_F(A, t):
 # the diagonal and the bar-resolution expansions
 # ---------------------------------------------------------------------------
 
+@cached
 def diagonal(A, beta):
-    """Splittings of e_beta with their quantum coefficients:
+    """Splittings of e_beta (beta a tuple) with their quantum coefficients:
     list of (beta1, beta2, Unit)."""
-    key = ("diag", tuple(beta))
-    cached = A.caches.get(key)
-    if cached is not None:
-        return cached
     out = []
     n = A.n
     for b1, b2 in splittings(beta):
@@ -384,18 +382,13 @@ def diagonal(A, beta):
                             for l in range(n) if b1[l]
                             for k in range(l) if b2[k]])
         out.append((b1, b2, u))
-    A.caches[key] = out
     return out
 
 
+@cached
 def f_beta_expand(A, beta):
-    """Expansion of the generator word family: dict from tuples of
-    generator indices to coefficient Units."""
-    beta = tuple(beta)
-    key = ("fbeta", beta)
-    cached = A.caches.get(key)
-    if cached is not None:
-        return cached
+    """Expansion of the generator word family of e_beta (beta a tuple):
+    dict from tuples of generator indices to coefficient Units."""
     if any(b < 0 for b in beta):
         out = {}
     elif sum(beta) == 0:
@@ -409,14 +402,10 @@ def f_beta_expand(A, beta):
                                     for k in range(l + 1, A.n) if beta[k]])
             sub = f_beta_expand(A, bump(beta, l, -1))
             for word, u in sub.items():
-                key2 = word + (l,)
-                prev = out.get(key2)
-                cur = u * coeff
-                if prev is None:
-                    out[key2] = cur
-                else:
+                key = word + (l,)
+                if key in out:
                     raise ArithmeticError("duplicate word in expansion")
-    A.caches[key] = out
+                out[key] = u * coeff
     return out
 
 
@@ -469,8 +458,10 @@ def bar_check(A, top):
 # the contraction phi
 # ---------------------------------------------------------------------------
 
+@cached
 def phi_generator(A, beta, mid, gamma):
-    """Closed form of the contraction on e_beta (x) x^mid e_gamma.
+    """Closed form of the contraction on e_beta (x) x^mid e_gamma (three
+    tuples).
 
     The coefficient of the slot-l term is
 
@@ -483,10 +474,6 @@ def phi_generator(A, beta, mid, gamma):
     which fails that identity, is kept by the regression tests.
     """
     n = A.n
-    cache_key = ("phi", tuple(beta), tuple(mid), tuple(gamma))
-    cached = A.caches.get(cache_key)
-    if cached is not None:
-        return cached
     out = {}
     nq = A.nq_exp
     for l in range(n):
@@ -506,9 +493,7 @@ def phi_generator(A, beta, mid, gamma):
         left = tuple(mid[i] if i > l else 0 for i in range(n))
         right = tuple(mid[i] if i < l else 0 for i in range(n))
         accumulate(out, (left, bump(add_index(beta, gamma), l), right), u)
-    result = Tensor(A, out)
-    A.caches[cache_key] = result
-    return result
+    return Tensor(A, out)
 
 
 def phi_tensor(A, t):

@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
+from .linalg import accumulate
+
 QQ = Fraction
 
 
@@ -194,8 +196,10 @@ class CycloElement:
         return not self.is_zero()
 
     def __eq__(self, other):
+        # two builds of Q(zeta_N) share coordinates, as Scalar._check allows
         return (isinstance(other, CycloElement)
-                and self.field is other.field
+                and (self.field is other.field
+                     or self.field.N == other.field.N)
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
@@ -373,7 +377,8 @@ class Scalar:
             other = self.uni.from_rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.terms == other.terms
+        return ((self.uni is other.uni or self.uni.compatible(other.uni))
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash(frozenset((e, c.coeffs) for e, c in self.terms.items()))
@@ -384,15 +389,7 @@ class Scalar:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
+            accumulate(out, e, c)
         return Scalar(self.uni, out)
 
     def __neg__(self):
@@ -427,18 +424,7 @@ class Scalar:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    if not c.is_zero():
-                        out[e] = c
-                else:
-                    s = s + c
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
+                accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
         return Scalar(self.uni, out)
 
     __rmul__ = __mul__

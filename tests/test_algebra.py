@@ -9,6 +9,7 @@ from conftest import SESSION_ALGEBRAS, random_scalar
 from qhoch import (Group, SkewElement, build_algebra, formal_algebra,
                    group_act, make_cyclic_group,
                    quantum_coefficient_action_algebra)
+from qhoch.algebra import cached
 from qhoch.linalg import accumulate
 from qhoch.scalars import Unit
 
@@ -291,3 +292,32 @@ def test_skew_product_matches_literal_unit_product(name, request):
         assert s * t == want, (s, t)
         nonzero += not want.is_zero()
     assert nonzero > 10
+
+
+def test_cached_memo_per_function_and_arguments():
+    """`cached` keeps one entry per (function, arguments) in A.caches,
+    returns the stored object on a repeat without running the body again,
+    and stores a falsy result like any other."""
+    A = build_algebra(1)
+    runs = []
+
+    @cached
+    def probe_empty(A, m):
+        runs.append(("empty", m))
+        return {}
+
+    @cached
+    def probe_list(A, m):
+        runs.append(("list", m))
+        return [m]
+
+    first = probe_empty(A, 1)
+    listed = probe_list(A, 1)
+    assert listed == [1]
+    assert runs == [("empty", 1), ("list", 1)]
+    assert probe_empty(A, 1) is first
+    assert probe_list(A, 1) is listed
+    assert runs == [("empty", 1), ("list", 1)]
+    probe_empty(A, 2)
+    assert runs[-1] == ("empty", 2)
+    assert len(A.caches) == 3

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import qhoch.cli
 import qhoch.resolution
-from qhoch.cli import ConfigError, main, parse_config, scalar_json
+from qhoch import build_algebra
+from qhoch.cli import (ConfigError, basis_symbols, check_work, main,
+                       parse_config, scalar_json)
+from qhoch.resolution import full_basis
 from test_resolution import unsigned_omega
 
 
@@ -312,6 +316,103 @@ def test_degree_override_above_limit_exits_two(tmp_path, capsys, monkeypatch,
     assert err == f"config error: {argv[1]}: must be at most {limit}\n"
 
 
+# ---------------------------------------------------------------------------
+# work limits: n, the group order and the degree bound together
+# ---------------------------------------------------------------------------
+
+def test_work_counts_match_enumeration():
+    """basis_symbols counts full_basis, so verify's pair count is the
+    number of pairs product_check compares; its flatness count is the
+    number of cochains flatness_check visits."""
+    for n, group in ((1, None), (2, ("cyclic", 3, [(1, 1), (1, 2)])),
+                     (3, None)):
+        A = build_algebra(n, N=3, group_spec=group)
+        sym = [basis_symbols(n, A.group.order, m) for m in range(5)]
+        assert sym == [len(full_basis(A, m)) for m in range(5)]
+        visited = sum(1 for g in range(A.group.order)
+                      for gamma in product(range(-1, 3), repeat=n)
+                      for alpha in product((0, 1), repeat=n)
+                      if min(a + c for a, c in zip(alpha, gamma)) >= 0)
+        assert visited == A.group.order * 7 ** n
+
+
+def _trivial_action(order, n):
+    return {"kind": "cyclic", "order": order, "chi": [{}] * n}
+
+
+def _stub_commands(monkeypatch):
+    """Make every command fail loudly once it starts, so that a test can
+    tell an accepted run from a rejected one without doing the work."""
+    class Started(Exception):
+        pass
+
+    def start(*args):
+        raise Started("ran")
+    for name in ("cmd_dims", "cmd_basis", "cmd_products", "cmd_verify"):
+        monkeypatch.setattr(qhoch.cli, name, start)
+
+
+# (command, accepted run, run one step past a limit, what the error counts);
+# a run is (config, extra arguments)
+WORK_LIMITS = [
+    ("dims", ({"n": 12, "max_degree": 2}, []),
+     ({"n": 12, "max_degree": 3}, []), "basis symbols in degrees 0..3"),
+    ("basis", ({"n": 12, "max_degree": 1}, []),
+     ({"n": 12, "max_degree": 2}, []), "basis symbols in degrees 0..2"),
+    ("basis", ({"n": 12, "max_degree": 3}, ["--degree", "1"]),
+     ({"n": 12, "max_degree": 3}, ["--degree", "2"]),
+     "basis symbols in degree 2 "),
+    ("dims --verify", ({"n": 8, "max_degree": 1}, []),
+     ({"n": 8, "max_degree": 2}, []), "basis symbols in degrees 0..2"),
+    ("cup", ({"n": 4, "max_degree": 4}, []),
+     ({"n": 4, "max_degree": 5}, []), "basis symbols in degrees 0..5"),
+    ("bracket", ({"n": 4, "max_degree": 3}, []),
+     ({"n": 4, "max_degree": 4}, []), "basis symbols in degrees 0..4"),
+    ("verify", ({"n": 2, "max_degree": 3, "group": _trivial_action(8, 2)}, []),
+     ({"n": 2, "max_degree": 4, "group": _trivial_action(8, 2)}, []),
+     "basis pairs of total degree <= 4"),
+    ("verify", ({"n": 4, "max_degree": 0, "group": _trivial_action(2, 4)}, []),
+     ({"n": 4, "max_degree": 0, "group": _trivial_action(3, 4)}, []),
+     "7203 flatness cochains (n = 4, group order 3)"),
+]
+
+
+@pytest.mark.parametrize("command, ok, over, what", WORK_LIMITS,
+                         ids=["dims", "basis", "basis-degree", "dims-verify",
+                              "cup", "bracket", "verify-pairs",
+                              "verify-flatness"])
+def test_work_above_limit_exits_two(tmp_path, capsys, monkeypatch, command,
+                                    ok, over, what):
+    """The work of a command is counted from n, |G| and the degrees in
+    force: the accepted run starts the command, and one step more (a
+    degree or a group element) is a configuration error naming the command,
+    with nothing run."""
+    _stub_commands(monkeypatch)
+    for (cfg, extra), expected in ((ok, 3), (over, 2)):
+        path = write_cfg(tmp_path, cfg)
+        code, out, err = run(capsys, command.split() + ["--config", path]
+                             + extra)
+        assert code == expected and out == "", err
+    assert err.startswith(f"config error: {command}: ")
+    assert what in err and "must be at most" in err
+
+
+def test_checked_in_configs_within_work_limits():
+    """Every command runs on the README and benchmark configs at their own
+    degree bounds."""
+    root = Path(__file__).resolve().parent.parent
+    readme = re.search(r"^```json\n(.*?)^```$",
+                       (root / "README.md").read_text(), re.M | re.S)
+    configs = [json.loads(readme.group(1))] + [
+        json.loads(p.read_text())
+        for p in sorted((root / "perfbench" / "configs").glob("*.json"))]
+    for cfg in configs + [CFG_FORMAL, CFG_ACTION_D3]:
+        A, max_degree, _ = parse_config(cfg)
+        for command in ("dims", "dims --verify", "basis", "cup", "bracket",
+                        "verify"):
+            check_work(command, A.n, A.group.order, range(max_degree + 1))
+
+
 @pytest.mark.parametrize("content, message", [
     (b"\xff\xfe", "config error: config is not UTF-8 text"),
     (b"[" * 100000 + b"]" * 100000,
@@ -395,6 +496,17 @@ def test_console_script_and_module_exit_codes(tmp_path):
     bad = qhoch("verify", "--config", str(tmp_path / "missing.json"))
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.startswith("config error: cannot read config")
+
+
+def test_readme_library_example_runs():
+    """The README's ``python`` block runs as written against src/."""
+    root = Path(__file__).resolve().parent.parent
+    block, = re.findall(r"^```python\n(.*?)^```$",
+                        (root / "README.md").read_text(), re.M | re.S)
+    proc = subprocess.run([sys.executable, "-c", block],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

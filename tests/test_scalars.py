@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_cyclo, random_scalar
-from qhoch import (CycloField, Frac, Scalar, Unit, Universe,
+from qhoch import (CycloField, Frac, Scalar, Unit, Universe, build_algebra,
                    cyclotomic_polynomial)
 
 
@@ -191,6 +191,22 @@ def test_universe_mismatch_rejected():
         u1.one + u2.one
 
 
+def test_compatible_universes_compare_by_value():
+    """Arithmetic mixes compatible universes (same N, same parameter
+    names), so == agrees with subtraction there; scalars of incompatible
+    universes are never equal."""
+    A, B = build_algebra(2, N=3), build_algebra(2, N=3)
+    for a, b in ((A.uni.unit(zeta=1), B.uni.unit(zeta=1)),
+                 (A.uni.from_rational(2), B.uni.from_rational(2))):
+        assert (a - b).is_zero()
+        assert a == b and hash(a) == hash(b)
+    assert A.uni.unit(zeta=1) != B.uni.unit(zeta=2)
+    t = Universe(CycloField(3), ("t",))
+    s = Universe(CycloField(3), ("s",))
+    assert t.param_unit(0) != s.param_unit(0)
+    assert t.one != s.one
+
+
 @given(num=st.integers(-40, 40), den=st.integers(1, 40),
        e1=st.integers(-5, 5), e2=st.integers(-5, 5))
 @settings(max_examples=200, deadline=None)
@@ -204,6 +220,18 @@ def test_frac_field_laws(num, den, e1, e2):
     assert (a + b) * b == a * b + b * b
     if not a.is_zero():
         assert a * a.inv() == Frac(uni.one)
+
+
+def test_scalar_cancellation_stores_no_key():
+    """The Scalar twin of test_linalg's test_cancellation_stores_no_key:
+    a term that cancels is dropped, not stored as zero."""
+    uni = Universe(CycloField(3), ("t",))
+    t = uni.param_unit(0)
+    p = (uni.one + t) * (uni.one - t)
+    assert p == uni.one - t * t
+    assert len(p.terms) == 2
+    s = uni.from_rational(2) + t * uni.unit(zeta=1)
+    assert (s + (-s)).terms == {}
 
 
 def test_frac_absorbs_monomial_denominator():
