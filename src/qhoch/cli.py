@@ -27,10 +27,11 @@ class ConfigError(Exception):
 
 # Size limits, checked before anything is built.  Measured on a 2 vCPU Xeon
 # with Python 3.11: `dims --max-degree 1` takes 0.45 s at n = 12 and 11 s at
-# n = 16; building Q(zeta_N) takes 1.8 s at N = 1000 and 45 s at N = 5040;
-# a cyclic group of order 128 takes 1.4 s and one of order 256 takes 6.6 s
-# (its table is validated in cubic time); `bracket` on the README config
-# takes 28 s and writes 5 MB at degree 30.
+# n = 16; building Q(zeta_N) takes 0.07 s at N = 1000 and 0.5 s at
+# N = 5040, but inverting an element with all 996 coordinates nonzero in
+# Q(zeta_997) takes 105 s; `dims --max-degree 1` with a cyclic group acting
+# trivially takes 1.5 s at group order 128 and 5.2 s at 256; `bracket` on
+# the README config takes 28 s and writes 5 MB at degree 30.
 MAX_N = 12
 MAX_CYCLOTOMIC_ORDER = 1000
 MAX_GROUP_ORDER = 128

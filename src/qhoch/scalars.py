@@ -4,8 +4,15 @@ A scalar is a finite sum ``sum_e c_e * t^e`` where ``e`` runs over integer
 exponent vectors (one slot per formal parameter, Laurent exponents) and each
 coefficient ``c_e`` lies in the cyclotomic field Q(zeta_N).  Field elements
 are coordinate vectors in the power basis ``1, zeta, ..., zeta^{phi(N)-1}``
-reduced modulo the N-th cyclotomic polynomial, so representatives are unique
-and equality is structural.  No floating point is used anywhere.
+reduced modulo the N-th cyclotomic polynomial Phi_N, held as integer
+numerators over one positive denominator that shares no factor with all of
+them.  Representatives are therefore unique and equality is structural.
+Phi_N is monic with integer coefficients, so sums, products and reductions
+stay in the integers, a gcd is taken only when the denominator is not 1, and
+inverses are computed fraction-free.  Fractions appear only where rationals
+enter (`CycloField.element`, `CycloField.from_rational`,
+`CycloElement.scale`) and in the rational view `CycloElement.coeffs` used
+for rendering.  No floating point is used anywhere.
 
 The monomial units ``+-zeta^k * t^e`` (the quantum coefficients, the
 diagonal characters and their products) are `Unit`s: one-term Scalars whose
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import add
 
 from .linalg import accumulate
@@ -27,64 +35,101 @@ QQ = Fraction
 
 
 # ---------------------------------------------------------------------------
-# integer/rational polynomial helpers (dense, low degree first)
+# integer polynomials (dense lists, low degree first)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
+def _times_binomial(p, d):
+    """p * (z^d - 1)."""
+    out = [0] * d + p
     for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return tuple(out)
+        out[i] -= a
+    return out
 
 
-def _poly_divmod(num, den):
-    """Exact division with remainder over the rationals."""
-    num = [QQ(c) for c in num]
-    den = [QQ(c) for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [QQ(0)] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / lead
-        quot[k] = c
-        if c:
-            for j, b in enumerate(den):
-                num[k + j] -= c * b
-    rem = tuple(_poly_trim(tuple(num)))
-    return tuple(quot), rem
+def _over_binomial(p, d):
+    """p / (z^d - 1), for a p that z^d - 1 divides."""
+    q = p[d:]
+    for k in range(len(q) - 1 - d, -1, -1):
+        q[k] += q[k + d]
+    return q
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(N):
     """Coefficients (low degree first) of the N-th cyclotomic polynomial.
 
-    Computed by exact division: Phi_N = (z^N - 1) / prod_{d | N, d < N} Phi_d.
+    Phi_N = prod_{d | N} (z^d - 1)^mu(N/d): the product of the binomials
+    with mu = 1, divided exactly by those with mu = -1.  Every factor is
+    monic with integer coefficients, so the arithmetic stays in the
+    integers.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    if N == 1:
-        return (-1, 1)
-    num = (-1,) + (0,) * (N - 1) + (1,)
-    for d in range(1, N):
-        if N % d == 0:
-            quot, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            if rem:
-                raise ArithmeticError("cyclotomic division left a remainder")
-            num = quot
-    return tuple(int(c) for c in num)
+    # the squarefree divisors r of N with mu(r)
+    mobius, rest, p = [(1, 1)], N, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            mobius += [(r * p, -mu) for r, mu in mobius]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    poly = [1]
+    for r, mu in mobius:
+        if mu == 1:
+            poly = _times_binomial(poly, N // r)
+    for r, mu in mobius:
+        if mu == -1:
+            poly = _over_binomial(poly, N // r)
+    return tuple(poly)
+
+
+def _inverse_mod(x, m):
+    """(s, c) with s * x == c modulo m for a nonzero integer c, given
+    coprime integer polynomials x and m with deg x < deg m.
+
+    The extended Euclidean algorithm on the subresultant remainder sequence
+    of m and x (Knuth, TAOCP 4.6.1, Algorithm C), which carries along each
+    remainder's cofactor of x.  The remainders and their cofactors are
+    determinants, so every division below is exact and all arithmetic stays
+    in the integers.
+    """
+    u, v = list(m), list(x)
+    su, sv = [], [1]  # u == su * x and v == sv * x modulo m
+    g = h = 1
+    while True:
+        delta = len(u) - len(v)
+        lead = v[-1]
+        # pseudo-division: lead^(delta+1) * u == q * v + r
+        r, q = list(u), [0] * (delta + 1)
+        for k in range(delta, -1, -1):
+            c = r.pop()
+            q[k] = c * lead ** k
+            r = [lead * a for a in r]
+            if c:
+                for j, b in enumerate(v[:-1], k):
+                    r[j] -= c * b
+        # the cofactor of r: lead^(delta+1) * su - q * sv
+        s = [0] * max(len(su), len(q) + len(sv) - 1)
+        scale = lead ** (delta + 1)
+        for i, a in enumerate(su):
+            s[i] = scale * a
+        for i, a in enumerate(q):
+            if a:
+                for j, b in enumerate(sv, i):
+                    s[j] -= a * b
+        e = g * h ** delta
+        r = [a // e for a in r]
+        s = [a // e for a in s]
+        while not r[-1]:
+            r.pop()
+        if len(r) == 1:
+            return s, r[0]
+        u, v, su, sv = v, r, sv, s
+        # every remainder has lower degree than its divisor, so delta >= 1
+        g = lead
+        h = g ** delta // h ** (delta - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,42 +147,46 @@ class CycloField:
             raise ValueError("N must be a positive integer")
         self.N = N
         self.modulus = cyclotomic_polynomial(N)
-        self.degree = len(self.modulus) - 1
-        # rows of z^k reduced mod Phi_N, for k = 0 .. max(N-1, 2*degree-2)
-        rows = []
-        row = [QQ(0)] * self.degree
-        row[0] = QQ(1)
-        rows.append(tuple(row))
-        top = max(N - 1, 2 * self.degree - 2)
-        for _ in range(top):
-            row = [QQ(0)] + list(rows[-1])
-            lead = row.pop()  # coefficient of z^degree
+        d = self.degree = len(self.modulus) - 1
+        # rows of z^k reduced mod Phi_N, for k = 0 .. max(N-1, 2*degree-2);
+        # Phi_N is monic, so the rows are integer
+        low = [(i, m) for i, m in enumerate(self.modulus[:d]) if m]
+        row = [1] + [0] * (d - 1)
+        rows = [tuple(row)]
+        for _ in range(max(N - 1, 2 * d - 2)):
+            lead = row[-1]  # coefficient of z^degree after the shift
+            row = [0] + row[:-1]
             if lead:
-                for i in range(self.degree):
-                    row[i] -= lead * self.modulus[i]
+                for i, m in low:
+                    row[i] -= lead * m
             rows.append(tuple(row))
         self._zrows = tuple(rows)
         self._roots = {}
         self._shifts = {}
-        self.zero = CycloElement(self, (QQ(0),) * self.degree)
+        self.zero = CycloElement(self, (0,) * d)
         self.one = self.root(1, 0)
         self.zeta = self.root(1, 1)
         table = {}
         for k in range(N):
-            table[self._zrows[k]] = (1, k)
-            table[tuple(-c for c in self._zrows[k])] = (-1, k)
+            table[rows[k]] = (1, k)
+            table[tuple(-c for c in rows[k])] = (-1, k)
         self._unit_table = table
 
     def element(self, coeffs):
-        coeffs = tuple(QQ(c) for c in coeffs)
+        """The element with the given rational coordinates."""
+        coeffs = [QQ(c) for c in coeffs]
         if len(coeffs) != self.degree:
             raise ValueError("coefficient vector has wrong length")
-        return CycloElement(self, coeffs)
+        # over the least common denominator of fractions in lowest terms
+        # the numerators have no factor in common with it
+        den = lcm(*(c.denominator for c in coeffs))
+        return CycloElement(self, tuple(c.numerator * (den // c.denominator)
+                                        for c in coeffs), den)
 
     def from_rational(self, r):
-        coeffs = [QQ(0)] * self.degree
-        coeffs[0] = QQ(r)
-        return CycloElement(self, tuple(coeffs))
+        r = QQ(r)
+        return CycloElement(self, (r.numerator,) + (0,) * (self.degree - 1),
+                            r.denominator)
 
     def root(self, sign, k):
         """The element sign * zeta^k, tagged as a root of unity so that
@@ -150,7 +199,7 @@ class CycloField:
             row = self._zrows[k]
             if sign == -1:
                 row = tuple(-c for c in row)
-            hit = CycloElement(self, row, (sign, k))
+            hit = CycloElement(self, row, 1, (sign, k))
             self._roots[(sign, k)] = hit
         return hit
 
@@ -167,30 +216,51 @@ class CycloField:
 
     def root_of_unity_exponent(self, elem):
         """(sign, k) with elem == sign * zeta^k, or None."""
-        return self._unit_table.get(elem.coeffs)
+        return self._unit_table.get(elem.nums) if elem.den == 1 else None
 
     def __repr__(self):
         return f"CycloField({self.N})"
 
 
-class CycloElement:
-    """An element of Q(zeta_N), exact and canonical.
+def _reduced(field, nums, den):
+    """The element nums / den (den > 0) in canonical form."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple([a // g for a in nums])
+            den //= g
+    return CycloElement(field, nums, den)
 
-    ``root`` is (sign, k) when the element was built as sign * zeta^k by
-    `CycloField.root`, else None; it only selects a faster product.
+
+class CycloElement:
+    """An element of Q(zeta_N), exact and canonical: the integer
+    coordinates ``nums`` in the power basis over one positive integer
+    ``den``, with gcd(den, *nums) == 1, so zero is (0, ..., 0) over 1.
+
+    Equality and hashing compare (nums, den).  ``coeffs`` is the rational
+    view of the coordinates, for rendering.  ``root`` is (sign, k) when
+    the element was built as sign * zeta^k by `CycloField.root`, else None;
+    it only selects a faster product.
     """
 
-    __slots__ = ("field", "coeffs", "root")
+    __slots__ = ("field", "nums", "den", "root")
 
-    def __init__(self, field, coeffs, root=None):
+    def __init__(self, field, nums, den=1, root=None):
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
         self.root = root
+
+    @property
+    def coeffs(self):
+        """The coordinates in the power basis as Fractions."""
+        den = self.den
+        return tuple(QQ(a, den) for a in self.nums)
 
     def is_zero(self):
         if self.root is not None:
             return False
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self):
         return not self.is_zero()
@@ -200,23 +270,30 @@ class CycloElement:
         return (isinstance(other, CycloElement)
                 and (self.field is other.field
                      or self.field.N == other.field.N)
-                and self.coeffs == other.coeffs)
+                and self.nums == other.nums and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other):
-        return CycloElement(self.field, tuple(a + b for a, b in
-                                              zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        if a == b:
+            return _reduced(self.field,
+                            tuple(map(add, self.nums, other.nums)), a)
+        g = gcd(a, b)
+        fa, fb = b // g, a // g
+        return _reduced(self.field, tuple([x * fa + y * fb for x, y in
+                                           zip(self.nums, other.nums)]),
+                        a * fa)
 
     def __sub__(self, other):
-        return CycloElement(self.field, tuple(a - b for a, b in
-                                              zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __neg__(self):
         if self.root is not None:
             return self.field.root(-self.root[0], self.root[1])
-        return CycloElement(self.field, tuple(-a for a in self.coeffs))
+        return CycloElement(self.field, tuple([-a for a in self.nums]),
+                            self.den)
 
     def __mul__(self, other):
         f = self.field
@@ -225,8 +302,7 @@ class CycloElement:
             # costs more than a root-by-root product
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            q = QQ(other)
-            return CycloElement(f, tuple(a * q for a in self.coeffs))
+            return self.scale(other)
         if self.root is not None:
             if other.root is not None:
                 return f.root(self.root[0] * other.root[0],
@@ -235,71 +311,72 @@ class CycloElement:
         if other.root is not None:
             return self._times_root(other.root)
         d = f.degree
-        out = [QQ(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (2 * d - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.nums, i):
                     if b:
-                        out[i + j] += a * b
+                        out[j] += a * b
         low = out[:d]
-        for k in range(d, 2 * d - 1):
-            c = out[k]
+        # z^(d+i) for i < d-1 is row i of the shift by d
+        for c, row in zip(out[d:], f.shift_rows(d)):
             if c:
-                row = f._zrows[k]
-                for i in range(d):
-                    if row[i]:
-                        low[i] += c * row[i]
-        return CycloElement(f, tuple(low))
+                for i, r in row:
+                    low[i] += c * r
+        return _reduced(f, tuple(low), self.den * other.den)
 
     __rmul__ = __mul__
 
     def _times_root(self, root):
-        """Product with sign * zeta^k: a signed sum of shifted rows."""
+        """Product with sign * zeta^k: a signed sum of shifted rows.  A
+        root of unity is a unit of Z[zeta], so the content of nums, and
+        with it the canonical form, is unchanged."""
         sign, k = root
-        out = [QQ(0)] * self.field.degree
-        for a, row in zip(self.coeffs, self.field.shift_rows(k)):
+        out = [0] * self.field.degree
+        for a, row in zip(self.nums, self.field.shift_rows(k)):
             if a:
                 if sign == -1:
                     a = -a
                 for j, c in row:
                     out[j] += a * c
-        return CycloElement(self.field, tuple(out))
+        return CycloElement(self.field, tuple(out), self.den)
 
     def scale(self, r):
-        q = QQ(r)
-        return CycloElement(self.field, tuple(a * q for a in self.coeffs))
+        """The product with the rational r, an int or a Fraction."""
+        return self._times_ratio(r.numerator, r.denominator)
+
+    def _times_ratio(self, num, den):
+        """The product with num / den, den > 0."""
+        if not num:
+            return self.field.zero
+        return _reduced(self.field, tuple([a * num for a in self.nums]),
+                        self.den * den)
 
     def inv(self):
         """Multiplicative inverse: sign * zeta^-k for a root of unity, the
-        reciprocal for a rational, else by the extended Euclidean
-        algorithm against the cyclotomic modulus."""
+        reciprocal for a rational, else by the fraction-free extended
+        Euclidean algorithm `_inverse_mod` against the cyclotomic modulus."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
         f = self.field
         root = self.root or f.root_of_unity_exponent(self)
         if root is not None:
             return f.root(root[0], -root[1])
-        if not any(self.coeffs[1:]):
-            return f.from_rational(1 / self.coeffs[0])
-        r0 = tuple(QQ(c) for c in f.modulus)
-        r1 = _poly_trim(self.coeffs)
-        s0, s1 = (), (QQ(1),)
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            qs1 = _poly_mul(q, s1)
-            width = max(len(s0), len(qs1))
-            s = _poly_trim(tuple((s0[i] if i < len(s0) else QQ(0))
-                                 - (qs1[i] if i < len(qs1) else QQ(0))
-                                 for i in range(width)))
-            r0, r1, s0, s1 = r1, r, s1, s
-        # r0 is the gcd, a nonzero constant since Phi_N is irreducible over Q
-        if len(r0) != 1:
-            raise ArithmeticError("element is a zero divisor; modulus not irreducible?")
-        c = r0[0]
-        coeffs = [QQ(0)] * f.degree
-        for i, a in enumerate(s0):
-            coeffs[i] = a / c
-        return CycloElement(f, tuple(coeffs))
+        nums = list(self.nums)
+        while not nums[-1]:
+            nums.pop()
+        # self == content * x / den with x primitive, so its inverse is
+        # den * s / (content * c) where s * x == c modulo Phi_N
+        content = gcd(*nums)
+        if len(nums) == 1:
+            s, c = [1], nums[0] // content
+        else:
+            s, c = _inverse_mod([a // content for a in nums], f.modulus)
+        num, den = self.den, content * c
+        if den < 0:
+            num, den = -num, -den
+        return _reduced(f, tuple([a * num for a in s])
+                        + (0,) * (f.degree - len(s)), den)
 
     def __repr__(self):
         return f"Cyclo{self.coeffs}"
@@ -381,7 +458,8 @@ class Scalar:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset((e, c.coeffs) for e, c in self.terms.items()))
+        return hash(frozenset((e, c.nums, c.den)
+                              for e, c in self.terms.items()))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -459,18 +537,25 @@ class Scalar:
 
     def substitute(self, values):
         """Exact evaluation with each formal parameter set to a nonzero
-        rational; returns a CycloElement."""
-        values = [QQ(v) for v in values]
+        rational (an int or a Fraction); returns a CycloElement."""
+        values = list(values)
         if len(values) != self.uni.nparams:
             raise ValueError("assignment has wrong length")
         if any(v == 0 for v in values):
             raise ValueError("parameters are units; zero assignment rejected")
         total = self.uni.field.zero
         for exps, c in self.terms.items():
-            factor = QQ(1)
+            num = den = 1
             for v, e in zip(values, exps):
-                factor *= v ** e
-            total = total + c.scale(factor)
+                if e > 0:
+                    num *= v.numerator ** e
+                    den *= v.denominator ** e
+                elif e < 0:
+                    num *= v.denominator ** -e
+                    den *= v.numerator ** -e
+            if den < 0:
+                num, den = -num, -den
+            total = total + c._times_ratio(num, den)
         return total
 
     def __repr__(self):

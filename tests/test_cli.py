@@ -207,6 +207,9 @@ def test_config_errors_exit_two(tmp_path, capsys):
      "config.q[0].power"),
     ({"group": {"kind": "table", "mult": [[1, 0], [0, 1]],
                 "chi": [[{}, {}], [{}, {}]]}}, "config.group.mult"),
+    # identity and inverses, but (1*1)*2 = 2 while 1*(1*2) = 1
+    ({"group": {"kind": "table", "mult": [[0, 1, 2], [1, 0, 0], [2, 0, 0]],
+                "chi": [[{}, {}], [{}, {}], [{}, {}]]}}, "config.group.mult"),
     ({"q": [{"i": 1, "j": 2, "kind": "formal", "name": ["a"]}]},
      "config.q[0].name"),
     ({"q": [{"i": 1, "j": 2, "kind": "formal", "name": ""}]},
@@ -231,7 +234,8 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ({"n": 3, "q": [{"i": 1, "j": 2, "kind": "formal", "name": "q13"}]},
      "config.q[0].name"),
 ], ids=["group-list", "ragged-mult", "q-int", "n-bool", "max-degree-bool",
-        "power-bool", "mult-identity", "name-list", "name-empty",
+        "power-bool", "mult-identity", "mult-associativity", "name-list",
+        "name-empty",
         "chi-identity", "chi-homomorphism", "chi-order-N",
         "cyclic-chi-order", "cyclic-chi-order-N", "q-duplicate-pair",
         "q-duplicate-name", "q-default-name"])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +28,7 @@ def divisors(N):
     return [d for d in range(1, N + 1) if N % d == 0]
 
 
-@pytest.mark.parametrize("N", range(1, 31))
+@pytest.mark.parametrize("N", range(1, 201))
 def test_cyclotomic_product_identity(N):
     # prod_{d | N} Phi_d = z^N - 1, and deg Phi_N = phi(N)
     prod = (1,)
@@ -42,6 +43,17 @@ def test_cyclotomic_product_identity(N):
     phiN = sum(1 for k in range(1, N + 1)
                if __import__("math").gcd(k, N) == 1)
     assert len(cyclotomic_polynomial(N)) - 1 == phiN
+
+
+def test_cyclotomic_polynomial_105_has_coefficient_minus_two():
+    # the least N whose cyclotomic polynomial has a coefficient outside
+    # {-1, 0, 1}; 105 = 3 * 5 * 7
+    phi = cyclotomic_polynomial(105)
+    assert len(phi) - 1 == 48
+    assert [k for k, c in enumerate(phi) if c == -2] == [7, 41]
+    assert set(phi) == {-2, -1, 0, 1}
+    assert all(set(cyclotomic_polynomial(N)) <= {-1, 0, 1}
+               for N in range(1, 105))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 8, 9, 12, 16, 25])
@@ -310,3 +322,75 @@ def test_unit_is_its_one_term_scalar(N, nparams, data):
     assert u * t == s * t == t * u
     assert u.inv() * s == uni.one
     assert s ** e == u ** e
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a dense Fraction reference
+# ---------------------------------------------------------------------------
+
+def _reference_mul(a, b, modulus):
+    """Product of two coordinate vectors of Fractions: the polynomial
+    product reduced modulo the monic cyclotomic polynomial."""
+    d = len(modulus) - 1
+    out = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = out.pop()
+        for i in range(d):
+            out[k - d + i] -= c * modulus[i]
+    return tuple(out)
+
+
+def _canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    assert all(type(a) is int for a in x.nums + (x.den,))
+    if not any(x.nums):
+        assert x.den == 1
+    assert x.coeffs == tuple(Fraction(a, x.den) for a in x.nums)
+
+
+@given(N=st.sampled_from((1, 2, 3, 4, 5, 12, 60, 84)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cyclo_kernel_matches_fraction_reference(N, data):
+    """+, -, *, scale and inv on integer numerators over one denominator
+    agree with the same operations on Fraction coordinates, and every
+    result is in canonical form, so equal values are equal and hash alike."""
+    field = CycloField(N)
+    d = field.degree
+
+    def draw():
+        if data.draw(st.integers(0, 4)) == 0:
+            return field.root(data.draw(st.sampled_from((1, -1))),
+                              data.draw(st.integers(0, N - 1)))
+        # mostly zero coordinates give remainder sequences that drop
+        # several degrees at once
+        coord = st.one_of(st.just(Fraction(0)),
+                          st.fractions(-30, 30, max_denominator=12))
+        return field.element(data.draw(st.lists(coord, min_size=d,
+                                                max_size=d)))
+
+    a, b = draw(), draw()
+    r = data.draw(st.fractions(-10, 10, max_denominator=9))
+    ra, rb = a.coeffs, b.coeffs
+    modulus = cyclotomic_polynomial(N)
+    for got, want in ((a + b, tuple(x + y for x, y in zip(ra, rb))),
+                      (a - b, tuple(x - y for x, y in zip(ra, rb))),
+                      (-a, tuple(-x for x in ra)),
+                      (a * b, _reference_mul(ra, rb, modulus)),
+                      (a.scale(r), tuple(x * r for x in ra)),
+                      (a * 3, tuple(x * 3 for x in ra))):
+        _canonical(got)
+        assert got.coeffs == want
+        twin = field.element(want)
+        assert got == twin and hash(got) == hash(twin)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    if not a.is_zero():
+        inv = a.inv()
+        _canonical(inv)
+        one = (Fraction(1),) + (Fraction(0),) * (d - 1)
+        assert _reference_mul(ra, inv.coeffs, modulus) == one
+        assert a * inv == field.one and hash(a * inv) == hash(field.one)
