@@ -26,13 +26,18 @@ from .linalg import SparseVector, accumulate
 from .scalars import CycloField, Unit, Universe
 
 
+class TableError(ValueError):
+    """A multiplication table that is not a group law."""
+
+
 class Group:
     """Finite group with explicit multiplication table and diagonal
     characters chi[g][i] (monomial `Unit`s of the ambient universe).
 
-    Element 0 is the identity.  The table is checked to be a group law;
-    ``check_associativity=False`` skips the order^3 associativity check for
-    a table that is associative by construction.
+    Element 0 is the identity.  The table is checked to be a group law (a
+    fault is a `TableError`); ``check_associativity=False`` skips the
+    order^3 associativity check for a table that is associative by
+    construction.
     """
 
     __slots__ = ("order", "mult", "inverse", "chi")
@@ -54,15 +59,15 @@ class Group:
         rng = range(n)
         for g in rng:
             if self.mult[0][g] != g or self.mult[g][0] != g:
-                raise ValueError("element 0 is not an identity")
+                raise TableError("element 0 is not an identity")
             if self.inverse[g] is None:
-                raise ValueError(f"element {g} has no inverse")
+                raise TableError(f"element {g} has no inverse")
         if check_associativity:
             for g in rng:
                 for h in rng:
                     for k in rng:
                         if self.mult[self.mult[g][h]][k] != self.mult[g][self.mult[h][k]]:
-                            raise ValueError("multiplication table is not associative")
+                            raise TableError("multiplication table is not associative")
         ngen = len(self.chi[0]) if self.chi else 0
         for i in range(ngen):
             if not self.chi[0][i].is_one():

@@ -13,10 +13,10 @@ import json
 import sys
 from math import comb
 
-from .algebra import Group, build_algebra
+from .algebra import TableError, build_algebra
 from .cohomology import (collect_classes, flatness_check, invariant_basis,
                          invariant_rank_oracle)
-from .gerstenhaber import axiom_suite, bracket, cup, product_check
+from .gerstenhaber import axiom_suite, bracket_table, cup, product_check
 from .resolution import bar_check, differential_check, phi_identity_check
 from .scalars import scalar_str
 
@@ -51,6 +51,13 @@ MAX_SYMBOLS = {"dims": 400_000, "basis": 100_000, "dims --verify": 2500,
                "cup": 2000, "bracket": 1000}
 MAX_FLATNESS_COCHAINS = 5000
 MAX_PRODUCT_PAIRS = 65_000
+
+# Degree caps of `verify`'s suites: d . d = 0 is checked up to degree
+# VERIFY_DIFFERENTIAL_TOP and the other identities up to VERIFY_SUITE_TOP;
+# the flatness check takes each gamma_l in -1..VERIFY_FLATNESS_TOP.
+VERIFY_DIFFERENTIAL_TOP = 6
+VERIFY_SUITE_TOP = 4
+VERIFY_FLATNESS_TOP = 2
 
 
 def load_config(path):
@@ -91,9 +98,12 @@ def check_work(command, n, order, degrees):
     """Raise ConfigError when the work of command over the given degrees,
     counted from n and the group order alone, is above its limit."""
     if command == "verify":
-        top = min(max(degrees), 4)
+        top = min(max(degrees), VERIFY_SUITE_TOP)
         sym = [basis_symbols(n, order, m) for m in range(top + 1)]
-        counts = [("flatness cochains", order * 7 ** n,
+        # per slot: gamma_l = -1 with alpha_l = 1, or gamma_l in
+        # 0..VERIFY_FLATNESS_TOP with either alpha_l
+        counts = [("flatness cochains",
+                   order * (2 * VERIFY_FLATNESS_TOP + 3) ** n,
                    MAX_FLATNESS_COCHAINS),
                   (f"basis pairs of total degree <= {top}",
                    sum(sym[m] * sym[l] for m in range(top + 1)
@@ -221,10 +231,6 @@ def parse_config(raw):
                 for row in mult):
             raise ConfigError("config.group.mult: square table of element "
                               "indices required")
-        try:
-            Group(mult, [()] * order)
-        except ValueError as exc:
-            raise ConfigError(f"config.group.mult: {exc}")
         if len(chi) != order or not all(
                 isinstance(row, list) and len(row) == n for row in chi):
             raise ConfigError("config.group.chi: one row of n characters "
@@ -236,6 +242,8 @@ def parse_config(raw):
         raise ConfigError(f"config.group.kind: unknown kind {kind!r}")
     try:
         A = build_algebra(n, N=N, q_spec=q_spec, group_spec=group_spec)
+    except TableError as exc:
+        raise ConfigError(f"config.group.mult: {exc}")
     except ValueError as exc:
         # everything else build_algebra checks is validated above
         raise ConfigError(f"config.group.chi: {exc}")
@@ -300,17 +308,18 @@ def cmd_basis(A, degrees):
 
 
 def cmd_products(A, max_degree, which):
-    from .gerstenhaber import product_table
     classes = collect_classes(A, range(max_degree + 1))
-    op = cup if which == "cup" else bracket
-    table = []
-    for la, lb, res in product_table(A, classes, op):
-        if res.is_zero():
-            continue
-        if which == "cup" and res.degree > max_degree:
-            continue
-        table.append({"left": la, "right": lb,
-                      "degree": res.degree, "terms": cochain_json(res)})
+    if which == "cup":
+        # a cup product lies in the sum of its factors' degrees; only those
+        # within the bound are printed
+        products = [(la, lb, cup(A, ca, cb)) for la, ca in classes
+                    for lb, cb in classes
+                    if ca.degree + cb.degree <= max_degree]
+    else:
+        products = bracket_table(A, classes)
+    table = [{"left": la, "right": lb, "degree": res.degree,
+              "terms": cochain_json(res)}
+             for la, lb, res in products if not res.is_zero()]
     return {"command": which, "classes": [
         {"id": la, "degree": ca.degree, "terms": cochain_json(ca)}
         for la, ca in classes], "table": table}
@@ -323,7 +332,8 @@ class VerificationFailure(Exception):
 def cmd_verify(A, max_degree):
     """Run the identity suites in order; raises VerificationFailure with a
     witness on the first violated identity."""
-    top, limit = min(max_degree, 6), min(max_degree, 4)
+    top = min(max_degree, VERIFY_DIFFERENTIAL_TOP)
+    limit = min(max_degree, VERIFY_SUITE_TOP)
 
     def axiom_failure():
         failures = axiom_suite(A, limit)
@@ -332,9 +342,10 @@ def cmd_verify(A, max_degree):
     suites = [
         ("differential squares to zero", f"degree <= {top}",
          lambda: differential_check(A, top)),
-        # gamma_l <= 2 and alpha_l <= 1, so beta_l = gamma_l + alpha_l <= 3
-        ("flatness and contracting homotopy", "each beta_l <= 3",
-         lambda: flatness_check(A, 2)),
+        # beta_l = gamma_l + alpha_l with alpha_l <= 1
+        ("flatness and contracting homotopy",
+         f"each beta_l <= {VERIFY_FLATNESS_TOP + 1}",
+         lambda: flatness_check(A, VERIFY_FLATNESS_TOP)),
         ("contraction identity", f"degree <= {limit}",
          lambda: phi_identity_check(A, limit)),
         ("bar-resolution boundary agreement", f"degree <= {limit}",

@@ -1,11 +1,14 @@
-"""Membership conditions, the closed-form cohomology basis, the group
-action on cochains with its averaging operator, and the independent rank
-oracle.
+"""The closed-form cohomology basis, the group action on cochains with its
+averaging operator, the independent rank oracle, and equality in
+cohomology.
 
-The differential vanishes exactly on the subcomplexes indexed by the
-gamma = beta - alpha satisfying the per-slot quantum/character relation;
+The differential vanishes exactly on the subcomplexes K_{g,gamma} whose
+gamma = beta - alpha lies in the flat set C_g (`resolution.is_flat`);
 those basis symbols are the cocycle classes, and the cohomology of the full
-skew group algebra is the group-invariant part of their span.
+skew group algebra is the group-invariant part of their span.  Each
+intermediate has one producer: `full_basis` orders the symbols, `is_flat`
+selects the classes, and `_subcomplex` holds the differential images that
+both the rank oracle and `_image_reducer` read.
 """
 
 from __future__ import annotations
@@ -16,29 +19,8 @@ from itertools import product as iproduct
 from .algebra import cached
 from .linalg import RowReducer, accumulate
 from .resolution import (Cochain, add_index, compositions, full_basis,
-                         hom_differential, homotopy, slot_condition_holds,
-                         sub_index)
+                         hom_differential, homotopy, is_flat, sub_index)
 from .scalars import Frac, QQ
-
-
-@dataclass(frozen=True)
-class CgWitness:
-    gamma: tuple
-    g: int
-    tags: tuple  # per slot: "minus-one" or "character-match"
-
-
-def in_C_g(A, gamma, g):
-    """Witness that gamma lies in the flat set for g, or None."""
-    tags = []
-    for l in range(A.n):
-        if gamma[l] == -1:
-            tags.append("minus-one")
-        elif slot_condition_holds(A, g, gamma, l):
-            tags.append("character-match")
-        else:
-            return None
-    return CgWitness(tuple(gamma), g, tuple(tags))
 
 
 def hh_component_basis(A, m, g):
@@ -47,7 +29,7 @@ def hh_component_basis(A, m, g):
     out = []
     for beta in sorted(compositions(A.n, m)):
         for alpha in sorted(iproduct((0, 1), repeat=A.n)):
-            if in_C_g(A, sub_index(beta, alpha), g) is not None:
+            if is_flat(A, g, sub_index(beta, alpha)):
                 out.append((tuple(alpha), beta))
     return out
 
@@ -60,7 +42,7 @@ def flatness_check(A, top):
     alpha)."""
     for g in range(A.group.order):
         for gamma in iproduct(range(-1, top + 1), repeat=A.n):
-            member = in_C_g(A, gamma, g) is not None
+            member = is_flat(A, g, gamma)
             for alpha in iproduct((0, 1), repeat=A.n):
                 beta = add_index(gamma, alpha)
                 if min(beta) < 0:
@@ -121,7 +103,7 @@ def _constant_row(c):
 @dataclass
 class CohomologyBasis:
     degree: int
-    entries: list      # (alpha, beta, g, CgWitness) before averaging
+    entries: list      # (alpha, beta, g) class symbols before averaging
     classes: list      # invariant Cochain representatives
 
 
@@ -140,16 +122,11 @@ def _independent_averages(A, symbols):
 
 def invariant_basis(A, m):
     """Basis of the invariant cohomology in degree m: average the
-    closed-form classes of every component and extract an independent set
-    by exact elimination."""
-    entries = []
-    for g in range(A.group.order):
-        for alpha, beta in hh_component_basis(A, m, g):
-            entries.append((alpha, beta, g,
-                            in_C_g(A, sub_index(beta, alpha), g)))
-    entries.sort(key=lambda e: (e[2], e[1], e[0]))
-    classes = _independent_averages(A, [e[:3] for e in entries])
-    return CohomologyBasis(m, entries, classes)
+    closed-form classes of every component, in `full_basis` order, and
+    extract an independent set by exact elimination."""
+    entries = [(alpha, beta, g) for alpha, beta, g in full_basis(A, m)
+               if is_flat(A, g, sub_index(beta, alpha))]
+    return CohomologyBasis(m, entries, _independent_averages(A, entries))
 
 
 def invariant_dims(A, max_degree):
@@ -270,11 +247,12 @@ def is_cocycle(A, c):
 @cached
 def _image_reducer(A, m):
     """Echelon form of the image of the differential into degree m, over
-    the quotient field of the coefficient ring."""
+    the quotient field of the coefficient ring: the nonzero images of the
+    basis cochains of degree m - 1 that `_subcomplex` holds for each group
+    element in turn."""
     red = RowReducer()
-    for alpha, beta, g in full_basis(A, m - 1):
-        img = hom_differential(A, Cochain.basis(A, alpha, beta, g))
-        if not img.is_zero():
+    for g in range(A.group.order):
+        for img in _subcomplex(A, m - 1, g)[1]:
             red.add(img.to_frac().terms)
     return red
 

@@ -339,17 +339,17 @@ class PairProducts:
         return hit
 
 
-def product_table(A, classes, op):
-    """Ordered pairwise table over a list of (label, Cochain).  A bracket
-    table brackets each unordered pair once and takes the reversed entry
-    from graded antisymmetry, so each circle product is computed once."""
+def bracket_table(A, classes):
+    """Ordered pairwise bracket table over a list of (label, Cochain).  It
+    brackets each unordered pair once and takes the reversed entry from
+    graded antisymmetry, so each circle product is computed once."""
     table = {}
     for i, (_, ca) in enumerate(classes):
         for j, (_, cb) in enumerate(classes):
-            if op is bracket and j < i:
+            if j < i:
                 table[i, j] = _reversed(table[j, i], cb.degree, ca.degree)
             else:
-                table[i, j] = op(A, ca, cb)
+                table[i, j] = bracket(A, ca, cb)
     return [(la, lb, table[i, j])
             for i, (la, _) in enumerate(classes)
             for j, (lb, _) in enumerate(classes)]

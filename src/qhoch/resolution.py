@@ -91,6 +91,12 @@ def slot_condition_holds(A, g, gamma, l):
     return slot_unit(A, g, gamma, l) == A.chi(g, l)
 
 
+def is_flat(A, g, gamma):
+    """True when gamma lies in the flat set C_g: every slot meets a
+    membership condition."""
+    return all(slot_condition_holds(A, g, gamma, l) for l in range(A.n))
+
+
 def norm_g(A, g, gamma):
     """Number of slots violating both membership conditions."""
     return sum(not slot_condition_holds(A, g, gamma, l) for l in range(A.n))

@@ -351,7 +351,7 @@ def test_criterion_7_specializations():
     A_comm = build_algebra(2, N=2, q_spec={(0, 1): ("rational", -1)})
     disp = display_classes_commutative(6)
     got = sorted((a, b, 0) for m in range(7)
-                 for (a, b, g, _w) in invariant_basis(A_comm, m).entries)
+                 for (a, b, g) in invariant_basis(A_comm, m).entries)
     assert got == disp
     for m in range(7):
         assert invariant_rank_oracle(A_comm, m) == \
@@ -360,7 +360,7 @@ def test_criterion_7_specializations():
     A_ext = build_algebra(2, N=1, q_spec={(0, 1): ("rational", 1)})
     disp = display_classes_exterior(6)
     got = sorted((a, b, 0) for m in range(7)
-                 for (a, b, g, _w) in invariant_basis(A_ext, m).entries)
+                 for (a, b, g) in invariant_basis(A_ext, m).entries)
     assert got == disp
     for m in range(7):
         assert invariant_rank_oracle(A_ext, m) == \

@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qhoch.algebra
 import qhoch.cli
 import qhoch.resolution
-from qhoch import build_algebra
+from qhoch import Group, build_algebra
 from qhoch.cli import (ConfigError, basis_symbols, check_work, main,
                        parse_config, scalar_json)
 from qhoch.resolution import full_basis
@@ -108,6 +109,24 @@ def test_cup_table_contains_golden_sign(tmp_path, capsys):
     # degree-1 classes are ordered (x2)e01 then (x1)e10
     assert lookup[("d1#0", "d1#1")] == "-1"
     assert lookup[("d1#1", "d1#0")] == "1"
+
+
+def test_cup_table_computes_only_the_degrees_it_prints(monkeypatch):
+    """`cup` forms the product of a class pair only when the pair's total
+    degree is within the bound, and then of every such pair once."""
+    A, _, _ = parse_config(CFG_ACTION_D3)
+    real_cup = qhoch.cli.cup
+    degrees = []
+
+    def counting(A, a, b):
+        degrees.append(a.degree + b.degree)
+        return real_cup(A, a, b)
+    monkeypatch.setattr(qhoch.cli, "cup", counting)
+    qhoch.cli.cmd_products(A, 3, "cup")
+    classes = qhoch.cli.collect_classes(A, range(4))
+    assert len(degrees) == sum(1 for _, a in classes for _, b in classes
+                               if a.degree + b.degree <= 3)
+    assert degrees and max(degrees) <= 3
 
 
 def test_empty_degree_exits_zero(tmp_path, capsys):
@@ -251,7 +270,7 @@ def _refuse_to_build(monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("built past a size check")
     monkeypatch.setattr(qhoch.cli, "build_algebra", build)
-    monkeypatch.setattr(qhoch.cli, "Group", build)
+    monkeypatch.setattr(qhoch.algebra, "Group", build)
 
 
 def _cyclic_table(order):
@@ -295,13 +314,26 @@ def test_size_above_limit_exits_two(tmp_path, capsys, monkeypatch, override,
 def test_size_at_limit_is_accepted(monkeypatch, override):
     """Each size limit itself passes the front end's checks: the algebra is
     requested (here from a stand-in that builds nothing)."""
-    monkeypatch.setattr(qhoch.cli, "Group", lambda *args: None)
     monkeypatch.setattr(qhoch.cli, "build_algebra",
                         lambda *args, **kwargs: "algebra")
     cfg = {**CFG_FORMAL, **override}
     if "n" in override:
         cfg["q"] = []
     assert parse_config(cfg)[0] == "algebra"
+
+
+def test_table_group_is_validated_once(monkeypatch):
+    """A `kind: table` multiplication table is checked once, by the Group
+    that build_algebra builds."""
+    validated = []
+    validate = Group._validate
+
+    def counting(self, check_associativity):
+        validated.append(self.order)
+        validate(self, check_associativity)
+    monkeypatch.setattr(Group, "_validate", counting)
+    parse_config({**CFG_FORMAL, "group": _cyclic_table(4)})
+    assert validated == [4]
 
 
 @pytest.mark.parametrize("argv", [
@@ -333,11 +365,12 @@ def test_work_counts_match_enumeration():
         A = build_algebra(n, N=3, group_spec=group)
         sym = [basis_symbols(n, A.group.order, m) for m in range(5)]
         assert sym == [len(full_basis(A, m)) for m in range(5)]
+        top = qhoch.cli.VERIFY_FLATNESS_TOP
         visited = sum(1 for g in range(A.group.order)
-                      for gamma in product(range(-1, 3), repeat=n)
+                      for gamma in product(range(-1, top + 1), repeat=n)
                       for alpha in product((0, 1), repeat=n)
                       if min(a + c for a, c in zip(alpha, gamma)) >= 0)
-        assert visited == A.group.order * 7 ** n
+        assert visited == A.group.order * (2 * top + 3) ** n
 
 
 def _trivial_action(order, n):

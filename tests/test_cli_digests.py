@@ -1,0 +1,69 @@
+"""Every number the CLI prints stays as it is: the exit code, the sha256 of
+stdout and the whole of stderr of each command on each benchmark config,
+in both output formats, at degree 3.
+
+The pinned values live in cli_digests.json.  After a change that is meant
+to alter the output, regenerate them with
+
+    PYTHONPATH=src python tests/test_cli_digests.py > tests/cli_digests.json
+
+and say in the change why the output moved.
+"""
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from qhoch.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "perfbench" / "configs").glob("*.json"))
+COMMANDS = (["dims"], ["dims", "--verify"], ["basis"], ["cup"], ["bracket"],
+            ["verify"])
+FORMATS = ("json", "text")
+DEGREE = "3"
+DIGESTS = Path(__file__).resolve().parent / "cli_digests.json"
+
+
+def run_key(config, command, fmt):
+    return f"{config.stem} {' '.join(command)} {fmt}"
+
+
+def run_once(config, command, fmt):
+    """(exit code, sha256 of stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(command + ["--config", str(config), "--format", fmt,
+                               "--max-degree", DEGREE])
+    return {"exit": code,
+            "stdout_sha256": hashlib.sha256(
+                out.getvalue().encode()).hexdigest(),
+            "stderr": err.getvalue()}
+
+
+GRID = [(config, command, fmt) for config in CONFIGS for command in COMMANDS
+        for fmt in FORMATS]
+
+
+def test_grid_covers_every_pinned_run():
+    pinned = json.loads(DIGESTS.read_text())
+    assert len(GRID) == 48
+    assert sorted(pinned) == sorted(run_key(*run) for run in GRID)
+
+
+@pytest.mark.parametrize("config, command, fmt", GRID,
+                         ids=[run_key(*run) for run in GRID])
+def test_cli_output_is_pinned(config, command, fmt):
+    pinned = json.loads(DIGESTS.read_text())[run_key(config, command, fmt)]
+    assert run_once(config, command, fmt) == pinned
+
+
+if __name__ == "__main__":
+    json.dump({run_key(*run): run_once(*run) for run in GRID}, sys.stdout,
+              indent=1, sort_keys=True)
+    sys.stdout.write("\n")

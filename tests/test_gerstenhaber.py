@@ -12,7 +12,7 @@ from qhoch import (Cochain, bracket, bracket_oracle, build_algebra, circ,
                    is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, unit_cochain)
 from qhoch.algebra import SkewElement
-from qhoch.gerstenhaber import axiom_suite, product_check, product_table
+from qhoch.gerstenhaber import axiom_suite, bracket_table, product_check
 from qhoch.resolution import (compositions, diagonal, full_basis,
                               phi_generator, sub_index)
 
@@ -414,7 +414,7 @@ def test_axiom_suite_small(A2, Ad3):
 def test_bracket_table_entries_equal_bracket(A2_Z3):
     classes = [(f"d{m}#{i}", c) for m in range(4)
                for i, c in enumerate(invariant_basis(A2_Z3, m).classes)]
-    table = product_table(A2_Z3, classes, bracket)
+    table = bracket_table(A2_Z3, classes)
     assert len(table) == len(classes) ** 2
     entries = iter(table)
     for la, ca in classes:
