@@ -308,7 +308,10 @@ def build_algebra(n, N=1, q_spec=None, group_spec=None):
     for (i, j) in sorted(q_spec):
         kind = q_spec[(i, j)][0]
         if kind == "formal":
-            names.append(q_spec[(i, j)][1])
+            name = q_spec[(i, j)][1]
+            if name in names:
+                raise ValueError(f"formal parameter name {name!r} repeats")
+            names.append(name)
     field = CycloField(N)
     uni = Universe(field, names)
     q_upper = {}

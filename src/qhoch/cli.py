@@ -27,7 +27,7 @@ class ConfigError(Exception):
 
 # Size limits, checked before anything is built.  Measured on a 2 vCPU Xeon
 # with Python 3.11: `dims --max-degree 1` takes 0.45 s at n = 12 and 11 s at
-# n = 16; building Q(zeta_N) takes 0.07 s at N = 1000 and 0.5 s at
+# n = 16; building Q(zeta_N) takes 0.02 s at N = 1000 and 0.24 s at
 # N = 5040, but inverting an element with all 996 coordinates nonzero in
 # Q(zeta_997) takes 105 s; `dims --max-degree 1` with a cyclic group acting
 # trivially takes 1.5 s at group order 128 and 5.2 s at 256; `bracket` on

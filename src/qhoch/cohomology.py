@@ -18,20 +18,16 @@ from itertools import product as iproduct
 
 from .algebra import cached
 from .linalg import RowReducer, accumulate
-from .resolution import (Cochain, add_index, compositions, full_basis,
-                         hom_differential, homotopy, is_flat, sub_index)
+from .resolution import (Cochain, add_index, full_basis, hom_differential,
+                         homotopy, is_flat, sub_index)
 from .scalars import Frac, QQ
 
 
 def hh_component_basis(A, m, g):
     """All (alpha, beta) with |beta| = m and beta - alpha in the flat set;
     each spans a cohomology class of the g-component."""
-    out = []
-    for beta in sorted(compositions(A.n, m)):
-        for alpha in sorted(iproduct((0, 1), repeat=A.n)):
-            if is_flat(A, g, sub_index(beta, alpha)):
-                out.append((tuple(alpha), beta))
-    return out
+    return [(alpha, beta) for alpha, beta, h in full_basis(A, m)
+            if h == g and is_flat(A, g, sub_index(beta, alpha))]
 
 
 def flatness_check(A, top):

@@ -18,12 +18,13 @@ The oracles memoize per algebra, with `cached`, the part of their walk
 that does not depend on the outer cochain: `_cup_legs` holds the
 diagonal's leg pairs per degree pair (m, l), and `_contractions` holds the
 doubly split and contracted generators per inner basis symbol and outer
-degree, indexed by the kappa the outer cochain is applied to.  Both are built from `diagonal`,
-`phi_generator`, `Algebra.unit_product` and skew-algebra arithmetic alone,
-never from the closed forms, so the oracles stay independent of `cup` and
-`circ`.  Every unit coefficient, in the closed forms and in the oracles
-alike, is built once by `Algebra.unit_product` from its list of (q, -q or
-character, exponent) factors.
+degree, indexed by the kappa the outer cochain is applied to, with the
+inner split's coefficient read from `_cup_legs`.  Both are built from
+`diagonal`, `phi_generator`, `Algebra.unit_product` and skew-algebra
+arithmetic alone, never from the closed forms, so the oracles stay
+independent of `cup` and `circ`.  Every unit coefficient, in the closed
+forms and in the oracles alike, is built once by `Algebra.unit_product`
+from its list of (q, -q or character, exponent) factors.
 """
 
 from __future__ import annotations
@@ -128,11 +129,9 @@ def _contractions(A, symbol, m):
                 continue
             # the coefficient of e_nu (x) e_beta in the diagonal of e_rho1,
             # the Koszul sign, and the character of g on e_rho2
-            factors = [(A.q_exp[k][t], beta[k] * nu[t])
-                       for t in range(A.n) if nu[t]
-                       for k in range(t) if beta[k]]
-            factors += A.chi_factors(g, rho2)
-            coeff = u_outer * A.unit_product(factors, l * sum(nu))
+            u_inner = _cup_legs(A, sum(nu), l)[(nu, beta)][1]
+            coeff = u_outer * u_inner * A.unit_product(
+                A.chi_factors(g, rho2), l * sum(nu))
             contracted = phi_generator(A, nu, alpha, rho2)
             for (a, kappa, b), pc in contracted.terms.items():
                 table.setdefault(kappa, []).append((rho, a, b, coeff * pc))

@@ -417,7 +417,8 @@ def f_beta_expand(A, beta):
 
 def _bar_agrees(A, beta):
     """True when the bar differential of 1 (x) f_beta (x) 1 equals the
-    expected boundary within the subcomplex spanned by the expansions."""
+    expansion applied to `resolution_differential` of e_beta, the boundary
+    that `tensor_delta` uses."""
     n = A.n
     m = degree(beta)
     if m == 0:
@@ -433,20 +434,12 @@ def _bar_agrees(A, beta):
                 continue
             merged = legs[:i] + (hit[1],) + legs[i + 2:]
             accumulate(lhs, merged, u * A.unit_product(hit[0], i))
-    # expected value
+    # expected value: the expansion applied to the boundary of e_beta
     rhs = {}
-    for j in range(n):
-        if beta[j] == 0:
-            continue
-        down = bump(beta, j, -1)
-        left = A.unit_product([(A.q_exp[l][j], beta[l]) for l in range(j)
-                               if beta[l]])
-        right = A.unit_product([(A.q_exp[j][l], beta[l])
-                                for l in range(j + 1, n) if beta[l]], m)
+    for (a, down, b), c in resolution_differential(A, beta).terms.items():
         for word, u in f_beta_expand(A, down).items():
             mid = tuple(unit_index(n, l) for l in word)
-            accumulate(rhs, (unit_index(n, j),) + mid + (z,), u * left)
-            accumulate(rhs, (z,) + mid + (unit_index(n, j),), u * right)
+            accumulate(rhs, (a,) + mid + (b,), u * c)
     return lhs == rhs
 
 

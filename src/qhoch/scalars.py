@@ -16,10 +16,11 @@ for rendering.  No floating point is used anywhere.
 
 The monomial units ``+-zeta^k * t^e`` (the quantum coefficients, the
 diagonal characters and their products) are `Unit`s: one-term Scalars whose
-coefficient is the tagged root ``field.root(sign, k)``.  They compare and
-hash as the Scalars they are.  A product of two monomials whose
-coefficients are tagged roots is a Unit; the subclass only adds the powers
-and inverses that stay inside the units.
+coefficient is the tagged root ``field.root(sign, k)``, one of the roots
++-zeta^k, k < N, that the field builds once.  They compare and hash as the
+Scalars they are.  A product of two monomials whose coefficients are tagged
+roots is a Unit; the subclass only adds the powers and inverses that stay
+inside the units.
 """
 
 from __future__ import annotations
@@ -137,10 +138,14 @@ def _inverse_mod(x, m):
 # ---------------------------------------------------------------------------
 
 class CycloField:
-    """Q(zeta_N) with canonical representatives modulo Phi_N."""
+    """Q(zeta_N) with canonical representatives modulo Phi_N.
 
-    __slots__ = ("N", "degree", "modulus", "_zrows", "_unit_table",
-                 "_roots", "_shifts", "zero", "one", "zeta")
+    ``_roots[0][k]`` and ``_roots[1][k]`` are the tagged roots zeta^k and
+    -zeta^k, k < N; at even N the second tuple is the first rotated by N/2.
+    ``_by_nums`` maps their coordinates back to them."""
+
+    __slots__ = ("N", "degree", "modulus", "_roots", "_by_nums", "_shifts",
+                 "zero", "one", "zeta")
 
     def __init__(self, N):
         if N < 1:
@@ -148,29 +153,29 @@ class CycloField:
         self.N = N
         self.modulus = cyclotomic_polynomial(N)
         d = self.degree = len(self.modulus) - 1
-        # rows of z^k reduced mod Phi_N, for k = 0 .. max(N-1, 2*degree-2);
-        # Phi_N is monic, so the rows are integer
+        # z^k reduced mod Phi_N for k < N, one shift at a time; Phi_N is
+        # monic, so the rows are integer
         low = [(i, m) for i, m in enumerate(self.modulus[:d]) if m]
         row = [1] + [0] * (d - 1)
-        rows = [tuple(row)]
-        for _ in range(max(N - 1, 2 * d - 2)):
+        plus = [CycloElement(self, tuple(row), 1, (1, 0))]
+        for k in range(1, N):
             lead = row[-1]  # coefficient of z^degree after the shift
             row = [0] + row[:-1]
             if lead:
                 for i, m in low:
                     row[i] -= lead * m
-            rows.append(tuple(row))
-        self._zrows = tuple(rows)
-        self._roots = {}
+            plus.append(CycloElement(self, tuple(row), 1, (1, k)))
+        if N % 2:
+            minus = [CycloElement(self, tuple([-a for a in r.nums]), 1,
+                                  (-1, k)) for k, r in enumerate(plus)]
+        else:
+            minus = plus[N // 2:] + plus[:N // 2]
+        self._roots = (tuple(plus), tuple(minus))
+        self._by_nums = {r.nums: r for r in plus + minus}
         self._shifts = {}
         self.zero = CycloElement(self, (0,) * d)
         self.one = self.root(1, 0)
         self.zeta = self.root(1, 1)
-        table = {}
-        for k in range(N):
-            table[rows[k]] = (1, k)
-            table[tuple(-c for c in rows[k])] = (-1, k)
-        self._unit_table = table
 
     def element(self, coeffs):
         """The element with the given rational coordinates."""
@@ -189,34 +194,25 @@ class CycloField:
                             r.denominator)
 
     def root(self, sign, k):
-        """The element sign * zeta^k, tagged as a root of unity so that
-        products with it skip the generic multiplication."""
-        k %= self.N
-        if sign == -1 and self.N % 2 == 0:
-            sign, k = 1, (k + self.N // 2) % self.N
-        hit = self._roots.get((sign, k))
-        if hit is None:
-            row = self._zrows[k]
-            if sign == -1:
-                row = tuple(-c for c in row)
-            hit = CycloElement(self, row, 1, (sign, k))
-            self._roots[(sign, k)] = hit
-        return hit
+        """The element sign * zeta^k (sign = +-1), tagged as a root of
+        unity so that products with it skip the generic multiplication."""
+        return self._roots[sign == -1][k % self.N]
 
     def shift_rows(self, k):
         """Sparse rows of zeta^(i+k) for i < degree: multiplying by zeta^k
         maps coordinate i onto row i."""
         rows = self._shifts.get(k)
         if rows is None:
+            plus = self._roots[0]
             rows = tuple(tuple((j, c) for j, c in
-                               enumerate(self._zrows[(i + k) % self.N]) if c)
+                               enumerate(plus[(i + k) % self.N].nums) if c)
                          for i in range(self.degree))
             self._shifts[k] = rows
         return rows
 
-    def root_of_unity_exponent(self, elem):
-        """(sign, k) with elem == sign * zeta^k, or None."""
-        return self._unit_table.get(elem.nums) if elem.den == 1 else None
+    def as_root(self, elem):
+        """The tagged root equal to elem, or None if elem is not +-zeta^k."""
+        return self._by_nums.get(elem.nums) if elem.den == 1 else None
 
     def __repr__(self):
         return f"CycloField({self.N})"
@@ -238,9 +234,9 @@ class CycloElement:
     ``den``, with gcd(den, *nums) == 1, so zero is (0, ..., 0) over 1.
 
     Equality and hashing compare (nums, den).  ``coeffs`` is the rational
-    view of the coordinates, for rendering.  ``root`` is (sign, k) when
-    the element was built as sign * zeta^k by `CycloField.root`, else None;
-    it only selects a faster product.
+    view of the coordinates, for rendering.  ``root`` is (sign, k) on the
+    field's stored root sign * zeta^k (`CycloField.root`), else None; it
+    only selects a faster product.
     """
 
     __slots__ = ("field", "nums", "den", "root")
@@ -359,9 +355,10 @@ class CycloElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
         f = self.field
-        root = self.root or f.root_of_unity_exponent(self)
-        if root is not None:
-            return f.root(root[0], -root[1])
+        hit = self if self.root is not None else f.as_root(self)
+        if hit is not None:
+            sign, k = hit.root
+            return f.root(sign, -k)
         nums = list(self.nums)
         while not nums[-1]:
             nums.pop()
@@ -524,10 +521,11 @@ class Scalar:
         if len(self.terms) != 1:
             return None
         (exps, c), = self.terms.items()
-        hit = c.root or self.uni.field.root_of_unity_exponent(c)
-        if hit is None:
-            return None
-        return Unit(self.uni, {exps: self.uni.field.root(*hit)})
+        if c.root is None:
+            c = self.uni.field.as_root(c)
+            if c is None:
+                return None
+        return Unit(self.uni, {exps: c})
 
     def __pow__(self, e):
         u = self.as_unit()
@@ -596,11 +594,11 @@ class Unit(Scalar):
         return self ** -1
 
 
-def scalar_str(s, param_names=None):
+def scalar_str(s):
     """Compact human-readable rendering, e.g. ``-q^2*z + (1/2)``."""
     if s.is_zero():
         return "0"
-    names = param_names or s.uni.param_names
+    names = s.uni.param_names
     parts = []
     for exps in sorted(s.terms):
         c = s.terms[exps]

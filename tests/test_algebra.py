@@ -130,6 +130,15 @@ def test_make_cyclic_group_rejects_bad_order():
         make_cyclic_group(uni3, 2, 2, [uni3.unit(zeta=1), uni3.unit()])
 
 
+def test_build_algebra_rejects_a_repeated_parameter_name():
+    with pytest.raises(ValueError, match="'x' repeats"):
+        build_algebra(3, q_spec={(0, 1): ("formal", "x"),
+                                 (0, 2): ("formal", "x")})
+    # an explicit name that a missing pair takes by default
+    with pytest.raises(ValueError, match="'q13' repeats"):
+        build_algebra(3, q_spec={(0, 1): ("formal", "q13")})
+
+
 def test_group_table_validation_catches_bad_tables():
     A = formal_algebra(2)
     one = A.uni.one

@@ -33,6 +33,15 @@ def unsigned_omega(A, g, alpha, beta, l):
     return -w if sum(beta[:l]) % 2 else w
 
 
+def flipped_boundary(A, beta):
+    """resolution_differential with every right-hand term e_{beta-[j]} x_j
+    negated."""
+    d = resolution_differential(A, beta)
+    z = (0,) * A.n
+    return Tensor(A, {key: -c if key[0] == z else c
+                      for key, c in d.terms.items()})
+
+
 def boxed_omega(A, g, alpha, beta, l):
     """omega_big with the k > l exponents negated; d.d = 0 still holds, but
     the flat subcomplexes at roots of unity are no longer flat."""
@@ -376,6 +385,14 @@ def test_f_beta_matches_diagonal_splitting(A2, A3, Ad3):
 def test_bar_check(A2, A3, Ad3):
     for A in (A2, A3, Ad3):
         assert bar_check(A, 4) is None
+
+
+def test_bar_check_reads_the_production_boundary(A2, monkeypatch):
+    # the check compares against the boundary that tensor_delta uses, so a
+    # sign error there is caught
+    monkeypatch.setattr(qhoch.resolution, "resolution_differential",
+                        flipped_boundary)
+    assert bar_check(A2, 2) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def test_frac_absorbs_monomial_denominator():
     assert f.den == uni.one
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 12, 60])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 12, 15, 60, 97])
 def test_cyclo_inverse_roots_and_rationals(N):
     field = CycloField(N)
     # zeta^k by the generic product of untagged elements, independent of
