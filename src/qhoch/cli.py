@@ -3,14 +3,17 @@ cup-product and bracket tables over the invariant classes, and run the
 verification suites.
 
 Exit codes: 0 on success, 1 for verification failures, 2 for configuration
-errors, 3 for any other error (an internal fault, reported in one line).
+errors, 3 for any other error (an internal fault, or output that could not
+be written, such as to a pipe its reader closed), reported in one line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 
 from .algebra import TableError, build_algebra
@@ -30,8 +33,9 @@ class ConfigError(Exception):
 # n = 16; building Q(zeta_N) takes 0.02 s at N = 1000 and 0.24 s at
 # N = 5040, but inverting an element with all 996 coordinates nonzero in
 # Q(zeta_997) takes 105 s; `dims --max-degree 1` with a cyclic group acting
-# trivially takes 1.5 s at group order 128 and 5.2 s at 256; `bracket` on
-# the README config takes 28 s and writes 5 MB at degree 30.
+# trivially takes 1.5 s at group order 128 and 5.2 s at 256; `bracket
+# --format json` on the README config takes 19 s and writes 71 MB at degree
+# 30, with a 166 MB peak.
 MAX_N = 12
 MAX_CYCLOTOMIC_ORDER = 1000
 MAX_GROUP_ORDER = 128
@@ -43,10 +47,11 @@ MAX_DEGREE = 32
 # its flatness check and the basis pairs its product check compares.  The
 # counts cannot see how many symbols are classes, so each limit comes from
 # the slowest configuration measured for its count (README table): `dims`
-# takes 22 s at 372,736 symbols, `basis` 29 s and 1.3 GB at 372,736,
-# `dims --verify` 45 s at 4096, `cup` 8.5 s at 1792 and `bracket` 31 s at
-# 1120.  The pair limit admits every checked-in config, and `verify` takes
-# 150 s at 54,880 pairs where every symbol is a class.
+# takes 22 s at 372,736 symbols, `basis --format json` 27 s and a 369 MB
+# peak at 372,736, `dims --verify` 45 s at 4096, `cup` 8.5 s at 1792 and
+# `bracket --format json` 20 s and a 291 MB peak at 1120.  The pair limit
+# admits every checked-in config, and `verify` takes 150 s at 54,880 pairs
+# where every symbol is a class.
 MAX_SYMBOLS = {"dims": 400_000, "basis": 100_000, "dims --verify": 2500,
                "cup": 2000, "bracket": 1000}
 MAX_FLATNESS_COCHAINS = 5000
@@ -268,14 +273,67 @@ def scalar_json(s):
     return out
 
 
-def cochain_json(c):
-    return [{
-        "alpha": list(alpha),
-        "beta": list(beta),
-        "g": g,
-        "coefficient": scalar_json(c.terms[(alpha, beta, g)]),
-        "coefficient_str": scalar_str(c.terms[(alpha, beta, g)]),
-    } for (alpha, beta, g) in c.sorted_keys()]
+def cochain_json(c, memo=None):
+    """The terms of a cochain as JSON records.  ``memo`` maps a scalar to
+    its (scalar_json, scalar_str) rendering; one memo shared by the cochains
+    of a command renders each distinct coefficient once, and every term
+    with that coefficient shares the records."""
+    if memo is None:
+        memo = {}
+    out = []
+    for key in c.sorted_keys():
+        s = c.terms[key]
+        rendered = memo.get(s)
+        if rendered is None:
+            rendered = memo[s] = (scalar_json(s), scalar_str(s))
+        alpha, beta, g = key
+        out.append({"alpha": list(alpha), "beta": list(beta), "g": g,
+                    "coefficient": rendered[0],
+                    "coefficient_str": rendered[1]})
+    return out
+
+
+def write_json(obj, write):
+    """Write obj through ``write`` piece by piece, exactly as
+    ``json.dumps(obj, indent=2, sort_keys=True)`` renders it.  obj is built
+    of dicts with str keys, lists, str and int; any other type (bool,
+    float and None included) raises TypeError."""
+    _write_json("", obj, write, "\n")
+
+
+def _write_json(head, obj, write, nl):
+    """Write head and then obj; nl is a newline followed by the indentation
+    of the line obj starts on.  Each leaf goes out in one piece with the
+    punctuation before it."""
+    kind = type(obj)
+    if kind is str:
+        write(head + _quote(obj))
+    elif kind is int:
+        write(head + int.__repr__(obj))
+    elif kind is list or kind is dict:
+        if not obj:
+            write(head + ("[]" if kind is list else "{}"))
+            return
+        inner = nl + "  "
+        if kind is list:
+            head += "[" + inner
+            for value in obj:
+                _write_json(head, value, write, inner)
+                head = "," + inner
+            write(nl + "]")
+        else:
+            head += "{" + inner
+            for key in sorted(obj):
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not "
+                                    f"{type(key).__name__}")
+                _write_json(head + _quote(key) + ": ", obj[key], write,
+                            inner)
+                head = "," + inner
+            write(nl + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not written "
+                        "as JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +360,9 @@ def cmd_dims(A, max_degree, seeds, verify):
 
 
 def cmd_basis(A, degrees):
+    memo = {}
     return {"command": "basis", "classes": [
-        {"id": label, "degree": c.degree, "terms": cochain_json(c)}
+        {"id": label, "degree": c.degree, "terms": cochain_json(c, memo)}
         for label, c in collect_classes(A, degrees)]}
 
 
@@ -317,11 +376,12 @@ def cmd_products(A, max_degree, which):
                     if ca.degree + cb.degree <= max_degree]
     else:
         products = bracket_table(A, classes)
+    memo = {}
     table = [{"left": la, "right": lb, "degree": res.degree,
-              "terms": cochain_json(res)}
+              "terms": cochain_json(res, memo)}
              for la, lb, res in products if not res.is_zero()]
     return {"command": which, "classes": [
-        {"id": la, "degree": ca.degree, "terms": cochain_json(ca)}
+        {"id": la, "degree": ca.degree, "terms": cochain_json(ca, memo)}
         for la, ca in classes], "table": table}
 
 
@@ -376,29 +436,29 @@ def _terms_text(terms):
         for t in terms)
 
 
-def render_text(result):
+def render_text(result, write):
+    """Write result as text through ``write``, each line as it is formed."""
     cmd = result["command"]
-    lines = []
     if cmd == "dims":
-        lines.append("degree\tdim" + ("\trank_oracle"
-                                      if "rank_oracle" in result["dims"][0]
-                                      else ""))
+        write("degree\tdim" + ("\trank_oracle"
+                                if "rank_oracle" in result["dims"][0]
+                                else "") + "\n")
         for row in result["dims"]:
             extra = f"\t{row['rank_oracle']}" if "rank_oracle" in row else ""
-            lines.append(f"{row['degree']}\t{row['dim']}{extra}")
+            write(f"{row['degree']}\t{row['dim']}{extra}\n")
     elif cmd == "basis":
-        lines.append("id\tdegree\tterms")
+        write("id\tdegree\tterms\n")
         for rec in result["classes"]:
-            lines.append(f"{rec['id']}\t{rec['degree']}\t"
-                         f"{_terms_text(rec['terms'])}")
+            write(f"{rec['id']}\t{rec['degree']}\t"
+                  f"{_terms_text(rec['terms'])}\n")
     elif cmd in ("cup", "bracket"):
-        lines.append("left\tright\tdegree\tresult")
+        write("left\tright\tdegree\tresult\n")
         for rec in result["table"]:
-            lines.append(f"{rec['left']}\t{rec['right']}\t{rec['degree']}\t"
-                         f"{_terms_text(rec['terms'])}")
+            write(f"{rec['left']}\t{rec['right']}\t{rec['degree']}\t"
+                  f"{_terms_text(rec['terms'])}\n")
     elif cmd == "verify":
-        lines.extend(result["report"])
-    return "\n".join(lines) + "\n"
+        for line in result["report"]:
+            write(line + "\n")
 
 
 def main(argv=None):
@@ -456,10 +516,23 @@ def main(argv=None):
         # exit 1 must mean only that a verification failed
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(render_text(result))
+    stdout = sys.stdout
+    try:
+        if args.format == "json":
+            write_json(result, stdout.write)
+            stdout.write("\n")
+        else:
+            render_text(result, stdout.write)
+        stdout.flush()
+    except OSError as exc:
+        # Typically a reader that closed the pipe early.  Point stdout at
+        # the null device so that the interpreter's flush at exit does not
+        # fail on the bytes still buffered.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
+        print(f"output error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

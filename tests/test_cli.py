@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -18,7 +19,7 @@ import qhoch.cli
 import qhoch.resolution
 from qhoch import Group, build_algebra
 from qhoch.cli import (ConfigError, basis_symbols, check_work, main,
-                       parse_config, scalar_json)
+                       parse_config, scalar_json, write_json)
 from qhoch.resolution import full_basis
 from test_resolution import unsigned_omega
 
@@ -509,6 +510,143 @@ def test_scalar_json_exact(A2):
         {"formal_exponents": [-2], "zeta_power_terms": [["-1", "1"]]},
         {"formal_exponents": [0], "zeta_power_terms": [["1", "1"]]},
     ]
+
+
+# ---------------------------------------------------------------------------
+# output: the JSON writer, the coefficient memo and a real stdout
+# ---------------------------------------------------------------------------
+
+# str with non-ASCII text, quotes, backslashes and control characters
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t'),
+                              st.characters()), max_size=6)
+JSON_TREES = st.recursive(
+    st.one_of(st.integers(), st.integers(min_value=2 ** 64),
+              st.integers(max_value=-2 ** 64), JSON_TEXT),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(JSON_TEXT, kids, max_size=4)),
+    max_leaves=20)
+
+
+def written(obj):
+    out = io.StringIO()
+    write_json(obj, out.write)
+    return out.getvalue()
+
+
+@given(obj=JSON_TREES)
+@settings(max_examples=300, deadline=None)
+def test_write_json_matches_json_dumps(obj):
+    assert written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, None, True, [0, False], {"a": {"b": [None]}}, {"a": [1, 2.0]},
+    {1: "one"}, (1, 2),
+], ids=["float", "none", "bool", "nested-bool", "nested-none",
+        "nested-float", "int-key", "tuple"])
+def test_write_json_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        written(obj)
+
+
+def test_one_coefficient_memo_per_command(monkeypatch):
+    """Every cochain of a command renders through one memo, which starts
+    empty for each command; each distinct coefficient is rendered once, and
+    a shared memo renders every cochain as a fresh one does."""
+    A, _, _ = parse_config(CFG_ACTION_D3)
+    real, real_scalar_json = qhoch.cli.cochain_json, qhoch.cli.scalar_json
+    calls = []  # (memo, its size before the call, cochain, records)
+    rendered = []
+
+    def spy(c, memo=None):
+        size = len(memo)
+        out = real(c, memo)
+        calls.append((memo, size, c, out))
+        return out
+
+    def counting(s):
+        rendered.append(s)
+        return real_scalar_json(s)
+    monkeypatch.setattr(qhoch.cli, "cochain_json", spy)
+    monkeypatch.setattr(qhoch.cli, "scalar_json", counting)
+    used = []
+    for _ in range(2):
+        calls.clear()
+        rendered.clear()
+        result = qhoch.cli.cmd_products(A, 4, "bracket")
+        memo = calls[0][0]
+        assert calls[0][1] == 0 and all(m is memo for m, *_ in calls)
+        assert len(rendered) == len(set(rendered)) == len(memo)
+        used.append(memo)
+    assert used[0] is not used[1]
+    # the memo is hit: fewer distinct coefficients than terms
+    terms = sum(len(rec["terms"])
+                for rec in result["table"] + result["classes"])
+    assert 0 < len(used[1]) < terms
+    assert all(out == real(c) for _, _, c, out in calls)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_CONFIG = str(ROOT / "perfbench" / "configs" / "bracket-table.json")
+
+
+def qhoch_module(argv, **kwargs):
+    """``python -m qhoch.cli`` on src/, with the default block-buffered
+    stdout."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "qhoch.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_real_stdout_bytes_match_the_benchmark_golden():
+    """The bytes written to a real pipe are the ones the benchmark pins
+    (captured there in memory)."""
+    golden = json.loads(
+        (ROOT / "perfbench" / "golden" / "bracket-table.json").read_text())
+    with qhoch_module(["bracket", "--config", BENCH_CONFIG, "--format",
+                       "json"], stdout=subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert hashlib.sha256(out).hexdigest() == golden["10"]["sha256"]
+
+
+def reader_stops_after_one_byte():
+    """`qhoch bracket ... | head -c 1`: the 1.2 MB table is larger than a
+    pipe buffer, so a write fails every time."""
+    with qhoch_module(["bracket", "--config", BENCH_CONFIG, "--format",
+                       "json"], stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    return proc.returncode, err
+
+
+def reader_gone_before_start():
+    """`dims` into a pipe with no reader: its few lines fit the buffer, so
+    the final flush is the write that fails."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        with qhoch_module(["dims", "--config", BENCH_CONFIG, "--format",
+                           "json"], stdout=write) as proc:
+            _, err = proc.communicate(timeout=120)
+    finally:
+        os.close(write)
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("closed_pipe", [reader_stops_after_one_byte,
+                                         reader_gone_before_start],
+                         ids=["stops-early", "gone"])
+def test_closed_pipe_exits_three_without_traceback(closed_pipe):
+    """Output that cannot be written is exit 3 with one stderr line: no
+    traceback, and no second error from the interpreter's flush at exit."""
+    code, err = closed_pipe()
+    err = err.decode()
+    assert code == 3, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "output error: [Errno 32] Broken pipe\n"
 
 
 def test_console_script_and_module_exit_codes(tmp_path):
