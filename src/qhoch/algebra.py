@@ -14,8 +14,10 @@ chi_{g,i} a root of unity.  The skew product on Lambda x kG is
 Every structure constant is a product of integer powers of the q_{ij}, the
 -q_{ij} and the chi_{g,i}.  The algebra keeps each of these units as its
 exponents (sign bit, zeta power, Laurent exponents) in the tables q_exp,
-nq_exp and chi_exp, and `Algebra.unit_product` builds each unit coefficient
-once from the summed exponents instead of as a running product of units.
+nq_exp and chi_exp.  `Algebra.unit_key` sums the exponents of a product of
+them into the key (exps, sign, k) of the unit sign * zeta^k * t^exps, and
+`Algebra.unit_product` builds each unit coefficient once from that key
+instead of as a running product of units.
 """
 
 from __future__ import annotations
@@ -173,12 +175,11 @@ class Algebra:
     def chi(self, g, i):
         return self.group.chi[g][i]
 
-    def unit_product(self, factors, sign=0):
-        """The Unit (-1)^sign * prod u^e over the pairs (exponents of u, e)
-        in factors, each taken from q_exp, nq_exp or chi_exp: the exponents
-        are summed and the unit is built once."""
-        if not factors:
-            return self._signs[sign % 2]
+    def unit_key(self, factors, sign=0):
+        """(exps, sign, k) with (-1)^sign * prod u^e = sign * zeta^k * t^exps,
+        sign +-1 and 0 <= k < N, over the pairs (exponents of u, e) in
+        factors, each taken from q_exp, nq_exp or chi_exp: the exponents are
+        summed and no object is built."""
         k = 0
         exps = [0] * self.uni.nparams
         for (s, z, t), e in factors:
@@ -186,8 +187,15 @@ class Algebra:
             k += z * e
             for p, v in t:
                 exps[p] += v * e
-        return Unit(self.uni, {tuple(exps): self.uni.field.root(
-            -1 if sign % 2 else 1, k)})
+        return tuple(exps), -1 if sign % 2 else 1, k % self.uni.field.N
+
+    def unit_product(self, factors, sign=0):
+        """The Unit (-1)^sign * prod u^e over factors as in `unit_key`,
+        built once from the summed exponents."""
+        if not factors:
+            return self._signs[sign % 2]
+        exps, sign, k = self.unit_key(factors, sign)
+        return Unit(self.uni, {exps: self.uni.field.root(sign, k)})
 
     def chi_factors(self, g, exps):
         """The factors of prod_i chi_{g,i}^{exps_i}, the character of g on

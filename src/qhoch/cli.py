@@ -33,9 +33,9 @@ class ConfigError(Exception):
 # n = 16; building Q(zeta_N) takes 0.02 s at N = 1000 and 0.24 s at
 # N = 5040, but inverting an element with all 996 coordinates nonzero in
 # Q(zeta_997) takes 105 s; `dims --max-degree 1` with a cyclic group acting
-# trivially takes 1.5 s at group order 128 and 5.2 s at 256; `bracket
-# --format json` on the README config takes 19 s and writes 71 MB at degree
-# 30, with a 166 MB peak.
+# trivially takes 0.5 s at group order 128 and 1.5 s at 256, and with
+# `--verify` 1.0 s at 128; `bracket --format json` on the README config
+# takes 19 s and writes 71 MB at degree 30, with a 166 MB peak.
 MAX_N = 12
 MAX_CYCLOTOMIC_ORDER = 1000
 MAX_GROUP_ORDER = 128

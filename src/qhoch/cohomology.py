@@ -9,11 +9,16 @@ skew group algebra is the group-invariant part of their span.  Each
 intermediate has one producer: `full_basis` orders the symbols, `is_flat`
 selects the classes, and `_subcomplex` holds the differential images that
 both the rank oracle and `_image_reducer` read.
+
+The Reynolds average `average` never forms a translate: the translates of
+a term are monomial units, which it counts per conjugate by their
+`Algebra.unit_key` and sums as integers with `Universe.unit_sum`.
+`g_action_on_cochain` forms a single translate term by term; the mean of
+its translates over the group is the average.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .algebra import cached
@@ -55,30 +60,39 @@ def flatness_check(A, top):
     return None
 
 
-def _act_into(out, A, h, c):
-    """Add the translate of c by h into the term map out."""
-    for (alpha, beta, g), coeff in c.terms.items():
-        u = A.chi_prod(h, sub_index(alpha, beta))
-        accumulate(out, (alpha, beta, A.group.conjugate(h, g)), coeff * u)
-
-
 def g_action_on_cochain(A, h, c):
     """Conjugation action transported through the generator basis:
     h moves a basis symbol to (x^alpha (x) h g h^{-1}) e_beta^* scaled by
-    prod_l chi_{h,l}^{alpha_l - beta_l}."""
-    out = {}
-    _act_into(out, A, h, c)
-    return Cochain(A, c.degree, out)
+    prod_l chi_{h,l}^{alpha_l - beta_l}.  Conjugation by h permutes the
+    group parts, so no two terms land on one symbol."""
+    return Cochain(A, c.degree, {
+        (alpha, beta, A.group.conjugate(h, g)):
+            coeff * A.chi_prod(h, sub_index(alpha, beta))
+        for (alpha, beta, g), coeff in c.terms.items()})
 
 
 def average(A, c):
-    """Reynolds operator: the mean of the translates over the group.  A
-    coefficient that comes back to a monomial unit +-zeta^k * t^e is
+    """Reynolds operator: the mean of the translates over the group.
+
+    The translates of one term (alpha, beta, g) are monomial units
+    +-zeta^k * t^e on the symbols (alpha, beta, h g h^{-1}), so for each
+    conjugate the units are counted by their `Algebra.unit_key` and summed
+    as integers by `Universe.unit_sum`; the term's coefficient multiplies
+    that one sum.  A coefficient that comes back to a monomial unit is
     returned as that `Unit`, so that products with it stay on the units'
     fast path."""
+    conjugate = A.group.conjugate
+    elements = range(A.group.order)
     out = {}
-    for h in range(A.group.order):
-        _act_into(out, A, h, c)
+    for (alpha, beta, g), coeff in c.terms.items():
+        gamma = sub_index(alpha, beta)
+        counts = {}
+        for h in elements:
+            per = counts.setdefault(conjugate(h, g), {})
+            key = A.unit_key(A.chi_factors(h, gamma))
+            per[key] = per.get(key, 0) + 1
+        for g2, per in counts.items():
+            accumulate(out, (alpha, beta, g2), coeff * A.uni.unit_sum(per))
     scale = QQ(1, A.group.order)
     terms = {}
     for key, v in out.items():
@@ -96,11 +110,17 @@ def _constant_row(c):
     return row
 
 
-@dataclass
 class CohomologyBasis:
-    degree: int
-    entries: list      # (alpha, beta, g) class symbols before averaging
-    classes: list      # invariant Cochain representatives
+    """The invariant cohomology of one degree: its closed-form class
+    symbols (alpha, beta, g) before averaging, and the invariant Cochain
+    representatives."""
+
+    __slots__ = ("degree", "entries", "classes")
+
+    def __init__(self, degree, entries, classes):
+        self.degree = degree
+        self.entries = entries
+        self.classes = classes
 
 
 def _independent_averages(A, symbols):

@@ -23,8 +23,10 @@ inner split's coefficient read from `_cup_legs`.  Both are built from
 `diagonal`, `phi_generator`, `Algebra.unit_product` and skew-algebra
 arithmetic alone, never from the closed forms, so the oracles stay
 independent of `cup` and `circ`.  Every unit coefficient, in the closed
-forms and in the oracles alike, is built once by `Algebra.unit_product`
-from its list of (q, -q or character, exponent) factors.
+forms and in the oracles alike, is summed once from its list of (q, -q or
+character, exponent) factors by `Algebra.unit_key`.  `circ` adds the units
+of each splitting sum as integer counts (`Universe.unit_sum`); the rest
+build each unit as a `Unit` with `Algebra.unit_product`.
 """
 
 from __future__ import annotations
@@ -168,7 +170,9 @@ def circ(A, outer, inner):
     """Closed-form circle product: one flat coefficient per surviving
     splitting.  The splitting sum is univariate once the vanishing guards
     are imposed (the right index is zero below the active slot r and the
-    left one matches the inner index above it)."""
+    left one matches the inner index above it).  Every splitting of one
+    (outer term, inner term, r) lands on the same symbol, so its units are
+    counted by `Algebra.unit_key` and summed once by `Universe.unit_sum`."""
     m, l = outer.degree, inner.degree
     if m + l - 1 < 0:
         return Cochain(A, 0)
@@ -194,7 +198,7 @@ def circ(A, outer, inner):
                 rho = tuple(rho)
                 if any(rho[s] < beta[s] for s in range(n)):
                     continue
-                group_key = A.group.mult[h][g]
+                counts = {}
                 for p in range(beta[r], rho[r] + 1):
                     rho1 = tuple(rho[s] if s < r else (p if s == r else beta[s])
                                  for s in range(n))
@@ -244,8 +248,10 @@ def circ(A, outer, inner):
                     # the inner group element passes the right-hand
                     # generator leg e_{rho2}
                     factors += A.chi_factors(g, rho2)
-                    u = A.unit_product(factors, sum(nu) * (l + 1))
-                    accumulate(out, (mono, rho, group_key), base * u)
+                    key = A.unit_key(factors, sum(nu) * (l + 1))
+                    counts[key] = counts.get(key, 0) + 1
+                accumulate(out, (mono, rho, A.group.mult[h][g]),
+                           base * A.uni.unit_sum(counts))
     return Cochain(A, m + l - 1, out)
 
 

@@ -20,7 +20,10 @@ coefficient is the tagged root ``field.root(sign, k)``, one of the roots
 +-zeta^k, k < N, that the field builds once.  They compare and hash as the
 Scalars they are.  A product of two monomials whose coefficients are tagged
 roots is a Unit; the subclass only adds the powers and inverses that stay
-inside the units.
+inside the units.  A sum of many monomial units is not formed as a running
+sum of Scalars: `Universe.unit_sum` takes them as integer counts of their
+keys (exps, sign, k) and adds the counted rows of the roots into one
+integer vector per exps.
 """
 
 from __future__ import annotations
@@ -409,6 +412,38 @@ class Universe:
         exps = [0] * self.nparams
         exps[index] = 1
         return self.unit(exps=exps)
+
+    def unit_sum(self, counts):
+        """The Scalar sum of count * sign * zeta^k * t^exps over the map
+        counts = {(exps, sign, k): count} (keys as `Algebra.unit_key` gives
+        them; any integer k and count).  Each exps gets one integer vector,
+        the counted rows of the roots added into it; a sum that is
+        +-zeta^k is that tagged root, and a one-term result with a tagged
+        coefficient is a Unit."""
+        field = self.field
+        if len(counts) == 1:
+            ((exps, sign, k), count), = counts.items()
+            if count == 1:
+                return Unit(self, {exps: field.root(sign, k)})
+        rows = {}
+        for (exps, sign, k), count in counts.items():
+            nums = field.root(sign, k).nums
+            row = rows.get(exps)
+            if row is None:
+                rows[exps] = [count * a for a in nums]
+            else:
+                for i, a in enumerate(nums):
+                    if a:
+                        row[i] += count * a
+        terms = {}
+        for exps, row in rows.items():
+            if any(row):
+                # integer coordinates over 1 are canonical
+                c = CycloElement(field, tuple(row))
+                terms[exps] = field.as_root(c) or c
+        if len(terms) == 1 and next(iter(terms.values())).root is not None:
+            return Unit(self, terms)
+        return Scalar(self, terms)
 
     def from_cyclo(self, c):
         if c.is_zero():

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,31 @@ def A_comm():
 def A_ext():
     """q = 1: the exterior-algebra case, trivial group."""
     return build_algebra(2, N=1, q_spec={(0, 1): ("rational", 1)})
+
+
+# S3 as permutations of (0, 1, 2), the identity first, and its
+# multiplication table: S3_MULT[a][b] is the index of S3_PERMS[a] composed
+# after S3_PERMS[b].
+S3_PERMS = sorted(permutations(range(3)), key=lambda p: (p != (0, 1, 2), p))
+S3_MULT = [[S3_PERMS.index(tuple(p[r[i]] for i in range(3)))
+            for r in S3_PERMS] for p in S3_PERMS]
+
+
+def perm_sign(p):
+    """The sign of a permutation, +1 or -1."""
+    inversions = sum(p[i] > p[j] for i in range(len(p))
+                     for j in range(i + 1, len(p)))
+    return -1 if inversions % 2 else 1
+
+
+@pytest.fixture(scope="session")
+def S3():
+    """q = -1 with the table group S3 acting by the sign character on both
+    generators: nonabelian, so conjugation moves the group parts."""
+    return build_algebra(2, N=2, q_spec={(0, 1): ("rational", -1)},
+                         group_spec=("table", S3_MULT,
+                                     [[(perm_sign(p), 0)] * 2
+                                      for p in S3_PERMS]))
 
 
 def random_cyclo(field, rng, height=9):

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SESSION_ALGEBRAS, random_scalar
+from conftest import S3_PERMS, SESSION_ALGEBRAS, perm_sign, random_scalar
 from qhoch import (Group, SkewElement, build_algebra, formal_algebra,
                    group_act, make_cyclic_group,
                    quantum_coefficient_action_algebra)
@@ -150,32 +150,15 @@ def test_group_table_validation_catches_bad_tables():
               ((one, one), (A.uni.unit(sign=-1), one)))
 
 
-def test_nonabelian_group_conjugation():
+def test_nonabelian_group_conjugation(S3):
     # S3 as a table group with the sign character on both generators
-    import itertools
-    perms = list(itertools.permutations((0, 1, 2)))
-    perms.sort(key=lambda p: (p != (0, 1, 2), p))
-
-    def compose(p, r):
-        return tuple(p[r[i]] for i in range(3))
-    mult = [[perms.index(compose(p, r)) for r in perms] for p in perms]
-
-    def sign(p):
-        s = 1
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if p[i] > p[j]:
-                    s = -s
-        return s
-    A = build_algebra(2, N=2, q_spec={(0, 1): ("rational", -1)},
-                      group_spec=("table", mult,
-                                  [[(sign(p), 0), (sign(p), 0)] for p in perms]))
-    G = A.group
+    G = S3.group
     assert G.order == 6
     # conjugation permutes the two 3-cycles
-    three_cycles = [i for i, p in enumerate(perms) if p in ((1, 2, 0), (2, 0, 1))]
+    three_cycles = [i for i, p in enumerate(S3_PERMS)
+                    if p in ((1, 2, 0), (2, 0, 1))]
     a, b = three_cycles
-    swap = next(i for i, p in enumerate(perms) if sign(p) == -1)
+    swap = next(i for i, p in enumerate(S3_PERMS) if perm_sign(p) == -1)
     assert G.conjugate(swap, a) == b
 
 

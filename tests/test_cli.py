@@ -649,6 +649,19 @@ def test_closed_pipe_exits_three_without_traceback(closed_pipe):
     assert err == "output error: [Errno 32] Broken pipe\n"
 
 
+def test_cold_import_leaves_out_dataclasses():
+    """``import qhoch, qhoch.cli`` in a fresh isolated interpreter does not
+    load `dataclasses`, which imports inspect, ast and dis and about
+    doubles the start-up time of every command."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import qhoch, qhoch.cli; print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-I", "-c", code,
+                           str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_console_script_and_module_exit_codes(tmp_path):
     """The pyproject entry point is ``qhoch.cli.main``, and ``python -m
     qhoch.cli`` exits with its return value through ``sys.exit(main())``."""

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import SESSION_ALGEBRAS
+from conftest import S3_MULT, SESSION_ALGEBRAS, random_scalar
 from qhoch import (Cochain, average, build_algebra, class_equal,
                    formal_algebra, g_action_on_cochain, hh_component_basis,
                    hom_differential, invariant_basis, invariant_dims, is_flat,
@@ -104,6 +104,30 @@ def test_averaging_idempotent(Ad3):
         assert average(Ad3, average(Ad3, c)) == average(Ad3, c)
 
 
+@pytest.mark.parametrize("name", ["S3", "Ad3"])
+def test_average_is_the_mean_of_the_translates(name, request):
+    """The counted unit sums of `average` equal the mean of the
+    translates formed one by one, on random cochains whose terms share
+    their (alpha, beta) across several group parts, so that on S3 the
+    translates of different terms land on one symbol."""
+    A = request.getfixturevalue(name)
+    order = A.group.order
+    rng = random.Random(15)
+    for _ in range(40):
+        m = rng.randrange(4)
+        c = Cochain(A, m)
+        pairs = sorted({(a, b) for a, b, _ in all_keys(A, m)})
+        for alpha, beta in rng.sample(pairs, min(2, len(pairs))):
+            for g in rng.sample(range(order), rng.randint(1, 3)):
+                coeff = random_scalar(A.uni, rng)
+                if not coeff.is_zero():
+                    c = c + Cochain.basis(A, alpha, beta, g, coeff)
+        mean = Cochain(A, m)
+        for h in range(order):
+            mean = mean + g_action_on_cochain(A, h, c)
+        assert average(A, c) == mean.scale(Fraction(1, order))
+
+
 def test_invariant_basis_fixed_pointwise(Ad3, A2_Z3):
     for A in (Ad3, A2_Z3):
         for m in range(5):
@@ -121,7 +145,7 @@ def test_trivial_group_invariant_basis_is_component_basis(A2):
         assert len(basis.classes) == len(expected)
 
 
-@pytest.mark.parametrize("name", SESSION_ALGEBRAS)
+@pytest.mark.parametrize("name", SESSION_ALGEBRAS + ("S3",))
 def test_invariant_class_units_carry_root_tags(name, request):
     """Each invariant class equals the plain Reynolds average of its
     closed-form symbol (the translates summed and scaled by 1/|G|, with no
@@ -164,16 +188,9 @@ def test_degree_one_invariants_two_generator_formal(A2_Z3):
 
 
 def test_nonabelian_invariants_are_class_sums():
-    import itertools
-    perms = list(itertools.permutations((0, 1, 2)))
-    perms.sort(key=lambda p: (p != (0, 1, 2), p))
-
-    def compose(p, r):
-        return tuple(p[r[i]] for i in range(3))
-    mult = [[perms.index(compose(p, r)) for r in perms] for p in perms]
     A = build_algebra(2, N=1, q_spec={(0, 1): ("formal", "q")},
-                      group_spec=("table", mult,
-                                  [[(1, 0), (1, 0)] for _ in perms]))
+                      group_spec=("table", S3_MULT,
+                                  [[(1, 0), (1, 0)] for _ in S3_MULT]))
     # with trivial characters both degree-zero families contribute one
     # invariant per conjugacy class: dim = 2 * #conjugacy classes, which is
     # dim Z(Lambda) * dim Z(kG) for the trivial action

@@ -324,6 +324,47 @@ def test_unit_is_its_one_term_scalar(N, nparams, data):
     assert s ** e == u ** e
 
 
+@given(N=st.sampled_from((1, 2, 3, 4, 12, 60)),
+       nparams=st.sampled_from((0, 1, 2)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_unit_sum_is_the_running_sum_of_its_units(N, nparams, data):
+    """`Universe.unit_sum` equals the running Scalar sum of the counted
+    Units, for k of any size and sign, negative and zero counts, and
+    families that cancel (1 + zeta + zeta^2 at N = 3, zeta^k +
+    zeta^(k + N/2) at even N, zeta^k - zeta^k at any N); a result that is
+    +-zeta^k * t^e is a Unit whose coefficient is a tagged root."""
+    uni = _universe(N, nparams)
+    exps = st.tuples(*[st.integers(-2, 2)] * nparams)
+    ks = st.integers(-3 * N, 3 * N)
+    key = st.tuples(exps, st.sampled_from((1, -1)), ks)
+    counts = data.draw(st.dictionaries(key, st.integers(-3, 3), max_size=6))
+    e, k = data.draw(exps), data.draw(ks)
+    count = data.draw(st.integers(-3, 3).filter(bool))
+    families = [{(e, 1, k): count, (e, -1, k): count}]
+    if N == 3:
+        families.append({(e, 1, k + i): count for i in range(3)})
+    if N % 2 == 0:
+        families.append({(e, 1, k): count, (e, 1, k + N // 2): count})
+    family = data.draw(st.sampled_from(families))
+    assert uni.unit_sum(family).is_zero()
+    if data.draw(st.booleans()):
+        for f_key, c in family.items():
+            counts[f_key] = counts.get(f_key, 0) + c
+
+    got = uni.unit_sum(counts)
+    want = uni.zero
+    for (u_exps, sign, u_k), c in counts.items():
+        want = want + uni.unit(sign=sign, zeta=u_k, exps=u_exps) * c
+    assert got == want and hash(got) == hash(want)
+    for coeff in got.terms.values():
+        _canonical(coeff)
+    if want.as_unit() is not None:
+        (coeff,) = got.terms.values()
+        assert type(got) is Unit and coeff.root is not None
+    else:
+        assert type(got) is Scalar
+
+
 # ---------------------------------------------------------------------------
 # the integer kernel against a dense Fraction reference
 # ---------------------------------------------------------------------------
