@@ -33,8 +33,8 @@ class ConfigError(Exception):
 # n = 16; building Q(zeta_N) takes 0.02 s at N = 1000 and 0.24 s at
 # N = 5040, but inverting an element with all 996 coordinates nonzero in
 # Q(zeta_997) takes 105 s; `dims --max-degree 1` with a cyclic group acting
-# trivially takes 0.5 s at group order 128 and 1.5 s at 256, and with
-# `--verify` 1.0 s at 128; `bracket --format json` on the README config
+# trivially takes 0.37 s at group order 128 and 0.94 s at 256, and with
+# `--verify` 0.65 s at 128; `bracket --format json` on the README config
 # takes 19 s and writes 71 MB at degree 30, with a 166 MB peak.
 MAX_N = 12
 MAX_CYCLOTOMIC_ORDER = 1000
@@ -480,6 +480,11 @@ def main(argv=None):
                         help="restrict basis output to one degree")
     args = parser.parse_args(argv)
     try:
+        for flag, given, reader in (("--verify", args.verify, "dims"),
+                                    ("--degree", args.degree is not None,
+                                     "basis")):
+            if given and args.command != reader:
+                raise ConfigError(f"{flag}: only {reader} reads this flag")
         for flag, value in (("--max-degree", args.max_degree),
                             ("--degree", args.degree)):
             if value is not None and value < 0:
@@ -491,11 +496,9 @@ def main(argv=None):
             max_degree = args.max_degree
         if args.seed:
             seeds = args.seed
-        command = args.command
-        if command == "dims" and args.verify:
-            command = "dims --verify"
+        command = "dims --verify" if args.verify else args.command
         degrees = range(max_degree + 1)
-        if command == "basis" and args.degree is not None:
+        if args.degree is not None:
             degrees = [args.degree]
         check_work(command, A.n, A.group.order, degrees)
         if args.command == "dims":

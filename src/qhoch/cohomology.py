@@ -8,7 +8,8 @@ those basis symbols are the cocycle classes, and the cohomology of the full
 skew group algebra is the group-invariant part of their span.  Each
 intermediate has one producer: `full_basis` orders the symbols, `is_flat`
 selects the classes, and `_subcomplex` holds the differential images that
-both the rank oracle and `_image_reducer` read.
+both the rank oracle and `_image_reducer` read.  `invariant_basis` keeps
+one average per conjugation orbit; only the oracle eliminates averages.
 
 The Reynolds average `average` never forms a translate: the translates of
 a term are monomial units, which it counts per conjugate by their
@@ -123,26 +124,24 @@ class CohomologyBasis:
         self.classes = classes
 
 
-def _independent_averages(A, symbols):
-    """The averages of the basis cochains (alpha, beta, g) in symbols that
-    are nonzero and independent of the earlier ones, by exact elimination
-    of their coefficients (cyclotomic constants), in the order given."""
-    red = RowReducer()
-    out = []
-    for sym in symbols:
-        avg = average(A, Cochain.basis(A, *sym))
-        if not avg.is_zero() and red.add(_constant_row(avg)):
-            out.append(avg)
-    return out
-
-
 def invariant_basis(A, m):
-    """Basis of the invariant cohomology in degree m: average the
-    closed-form classes of every component, in `full_basis` order, and
-    extract an independent set by exact elimination."""
+    """Basis of the invariant cohomology in degree m: in `full_basis` order,
+    the nonzero average of each closed-form class outside the support of
+    the earlier ones.  The orbit {(alpha, beta, h g h^{-1})} of a class is
+    flat (chi_g is a class function), and its average is 0 or supported on
+    exactly that orbit, so there is one class per orbit, no elimination."""
     entries = [(alpha, beta, g) for alpha, beta, g in full_basis(A, m)
                if is_flat(A, g, sub_index(beta, alpha))]
-    return CohomologyBasis(m, entries, _independent_averages(A, entries))
+    classes = []
+    covered = set()
+    for sym in entries:
+        if sym in covered:
+            continue
+        avg = average(A, Cochain.basis(A, *sym))
+        if not avg.is_zero():
+            covered.update(avg.terms)
+            classes.append(avg)
+    return CohomologyBasis(m, entries, classes)
 
 
 def invariant_dims(A, max_degree):
@@ -191,14 +190,19 @@ def _subcomplex(A, m, g):
     """(dimension, nonzero images under the differential) of a subcomplex
     in degree m: the g-component, spanned by the basis cochains with group
     part g, or for g=None the invariant subcomplex, spanned by the averages
-    of the basis cochains that are independent by exact elimination
-    (`_independent_averages`, shared with `invariant_basis`).  Averaged
-    coefficients are cyclotomic constants, so neither depends on a seed;
-    each is cached per (degree, g)."""
+    of the basis cochains that are independent by exact elimination (which
+    `invariant_basis` does not share).  Averaged coefficients are cyclotomic
+    constants, so neither depends on a seed; each is cached per (degree,
+    g)."""
     # full_basis(A, -1) is not empty when n = 1
     symbols = full_basis(A, m) if m >= 0 else []
     if g is None:
-        basis = _independent_averages(A, symbols)
+        red = RowReducer()
+        basis = []
+        for sym in symbols:
+            avg = average(A, Cochain.basis(A, *sym))
+            if not avg.is_zero() and red.add(_constant_row(avg)):
+                basis.append(avg)
     else:
         basis = [Cochain.basis(A, *sym) for sym in symbols if sym[2] == g]
     images = [img for img in (hom_differential(A, c) for c in basis)

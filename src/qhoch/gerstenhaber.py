@@ -27,6 +27,10 @@ forms and in the oracles alike, is summed once from its list of (q, -q or
 character, exponent) factors by `Algebra.unit_key`.  `circ` adds the units
 of each splitting sum as integer counts (`Universe.unit_sum`); the rest
 build each unit as a `Unit` with `Algebra.unit_product`.
+
+`PairProducts`, the one product table of `bracket_table` and
+`axiom_suite`, holds cup products and brackets but no circle products: a
+bracket entry is `bracket` of its pair, or its reverse read by antisymmetry.
 """
 
 from __future__ import annotations
@@ -308,25 +312,16 @@ def unit_cochain(A):
 
 
 class PairProducts:
-    """Pairwise products over one list of cochains, filled lazily: the
-    circle product and the cup product of each ordered pair are computed
-    at most once, and each bracket entry is formed from the two circle
-    products of its pair by the sign rule of `bracket`, so [a, b] and
-    [b, a] are computed independently of each other."""
+    """Pairwise products over one list of cochains, filled lazily: the cup
+    product and the bracket of each ordered pair are computed at most once.
+    A bracket entry is `bracket` of its pair, or, when the reversed pair is
+    already held, `_reversed` of that entry by graded antisymmetry."""
 
     def __init__(self, A, cochains):
         self.A = A
         self.cochains = cochains
-        self._circ = {}
         self._cup = {}
         self._bracket = {}
-
-    def circ(self, i, j):
-        hit = self._circ.get((i, j))
-        if hit is None:
-            hit = self._circ[(i, j)] = circ(self.A, self.cochains[i],
-                                            self.cochains[j])
-        return hit
 
     def cup(self, i, j):
         hit = self._cup.get((i, j))
@@ -338,24 +333,20 @@ class PairProducts:
     def bracket(self, i, j):
         hit = self._bracket.get((i, j))
         if hit is None:
-            hit = self._bracket[(i, j)] = _signed_sum(
-                self.circ(i, j), self.circ(j, i),
-                self.cochains[i].degree, self.cochains[j].degree)
+            a, b = self.cochains[i], self.cochains[j]
+            rev = self._bracket.get((j, i))
+            hit = self._bracket[(i, j)] = (
+                bracket(self.A, a, b) if rev is None
+                else _reversed(rev, b.degree, a.degree))
         return hit
 
 
 def bracket_table(A, classes):
-    """Ordered pairwise bracket table over a list of (label, Cochain).  It
-    brackets each unordered pair once and takes the reversed entry from
-    graded antisymmetry, so each circle product is computed once."""
-    table = {}
-    for i, (_, ca) in enumerate(classes):
-        for j, (_, cb) in enumerate(classes):
-            if j < i:
-                table[i, j] = _reversed(table[j, i], cb.degree, ca.degree)
-            else:
-                table[i, j] = bracket(A, ca, cb)
-    return [(la, lb, table[i, j])
+    """Ordered pairwise bracket table over a list of (label, Cochain), read
+    row by row from one `PairProducts`, so each unordered pair is bracketed
+    once."""
+    products = PairProducts(A, [c for _, c in classes])
+    return [(la, lb, products.bracket(i, j))
             for i, (la, _) in enumerate(classes)
             for j, (lb, _) in enumerate(classes)]
 
@@ -368,10 +359,12 @@ def axiom_suite(A, max_degree):
     The products of two classes come from one `PairProducts` table local to
     the call, so each is computed once however many checks read it; the
     Jacobi check reaches pairs of total degree max_degree + 2 when the third
-    class has degree 0.  Products involving a computed product (the outer
-    brackets of Jacobi, the products in the derivation rule) are formed
-    afresh.  `is_coboundary` builds its image of the differential once
-    per degree (see there)."""
+    class has degree 0.  The table reads a reversed bracket by graded
+    antisymmetry, so the antisymmetry check pins the sign rule of
+    `_reversed`, not a second computation.  Products involving a computed
+    product (the outer brackets of Jacobi, the products in the derivation
+    rule) are formed afresh.  `is_coboundary` builds its image of the
+    differential once per degree (see there)."""
     from .cohomology import is_coboundary
     failures = []
     classes = collect_classes(A, range(max_degree + 1))
@@ -411,7 +404,7 @@ def axiom_suite(A, max_degree):
             check(br.is_zero() or br.degree == deg[a] + deg[b] - 1,
                   f"bracket degree off: {la},{lb}")
             check(is_cocycle(A, br), f"bracket not a cocycle: {la},{lb}")
-            # [a,b] = -(-1)^{(|a|-1)(|b|-1)}[b,a], exactly at chain level
+            # [a,b] = -(-1)^{(|a|-1)(|b|-1)}[b,a], read from the table
             rev = products.bracket(b, a)
             check(rev == _reversed(br, deg[a], deg[b]),
                   f"graded antisymmetry fails: {la},{lb}")

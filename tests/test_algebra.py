@@ -150,6 +150,19 @@ def test_group_table_validation_catches_bad_tables():
               ((one, one), (A.uni.unit(sign=-1), one)))
 
 
+@pytest.mark.parametrize("N, order", [(1, 1), (2, 2), (4, 4), (6, 3),
+                                      (12, 12)])
+def test_cyclic_group_passes_every_table_check(N, order):
+    """`make_cyclic_group` skips the checks that walk the products g h; its
+    table and characters pass them when given to a table group."""
+    uni = build_algebra(2, N=N, q_spec={(0, 1): ("formal", "q")}).uni
+    for sign, k in product((1, -1) if order % 2 == 0 else (1,),
+                           range(0, N, N // order)):
+        G = make_cyclic_group(uni, 2, order,
+                              [uni.unit(sign=sign, zeta=k), uni.one])
+        Group(G.mult, G.chi)
+
+
 def test_nonabelian_group_conjugation(S3):
     # S3 as a table group with the sign character on both generators
     G = S3.group

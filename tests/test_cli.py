@@ -184,6 +184,34 @@ def test_negative_degree_override_exits_two(tmp_path, capsys, argv):
     assert err == f"config error: {argv[1]}: must be a nonnegative integer\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bracket", "--verify"], ["verify", "--verify"], ["basis", "--verify"],
+    ["cup", "--degree", "1"], ["dims", "--degree", "1"],
+], ids=["bracket-verify", "verify-verify", "basis-verify", "cup-degree",
+        "dims-degree"])
+def test_flag_the_command_does_not_read_exits_two(tmp_path, capsys,
+                                                  monkeypatch, argv):
+    """`--verify` is read by `dims` alone and `--degree` by `basis` alone;
+    given to another command, either is a configuration error that names
+    the flag, raised before the config is read."""
+    def load(path):
+        raise AssertionError("read the config past a flag check")
+    monkeypatch.setattr(qhoch.cli, "load_config", load)
+    path = write_cfg(tmp_path, CFG_FORMAL)
+    code, out, err = run(capsys, argv + ["--config", path])
+    reader = {"--verify": "dims", "--degree": "basis"}[argv[1]]
+    assert code == 2 and out == ""
+    assert err == f"config error: {argv[1]}: only {reader} reads this flag\n"
+
+
+def test_seed_is_accepted_by_every_command(tmp_path, capsys):
+    path = write_cfg(tmp_path, CFG_FORMAL)
+    for command in ("dims", "basis", "cup", "bracket", "verify"):
+        code, _, err = run(capsys, [command, "--config", path, "--seed", "5",
+                                    "--max-degree", "1"])
+        assert code == 0, err
+
+
 def test_dims_seed_disagreement_is_verification_failure(tmp_path, capsys):
     path = write_cfg(tmp_path, {**CFG_FORMAL, "seeds": [5, 63]})
     code, out, err = run(capsys, ["dims", "--config", path, "--verify"])
@@ -329,9 +357,9 @@ def test_table_group_is_validated_once(monkeypatch):
     validated = []
     validate = Group._validate
 
-    def counting(self, check_associativity):
+    def counting(self, check_products):
         validated.append(self.order)
-        validate(self, check_associativity)
+        validate(self, check_products)
     monkeypatch.setattr(Group, "_validate", counting)
     parse_config({**CFG_FORMAL, "group": _cyclic_table(4)})
     assert validated == [4]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from qhoch import (Cochain, average, build_algebra, class_equal,
                    hom_differential, invariant_basis, invariant_dims, is_flat,
                    invariant_rank_oracle, is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, rank_oracle)
+from qhoch.cli import load_config
 from qhoch.cohomology import full_basis
 from qhoch.linalg import RowReducer, in_span
 from qhoch.resolution import compositions
@@ -176,6 +178,44 @@ def test_invariant_class_units_carry_root_tags(name, request):
     assert tagged
 
 
+@pytest.fixture(scope="module")
+def readme():
+    """The README's example config, `perfbench/configs/bracket-table.json`,
+    read through the CLI."""
+    path = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+            / "bracket-table.json")
+    return load_config(str(path))[0]
+
+
+@pytest.mark.parametrize("name", ["S3", "Ad3", "A2_Z3", "readme"])
+def test_invariant_basis_takes_one_class_per_orbit(name, request,
+                                                   monkeypatch):
+    """Through degree 4, `invariant_basis` gives exactly the averages that
+    an exact elimination keeps from its symbols in order (equal classes,
+    equal coefficient types), while it eliminates nothing itself."""
+    A = request.getfixturevalue(name)
+    expected = {}
+    for m in range(5):
+        red = RowReducer()
+        expected[m] = []
+        for sym in invariant_basis(A, m).entries:
+            avg = average(A, Cochain.basis(A, *sym))
+            if not avg.is_zero() and red.add(
+                    {k: v.constant() for k, v in avg.terms.items()}):
+                expected[m].append(avg)
+
+    def refuse(self, row):
+        raise AssertionError("invariant_basis eliminated a row")
+    monkeypatch.setattr(RowReducer, "add", refuse)
+    for m in range(5):
+        classes = invariant_basis(A, m).classes
+        assert classes == expected[m]
+        assert [[(k, repr(v)) for k, v in sorted(c.terms.items())]
+                for c in classes] == \
+            [[(k, repr(v)) for k, v in sorted(c.terms.items())]
+             for c in expected[m]]
+
+
 def test_degree_one_invariants_two_generator_formal(A2_Z3):
     # exactly (x2 (x) g) e01^* and (x1 (x) g) e10^* for every group element
     basis = invariant_basis(A2_Z3, 1)
@@ -219,8 +259,8 @@ def test_rank_oracle_matches_closed_form_counts(A2, A3, Ad3, Ad4, A_comm):
                 assert rank_oracle(A, m, g, seeds=(1, 2, 3))[2] == dim, (m, g)
 
 
-def test_invariant_rank_oracle_matches_invariant_basis(Ad3, A2_Z3):
-    for A in (Ad3, A2_Z3):
+def test_invariant_rank_oracle_matches_invariant_basis(Ad3, A2_Z3, S3):
+    for A in (Ad3, A2_Z3, S3):
         for m in range(6):
             assert invariant_rank_oracle(A, m, seeds=(1, 2)) == \
                 len(invariant_basis(A, m).classes)

@@ -12,7 +12,8 @@ from qhoch import (Cochain, bracket, bracket_oracle, build_algebra, circ,
                    is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, unit_cochain)
 from qhoch.algebra import SkewElement
-from qhoch.gerstenhaber import axiom_suite, bracket_table, product_check
+from qhoch.gerstenhaber import (PairProducts, axiom_suite, bracket_table,
+                                product_check)
 from qhoch.resolution import (compositions, diagonal, full_basis,
                               phi_generator, sub_index)
 
@@ -422,6 +423,29 @@ def test_bracket_table_entries_equal_bracket(A2_Z3):
             left, right, res = next(entries)
             assert (left, right) == (la, lb)
             assert res == bracket(A2_Z3, ca, cb)
+
+
+@pytest.mark.parametrize("name", ["A2_Z3", "S3"])
+def test_pair_products_read_column_major(name, request, monkeypatch):
+    """Read column by column (j before i), every bracket entry of a
+    `PairProducts` equals `bracket` of its pair, and each unordered pair is
+    bracketed once: the other entry is read by antisymmetry."""
+    A = request.getfixturevalue(name)
+    cochains = [c for m in range(4) for c in invariant_basis(A, m).classes]
+    real = qhoch.gerstenhaber.bracket
+    calls = []
+
+    def counting(A, f1, f2):
+        calls.append((f1, f2))
+        return real(A, f1, f2)
+    monkeypatch.setattr(qhoch.gerstenhaber, "bracket", counting)
+    products = PairProducts(A, cochains)
+    k = len(cochains)
+    for j in range(k):
+        for i in range(k):
+            assert products.bracket(i, j) == real(A, cochains[i],
+                                                  cochains[j])
+    assert len(calls) == k * (k + 1) // 2
 
 
 def test_axiom_suite_reports_every_failure_of_a_broken_circ(monkeypatch):
