@@ -38,9 +38,12 @@ class Group:
 
     Element 0 is the identity.  The table is checked to be a group law (a
     fault is a `TableError`), and each character column a homomorphism.
-    ``check_products=False`` skips the two checks that walk the products
-    g h, associativity (order^3) and chi_{gh} = chi_g chi_h (order^2 per
-    column), for a group whose law and characters hold by construction.
+    Both checks walk the products g h with h in a generating set
+    (`_generators`): associativity by Light's test (`_associative`, order^2
+    per generator), then chi_{gh} = chi_g chi_h (order per generator and
+    column), which holds for all h once it holds for generators, the
+    table being associative and chi_0 = 1.  ``check_products=False`` skips
+    both, for a group whose law and characters hold by construction.
     """
 
     __slots__ = ("order", "mult", "inverse", "chi")
@@ -65,12 +68,9 @@ class Group:
                 raise TableError("element 0 is not an identity")
             if self.inverse[g] is None:
                 raise TableError(f"element {g} has no inverse")
-        if check_products:
-            for g in rng:
-                for h in rng:
-                    for k in rng:
-                        if self.mult[self.mult[g][h]][k] != self.mult[g][self.mult[h][k]]:
-                            raise TableError("multiplication table is not associative")
+        gens = _generators(self.mult) if check_products else ()
+        if not _associative(self.mult, gens):
+            raise TableError("multiplication table is not associative")
         ngen = len(self.chi[0]) if self.chi else 0
         for i in range(ngen):
             if not self.chi[0][i].is_one():
@@ -83,14 +83,55 @@ class Group:
                     # a sign that survives means chi^N != 1: N too small
                     raise ValueError(
                         "character order does not divide the cyclotomic order N")
-                if check_products and any(
-                        self.chi[self.mult[g][h]][i] != u * self.chi[h][i]
-                        for h in rng):
+                if any(self.chi[self.mult[g][h]][i] != u * self.chi[h][i]
+                       for h in gens):
                     raise ValueError("chi is not a homomorphism in column %d" % i)
 
     def conjugate(self, h, g):
         """h g h^{-1}."""
         return self.mult[self.mult[h][g]][self.inverse[h]]
+
+
+def _generators(mult):
+    """Elements of the table mult, with identity 0, chosen greedily until
+    every element is a left-normed product ((a b) c) ... of them: an
+    element is chosen when it is not such a product of those before it."""
+    gens = []
+    reached = {0}
+    for a in range(len(mult)):
+        if a in reached:
+            continue
+        gens.append(a)
+        # every reached element times a, and what that reaches
+        todo = list(reached)
+        while todo:
+            x = todo.pop()
+            row = mult[x]
+            for b in gens:
+                y = row[b]
+                if y not in reached:
+                    reached.add(y)
+                    todo.append(y)
+    return gens
+
+
+def _associative(mult, gens):
+    """Whether (x a) y = x (a y) in the table mult for all x, y and every a
+    in gens.  For gens from `_generators` this is Light's test of
+    associativity: the elements a for which it holds are closed under the
+    product (for two of them, (x (a b)) y = ((x a) b) y = (x a)(b y) =
+    x (a (b y)) = x ((a b) y)), so it holds for all a once it holds for
+    generators."""
+    rng = range(len(mult))
+    for a in gens:
+        col = [row[a] for row in mult]
+        row_a = mult[a]
+        for x in rng:
+            xa, row_x = mult[col[x]], mult[x]
+            for y in rng:
+                if xa[y] != row_x[row_a[y]]:
+                    return False
+    return True
 
 
 def trivial_group(uni, n):

@@ -2,6 +2,13 @@
 cup-product and bracket tables over the invariant classes, and run the
 verification suites.
 
+A command returns its result as a dict whose cochains stay `Cochain`s
+(under "terms"); no record is built per term.  `write_json` writes the
+result as indented JSON and each cochain in one piece, from the text
+`cochain_json` joins; `render_text` writes it as tab-separated lines.
+Each writes through one memo per command, so each distinct coefficient,
+and in JSON each distinct alpha or beta vector, is rendered once.
+
 Exit codes: 0 on success, 1 for verification failures, 2 for configuration
 errors, 3 for any other error (an internal fault, or output that could not
 be written, such as to a pipe its reader closed), reported in one line.
@@ -20,7 +27,8 @@ from .algebra import TableError, build_algebra
 from .cohomology import (collect_classes, flatness_check, invariant_basis,
                          invariant_rank_oracle)
 from .gerstenhaber import axiom_suite, bracket_table, cup, product_check
-from .resolution import bar_check, differential_check, phi_identity_check
+from .resolution import (Cochain, bar_check, differential_check,
+                         phi_identity_check)
 from .scalars import scalar_str
 
 
@@ -35,7 +43,7 @@ class ConfigError(Exception):
 # Q(zeta_997) takes 105 s; `dims --max-degree 1` with a cyclic group acting
 # trivially takes 0.37 s at group order 128 and 0.94 s at 256, and with
 # `--verify` 0.65 s at 128; `bracket --format json` on the README config
-# takes 19 s and writes 71 MB at degree 30, with a 166 MB peak.
+# takes 6.3 s and writes 71 MB at degree 30, with a 118 MB peak.
 MAX_N = 12
 MAX_CYCLOTOMIC_ORDER = 1000
 MAX_GROUP_ORDER = 128
@@ -47,9 +55,9 @@ MAX_DEGREE = 32
 # its flatness check and the basis pairs its product check compares.  The
 # counts cannot see how many symbols are classes, so each limit comes from
 # the slowest configuration measured for its count (README table): `dims`
-# takes 22 s at 372,736 symbols, `basis --format json` 27 s and a 369 MB
+# takes 22 s at 372,736 symbols, `basis --format json` 12 s and a 238 MB
 # peak at 372,736, `dims --verify` 45 s at 4096, `cup` 8.5 s at 1792 and
-# `bracket --format json` 20 s and a 291 MB peak at 1120.  The pair limit
+# `bracket --format json` 13 s and a 204 MB peak at 1120.  The pair limit
 # admits every checked-in config, and `verify` takes 150 s at 54,880 pairs
 # where every symbol is a class.
 MAX_SYMBOLS = {"dims": 400_000, "basis": 100_000, "dims --verify": 2500,
@@ -273,43 +281,73 @@ def scalar_json(s):
     return out
 
 
-def cochain_json(c, memo=None):
-    """The terms of a cochain as JSON records.  ``memo`` maps a scalar to
-    its (scalar_json, scalar_str) rendering; one memo shared by the cochains
-    of a command renders each distinct coefficient once, and every term
-    with that coefficient shares the records."""
-    if memo is None:
-        memo = {}
-    out = []
+# The fields of a term record start on this line when `write_json` writes
+# the record in a list that starts a line at indentation zero.
+FIELD_NL = "\n    "
+
+
+def _json_text(obj, nl):
+    """obj as `write_json` writes it on a line that nl starts."""
+    parts = []
+    _write_json("", obj, parts.append, nl, None)
+    return "".join(parts)
+
+
+def cochain_json(c, memo, nl):
+    """The JSON text of the terms of the cochain c, as `write_json` writes
+    it on a line that nl starts: a list, in the order of c.sorted_keys(),
+    of one record per term, {"alpha", "beta", "coefficient" (scalar_json),
+    "coefficient_str" (scalar_str), "g"}.  memo belongs to one command and
+    maps each index vector (an alpha or a beta) and each coefficient to its
+    text in a list at indentation zero, so each is rendered once, however
+    many terms share it, and serves every indentation; memory grows with
+    the distinct vectors and coefficients, not with the basis symbols."""
+    if not c.terms:
+        return "[]"
+    records = []
     for key in c.sorted_keys():
-        s = c.terms[key]
-        rendered = memo.get(s)
-        if rendered is None:
-            rendered = memo[s] = (scalar_json(s), scalar_str(s))
         alpha, beta, g = key
-        out.append({"alpha": list(alpha), "beta": list(beta), "g": g,
-                    "coefficient": rendered[0],
-                    "coefficient_str": rendered[1]})
-    return out
+        alpha_text = memo.get(alpha)
+        if alpha_text is None:
+            alpha_text = memo[alpha] = _json_text(list(alpha), FIELD_NL)
+        beta_text = memo.get(beta)
+        if beta_text is None:
+            beta_text = memo[beta] = _json_text(list(beta), FIELD_NL)
+        s = c.terms[key]
+        coefficient = memo.get(s)
+        if coefficient is None:
+            coefficient = memo[s] = (_json_text(scalar_json(s), FIELD_NL),
+                                     _json_text(scalar_str(s), FIELD_NL))
+        records.append(
+            f'{{{FIELD_NL}"alpha": {alpha_text},{FIELD_NL}"beta": {beta_text},'
+            f'{FIELD_NL}"coefficient": {coefficient[0]},{FIELD_NL}'
+            f'"coefficient_str": {coefficient[1]},{FIELD_NL}"g": {g}\n  }}')
+    text = "[\n  " + ",\n  ".join(records) + "\n]"
+    return text if nl == "\n" else text.replace("\n", nl)
 
 
 def write_json(obj, write):
     """Write obj through ``write`` piece by piece, exactly as
-    ``json.dumps(obj, indent=2, sort_keys=True)`` renders it.  obj is built
-    of dicts with str keys, lists, str and int; any other type (bool,
-    float and None included) raises TypeError."""
-    _write_json("", obj, write, "\n")
+    ``json.dumps(obj, indent=2, sort_keys=True)`` renders it with each
+    `Cochain` in obj replaced by the list of term records of
+    `cochain_json`.  obj is built of dicts with str keys, lists, str, int
+    and Cochain; any other type (bool, float and None included) raises
+    TypeError.  Each cochain is written in one piece, and one memo serves
+    every cochain of obj."""
+    _write_json("", obj, write, "\n", {})
 
 
-def _write_json(head, obj, write, nl):
+def _write_json(head, obj, write, nl, memo):
     """Write head and then obj; nl is a newline followed by the indentation
-    of the line obj starts on.  Each leaf goes out in one piece with the
-    punctuation before it."""
+    of the line obj starts on.  Each leaf, and each cochain, goes out in
+    one piece with the punctuation before it."""
     kind = type(obj)
     if kind is str:
         write(head + _quote(obj))
     elif kind is int:
         write(head + int.__repr__(obj))
+    elif kind is Cochain:
+        write(head + cochain_json(obj, memo, nl))
     elif kind is list or kind is dict:
         if not obj:
             write(head + ("[]" if kind is list else "{}"))
@@ -318,7 +356,7 @@ def _write_json(head, obj, write, nl):
         if kind is list:
             head += "[" + inner
             for value in obj:
-                _write_json(head, value, write, inner)
+                _write_json(head, value, write, inner, memo)
                 head = "," + inner
             write(nl + "]")
         else:
@@ -328,7 +366,7 @@ def _write_json(head, obj, write, nl):
                     raise TypeError(f"keys must be str, not "
                                     f"{type(key).__name__}")
                 _write_json(head + _quote(key) + ": ", obj[key], write,
-                            inner)
+                            inner, memo)
                 head = "," + inner
             write(nl + "}")
     else:
@@ -360,9 +398,8 @@ def cmd_dims(A, max_degree, seeds, verify):
 
 
 def cmd_basis(A, degrees):
-    memo = {}
     return {"command": "basis", "classes": [
-        {"id": label, "degree": c.degree, "terms": cochain_json(c, memo)}
+        {"id": label, "degree": c.degree, "terms": c}
         for label, c in collect_classes(A, degrees)]}
 
 
@@ -376,12 +413,10 @@ def cmd_products(A, max_degree, which):
                     if ca.degree + cb.degree <= max_degree]
     else:
         products = bracket_table(A, classes)
-    memo = {}
-    table = [{"left": la, "right": lb, "degree": res.degree,
-              "terms": cochain_json(res, memo)}
+    table = [{"left": la, "right": lb, "degree": res.degree, "terms": res}
              for la, lb, res in products if not res.is_zero()]
     return {"command": which, "classes": [
-        {"id": la, "degree": ca.degree, "terms": cochain_json(ca, memo)}
+        {"id": la, "degree": ca.degree, "terms": ca}
         for la, ca in classes], "table": table}
 
 
@@ -428,17 +463,25 @@ def cmd_verify(A, max_degree):
 # rendering
 # ---------------------------------------------------------------------------
 
-def _terms_text(terms):
-    """One line for the JSON terms of a cochain."""
-    return " + ".join(
-        f"({t['coefficient_str']})*"
-        f"(x^{tuple(t['alpha'])}(x)g{t['g']})e{tuple(t['beta'])}^*"
-        for t in terms)
+def _terms_text(c, memo):
+    """One line for the terms of the cochain c; memo maps each coefficient
+    to its scalar_str."""
+    parts = []
+    for key in c.sorted_keys():
+        s = c.terms[key]
+        text = memo.get(s)
+        if text is None:
+            text = memo[s] = scalar_str(s)
+        alpha, beta, g = key
+        parts.append(f"({text})*(x^{alpha}(x)g{g})e{beta}^*")
+    return " + ".join(parts)
 
 
 def render_text(result, write):
-    """Write result as text through ``write``, each line as it is formed."""
+    """Write result as text through ``write``, each line as it is formed;
+    each distinct coefficient is rendered once."""
     cmd = result["command"]
+    memo = {}
     if cmd == "dims":
         write("degree\tdim" + ("\trank_oracle"
                                 if "rank_oracle" in result["dims"][0]
@@ -450,12 +493,12 @@ def render_text(result, write):
         write("id\tdegree\tterms\n")
         for rec in result["classes"]:
             write(f"{rec['id']}\t{rec['degree']}\t"
-                  f"{_terms_text(rec['terms'])}\n")
+                  f"{_terms_text(rec['terms'], memo)}\n")
     elif cmd in ("cup", "bracket"):
         write("left\tright\tdegree\tresult\n")
         for rec in result["table"]:
             write(f"{rec['left']}\t{rec['right']}\t{rec['degree']}\t"
-                  f"{_terms_text(rec['terms'])}\n")
+                  f"{_terms_text(rec['terms'], memo)}\n")
     elif cmd == "verify":
         for line in result["report"]:
             write(line + "\n")

@@ -24,9 +24,11 @@ inner split's coefficient read from `_cup_legs`.  Both are built from
 arithmetic alone, never from the closed forms, so the oracles stay
 independent of `cup` and `circ`.  Every unit coefficient, in the closed
 forms and in the oracles alike, is summed once from its list of (q, -q or
-character, exponent) factors by `Algebra.unit_key`.  `circ` adds the units
-of each splitting sum as integer counts (`Universe.unit_sum`); the rest
-build each unit as a `Unit` with `Algebra.unit_product`.
+character, exponent) factors by `Algebra.unit_key`, except that `circ`
+sums the factors of only the first unit of each splitting sum, reads the
+others off it as a geometric run (`_run_step`) and adds them all as
+integer counts (`Universe.unit_sum`).
+The rest build each unit as a `Unit` with `Algebra.unit_product`.
 
 `PairProducts`, the one product table of `bracket_table` and
 `axiom_suite`, holds cup products and brackets but no circle products: a
@@ -34,6 +36,8 @@ bracket entry is `bracket` of its pair, or its reverse read by antisymmetry.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .algebra import SkewElement, cached
 from .cohomology import collect_classes, is_cocycle
@@ -170,18 +174,46 @@ def circ_oracle(A, outer, inner):
     return Cochain(A, m + l - 1, out)
 
 
+def _run_step(A, alpha, beta, g, r):
+    """The step v of the geometric runs of `circ` for the inner term
+    (alpha, beta, g) and the slot r it contracts (alpha_r = 1), as an
+    `Algebra.unit_key`: the unit of splitting p + 1 over that of splitting
+    p, with l = |beta|,
+    v = (-1)^{l+1} chi_{g,r}^{-1} prod_{t>r} q_{rt}^{-beta_t}
+    prod_{t<r} q_{tr}^{beta_t} prod_{s>r, alpha_s=1} (-q_{rs})
+    prod_{s<r, alpha_s=1} (-q_{sr})^{-1}."""
+    q_exp, nq_exp = A.q_exp, A.nq_exp
+    factors = [(A.chi_exp[g][r], -1)]
+    for t in range(r + 1, A.n):
+        if beta[t]:
+            factors.append((q_exp[r][t], -beta[t]))
+        if alpha[t]:
+            factors.append((nq_exp[r][t], 1))
+    for t in range(r):
+        if beta[t]:
+            factors.append((q_exp[t][r], beta[t]))
+        if alpha[t]:
+            factors.append((nq_exp[t][r], -1))
+    return A.unit_key(factors, sum(beta) + 1)
+
+
 def circ(A, outer, inner):
     """Closed-form circle product: one flat coefficient per surviving
     splitting.  The splitting sum is univariate once the vanishing guards
     are imposed (the right index is zero below the active slot r and the
-    left one matches the inner index above it).  Every splitting of one
-    (outer term, inner term, r) lands on the same symbol, so its units are
-    counted by `Algebra.unit_key` and summed once by `Universe.unit_sum`."""
+    left one matches the inner index above it), and every splitting of one
+    (outer term, inner term, r) lands on the same symbol.  Its units form a
+    geometric run: the factor list is built once, at p = beta_r, and the
+    unit of splitting p is that unit times v^{p - beta_r} for the step v of
+    `_run_step`, which depends on the inner term and r alone.  The run's
+    keys are added up as integers from its first key and summed once by
+    `Universe.unit_sum`."""
     m, l = outer.degree, inner.degree
     if m + l - 1 < 0:
         return Cochain(A, 0)
     out = {}
     n = A.n
+    N = A.uni.field.N
     q_exp, nq_exp = A.q_exp, A.nq_exp
     for (gamma, kappa, h), c_out in outer.terms.items():
         chi_outer = A.chi_exp[h]
@@ -202,58 +234,66 @@ def circ(A, outer, inner):
                 rho = tuple(rho)
                 if any(rho[s] < beta[s] for s in range(n)):
                     continue
-                counts = {}
-                for p in range(beta[r], rho[r] + 1):
-                    rho1 = tuple(rho[s] if s < r else (p if s == r else beta[s])
-                                 for s in range(n))
-                    rho2 = sub_index(rho, rho1)
-                    nu = sub_index(rho1, beta)
-                    factors = []
-                    # diagonal coefficients (both stages)
-                    for k in range(n):
-                        for t in range(k + 1, n):
-                            e = rho2[k] * rho1[t] + beta[k] * nu[t]
-                            if e:
-                                factors.append((q_exp[k][t], e))
-                    # contraction coefficients at the active slot
-                    for s in range(r + 1, n):
-                        if alpha[s]:
-                            factors.append((nq_exp[r][s], nu[r] + 1))
-                    for s in range(r):
-                        if alpha[s]:
-                            factors.append((nq_exp[s][r], rho2[r] + 1))
-                    for t in range(r):
-                        for s2 in range(r + 1, n):
-                            e = alpha[t] * (alpha[s2] + rho2[s2]) \
-                                + alpha[s2] * nu[t]
-                            if e:
-                                factors.append((nq_exp[t][s2], e))
-                    # outer characters on the generators moved past it
-                    for s in range(r):
-                        if alpha[s]:
-                            factors.append((chi_outer[s], 1))
-                    # reordering the three generator blocks into normal form
-                    for s in range(r):
-                        if alpha[s]:
-                            for v in range(s + 1, n):
-                                if gamma[v]:
-                                    factors.append((nq_exp[s][v], -1))
-                    for v in range(r):
-                        if gamma[v] + alpha[v]:
-                            for s in range(r + 1, n):
-                                if alpha[s]:
-                                    factors.append(
-                                        (nq_exp[v][s], -(gamma[v] + alpha[v])))
-                    for s in range(r + 1, n):
-                        if alpha[s]:
-                            for v in range(r, s):
-                                if gamma[v]:
-                                    factors.append((nq_exp[v][s], -1))
-                    # the inner group element passes the right-hand
-                    # generator leg e_{rho2}
-                    factors += A.chi_factors(g, rho2)
-                    key = A.unit_key(factors, sum(nu) * (l + 1))
-                    counts[key] = counts.get(key, 0) + 1
+                # the first splitting of the run, p = beta_r
+                rho1 = rho[:r] + beta[r:]
+                rho2 = sub_index(rho, rho1)
+                nu = sub_index(rho1, beta)
+                factors = []
+                # diagonal coefficients (both stages)
+                for k in range(n):
+                    for t in range(k + 1, n):
+                        e = rho2[k] * rho1[t] + beta[k] * nu[t]
+                        if e:
+                            factors.append((q_exp[k][t], e))
+                # contraction coefficients at the active slot
+                for s in range(r + 1, n):
+                    if alpha[s]:
+                        factors.append((nq_exp[r][s], nu[r] + 1))
+                for s in range(r):
+                    if alpha[s]:
+                        factors.append((nq_exp[s][r], rho2[r] + 1))
+                for t in range(r):
+                    for s2 in range(r + 1, n):
+                        e = alpha[t] * (alpha[s2] + rho2[s2]) \
+                            + alpha[s2] * nu[t]
+                        if e:
+                            factors.append((nq_exp[t][s2], e))
+                # outer characters on the generators moved past it
+                for s in range(r):
+                    if alpha[s]:
+                        factors.append((chi_outer[s], 1))
+                # reordering the three generator blocks into normal form
+                for s in range(r):
+                    if alpha[s]:
+                        for v in range(s + 1, n):
+                            if gamma[v]:
+                                factors.append((nq_exp[s][v], -1))
+                for v in range(r):
+                    if gamma[v] + alpha[v]:
+                        for s in range(r + 1, n):
+                            if alpha[s]:
+                                factors.append(
+                                    (nq_exp[v][s], -(gamma[v] + alpha[v])))
+                for s in range(r + 1, n):
+                    if alpha[s]:
+                        for v in range(r, s):
+                            if gamma[v]:
+                                factors.append((nq_exp[v][s], -1))
+                # the inner group element passes the right-hand
+                # generator leg e_{rho2}
+                factors += A.chi_factors(g, rho2)
+                key = A.unit_key(factors, sum(nu) * (l + 1))
+                counts = {key: 1}
+                if rho[r] > beta[r]:
+                    exps, sign, k = key
+                    step_exps, step_sign, step_k = _run_step(A, alpha, beta,
+                                                             g, r)
+                    for _ in range(rho[r] - beta[r]):
+                        exps = tuple(map(add, exps, step_exps))
+                        sign *= step_sign
+                        k = (k + step_k) % N
+                        key = (exps, sign, k)
+                        counts[key] = counts.get(key, 0) + 1
                 accumulate(out, (mono, rho, A.group.mult[h][g]),
                            base * A.uni.unit_sum(counts))
     return Cochain(A, m + l - 1, out)

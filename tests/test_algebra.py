@@ -5,11 +5,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import S3_PERMS, SESSION_ALGEBRAS, perm_sign, random_scalar
+from conftest import (S3_MULT, S3_PERMS, SESSION_ALGEBRAS, perm_sign,
+                      random_scalar)
 from qhoch import (Group, SkewElement, build_algebra, formal_algebra,
                    group_act, make_cyclic_group,
                    quantum_coefficient_action_algebra)
-from qhoch.algebra import cached
+from qhoch.algebra import TableError, cached
 from qhoch.linalg import accumulate
 from qhoch.scalars import Unit
 
@@ -148,6 +149,120 @@ def test_group_table_validation_catches_bad_tables():
         # chi not a homomorphism
         Group(((0, 1), (1, 0)),
               ((one, one), (A.uni.unit(sign=-1), one)))
+
+
+def loops(order):
+    """Every table on range(order) with identity 0 whose rows and columns
+    are permutations (a loop), as tuples of rows."""
+    table = [[g if h == 0 else h if g == 0 else None for h in range(order)]
+             for g in range(order)]
+    cells = [(g, h) for g in range(1, order) for h in range(1, order)]
+
+    def fill(i):
+        if i == len(cells):
+            yield tuple(tuple(row) for row in table)
+            return
+        g, h = cells[i]
+        for v in range(order):
+            if v not in table[g] and all(row[h] != v for row in table):
+                table[g][h] = v
+                yield from fill(i + 1)
+                table[g][h] = None
+    return list(fill(0))
+
+
+def associative(mult):
+    """The brute-force check over all order^3 triples."""
+    rng = range(len(mult))
+    return all(mult[mult[a][b]][c] == mult[a][mult[b][c]]
+               for a in rng for b in rng for c in rng)
+
+
+def accepted(mult):
+    """Whether Group takes mult as a group law (no characters)."""
+    try:
+        Group(mult, [()] * len(mult))
+    except TableError:
+        return False
+    return True
+
+
+def test_associativity_check_on_every_small_loop():
+    """Light's test on a generating set decides associativity as the
+    brute-force check does on every loop of order at most 5: the 1, 1, 1,
+    4 and 56 tables, of which 1, 1, 1, 4 and 6 are groups."""
+    groups = []
+    for order, count in zip(range(1, 6), (1, 1, 1, 4, 56)):
+        tables = loops(order)
+        assert len(tables) == count
+        for mult in tables:
+            assert accepted(mult) == associative(mult), mult
+        groups.append(sum(map(associative, tables)))
+    assert groups == [1, 1, 1, 4, 6]
+
+
+@st.composite
+def tables_with_inverses(draw):
+    """A table on range(order) with identity 0 in which every element has a
+    right inverse: random entries, or a relabelled group table (S3 or
+    cyclic) with up to two entries changed."""
+    order = draw(st.integers(2, 6))
+    rng = range(1, order)
+    if draw(st.booleans()):
+        mult = [[g if h == 0 else h if g == 0 else
+                 draw(st.integers(0, order - 1)) for h in range(order)]
+                for g in range(order)]
+    else:
+        base = (S3_MULT if order == 6 and draw(st.booleans()) else
+                [[(a + b) % order for b in range(order)]
+                 for a in range(order)])
+        perm = [0] + draw(st.permutations(list(rng)))
+        inv = [perm.index(x) for x in range(order)]
+        mult = [[perm[base[inv[g]][inv[h]]] for h in range(order)]
+                for g in range(order)]
+        for _ in range(draw(st.integers(0, 2))):
+            mult[draw(st.sampled_from(rng))][draw(st.sampled_from(rng))] = \
+                draw(st.integers(0, order - 1))
+    for g in rng:
+        if 0 not in mult[g]:
+            mult[g][draw(st.sampled_from(rng))] = 0
+    return mult
+
+
+@given(mult=tables_with_inverses())
+@settings(max_examples=300, deadline=None)
+def test_associativity_check_on_random_tables(mult):
+    assert accepted(mult) == associative(mult)
+
+
+@pytest.mark.parametrize("N, mult", [
+    (4, [[(a + b) % 4 for b in range(4)] for a in range(4)]),
+    (2, S3_MULT),
+    # C2 x C2
+    (2, [[a ^ b for b in range(4)] for a in range(4)]),
+], ids=["C4", "S3", "C2xC2"])
+def test_homomorphism_check_on_every_character_column(N, mult):
+    """chi_{gh} = chi_g chi_h checked for h in a generating set decides
+    the same as over all pairs, on every column of roots of unity with
+    chi_0 = 1."""
+    uni = build_algebra(1, N=N).uni
+    order = len(mult)
+    homomorphisms = 0
+    for powers in product(range(N), repeat=order - 1):
+        chi = [uni.one] + [uni.unit(zeta=k) for k in powers]
+        expected = all(chi[mult[g][h]] == chi[g] * chi[h]
+                       for g in range(order) for h in range(order))
+        try:
+            Group(mult, [(u,) for u in chi])
+        except ValueError as exc:
+            assert "homomorphism" in str(exc)
+            assert not expected, powers
+        else:
+            assert expected, powers
+        homomorphisms += expected
+    # the characters of C4 into the 4th roots, and of S3 and C2 x C2 into
+    # +-1
+    assert homomorphisms == {4: 4, 6: 2}.get(order, 4)
 
 
 @pytest.mark.parametrize("N, order", [(1, 1), (2, 2), (4, 4), (6, 3),

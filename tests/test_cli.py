@@ -21,6 +21,7 @@ from qhoch import Group, build_algebra
 from qhoch.cli import (ConfigError, basis_symbols, check_work, main,
                        parse_config, scalar_json, write_json)
 from qhoch.resolution import full_basis
+from qhoch.scalars import scalar_str
 from test_resolution import unsigned_omega
 
 
@@ -577,19 +578,137 @@ def test_write_json_rejects_other_types(obj):
         written(obj)
 
 
+# Cochains to write: two algebras, one with a single formal parameter over
+# Q and one with two formal parameters over Q(zeta_6) and a group of order 2.
+RENDER_ALGEBRAS = (
+    build_algebra(2, N=1),
+    build_algebra(3, N=6, q_spec={(0, 1): ("zeta", 1)},
+                  group_spec=("cyclic", 2, [(-1, 0), (1, 0), (1, 3)])),
+)
+
+
+@st.composite
+def scalars(draw, uni):
+    """A Laurent polynomial of up to three terms, with negative exponents
+    and rational, often non-unit, cyclotomic coordinates."""
+    s = uni.zero
+    for _ in range(draw(st.integers(1, 3))):
+        coords = draw(st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=9),
+            min_size=uni.field.degree, max_size=uni.field.degree))
+        exps = draw(st.tuples(*[st.integers(-3, 3)] * uni.nparams))
+        s = s + uni.monomial(uni.field.element(coords), exps)
+    return s
+
+
+@st.composite
+def cochains(draw, A, pool):
+    """A cochain of degree at most 3 whose coefficients come from pool, so
+    that terms and cochains share coefficients."""
+    m = draw(st.integers(0, 3))
+    keys = draw(st.lists(st.sampled_from(full_basis(A, m)), max_size=4,
+                         unique=True))
+    return qhoch.resolution.Cochain(
+        A, m, {key: draw(st.sampled_from(pool)) for key in keys})
+
+
+@st.composite
+def cochain_pools(draw):
+    A = draw(st.sampled_from(RENDER_ALGEBRAS))
+    return A, draw(st.lists(scalars(A.uni).filter(lambda s: not s.is_zero()),
+                            min_size=1, max_size=3))
+
+
+@st.composite
+def cochain_trees(draw):
+    """A JSON tree with random cochains of one algebra at several depths."""
+    A, pool = draw(cochain_pools())
+    return draw(st.recursive(
+        st.one_of(cochains(A, pool), st.integers(), JSON_TEXT),
+        lambda kids: st.one_of(st.lists(kids, max_size=3),
+                               st.dictionaries(JSON_TEXT, kids, max_size=3)),
+        max_leaves=8))
+
+
+def reference_records(c):
+    """The term records of a cochain, built whole, one dict per term."""
+    out = []
+    for key in c.sorted_keys():
+        s = c.terms[key]
+        alpha, beta, g = key
+        out.append({"alpha": list(alpha), "beta": list(beta), "g": g,
+                    "coefficient": scalar_json(s),
+                    "coefficient_str": scalar_str(s)})
+    return out
+
+
+def with_records(obj):
+    """obj with each cochain replaced by its reference records."""
+    if isinstance(obj, qhoch.resolution.Cochain):
+        return reference_records(obj)
+    if isinstance(obj, list):
+        return [with_records(value) for value in obj]
+    if isinstance(obj, dict):
+        return {key: with_records(value) for key, value in obj.items()}
+    return obj
+
+
+def reference_terms_text(terms):
+    """One text line for the reference records of a cochain."""
+    return " + ".join(
+        f"({t['coefficient_str']})*"
+        f"(x^{tuple(t['alpha'])}(x)g{t['g']})e{tuple(t['beta'])}^*"
+        for t in terms)
+
+
+@given(obj=cochain_trees())
+@settings(max_examples=200, deadline=None)
+def test_write_json_writes_cochains_as_their_records(obj):
+    assert written(obj) == json.dumps(with_records(obj), indent=2,
+                                      sort_keys=True)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_render_text_writes_cochains_as_their_records(data):
+    A, pool = data.draw(cochain_pools())
+    terms = data.draw(st.lists(cochains(A, pool), min_size=1, max_size=4))
+    for command in ("basis", "bracket"):
+        if command == "basis":
+            result = {"command": command, "classes": [
+                {"id": f"c{i}", "degree": c.degree, "terms": c}
+                for i, c in enumerate(terms)]}
+            expected = "id\tdegree\tterms\n" + "".join(
+                f"c{i}\t{c.degree}\t"
+                f"{reference_terms_text(reference_records(c))}\n"
+                for i, c in enumerate(terms))
+        else:
+            result = {"command": command, "table": [
+                {"left": f"a{i}", "right": f"b{i}", "degree": c.degree,
+                 "terms": c} for i, c in enumerate(terms)]}
+            expected = "left\tright\tdegree\tresult\n" + "".join(
+                f"a{i}\tb{i}\t{c.degree}\t"
+                f"{reference_terms_text(reference_records(c))}\n"
+                for i, c in enumerate(terms))
+        out = io.StringIO()
+        qhoch.cli.render_text(result, out.write)
+        assert out.getvalue() == expected
+
+
 def test_one_coefficient_memo_per_command(monkeypatch):
-    """Every cochain of a command renders through one memo, which starts
-    empty for each command; each distinct coefficient is rendered once, and
-    a shared memo renders every cochain as a fresh one does."""
+    """Every cochain a command writes goes through one memo, which starts
+    empty for each command; scalar_json is called once per distinct
+    coefficient, and a cochain written through the shared memo reads as
+    through a fresh one."""
     A, _, _ = parse_config(CFG_ACTION_D3)
     real, real_scalar_json = qhoch.cli.cochain_json, qhoch.cli.scalar_json
-    calls = []  # (memo, its size before the call, cochain, records)
+    calls = []  # (memo, its size before the call, cochain, nl, text)
     rendered = []
 
-    def spy(c, memo=None):
+    def spy(c, memo, nl):
         size = len(memo)
-        out = real(c, memo)
-        calls.append((memo, size, c, out))
+        out = real(c, memo, nl)
+        calls.append((memo, size, c, nl, out))
         return out
 
     def counting(s):
@@ -602,16 +721,20 @@ def test_one_coefficient_memo_per_command(monkeypatch):
         calls.clear()
         rendered.clear()
         result = qhoch.cli.cmd_products(A, 4, "bracket")
+        written(result)
+        # in the order written: "classes" sorts before "table"
+        cochains = [rec["terms"] for rec in result["classes"]
+                    + result["table"]]
+        assert [c for _, _, c, _, _ in calls] == cochains
         memo = calls[0][0]
         assert calls[0][1] == 0 and all(m is memo for m, *_ in calls)
-        assert len(rendered) == len(set(rendered)) == len(memo)
+        distinct = {s for c in cochains for s in c.terms.values()}
+        assert len(rendered) == len(set(rendered)) == len(distinct)
         used.append(memo)
     assert used[0] is not used[1]
     # the memo is hit: fewer distinct coefficients than terms
-    terms = sum(len(rec["terms"])
-                for rec in result["table"] + result["classes"])
-    assert 0 < len(used[1]) < terms
-    assert all(out == real(c) for _, _, c, out in calls)
+    assert 0 < len(distinct) < sum(len(c.terms) for c in cochains)
+    assert all(out == real(c, {}, nl) for _, _, c, nl, out in calls)
 
 
 ROOT = Path(__file__).resolve().parent.parent

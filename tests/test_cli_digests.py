@@ -1,6 +1,9 @@
 """Every number the CLI prints stays as it is: the exit code, the sha256 of
 stdout and the whole of stderr of each command on each benchmark config,
-in both output formats, at degree 3.
+in both output formats, at degree 3, and of the text bracket table and
+the JSON cup table of the README config (bracket-table) at degree 10.
+The JSON bracket table at degree 10 is pinned by the benchmark's golden
+file.
 
 The pinned values live in cli_digests.json.  After a change that is meant
 to alter the output, regenerate them with
@@ -30,37 +33,43 @@ DEGREE = "3"
 DIGESTS = Path(__file__).resolve().parent / "cli_digests.json"
 
 
-def run_key(config, command, fmt):
-    return f"{config.stem} {' '.join(command)} {fmt}"
+def run_key(config, command, fmt, degree=DEGREE):
+    key = f"{config.stem} {' '.join(command)} {fmt}"
+    return key if degree == DEGREE else f"{key} --max-degree {degree}"
 
 
-def run_once(config, command, fmt):
+def run_once(config, command, fmt, degree=DEGREE):
     """(exit code, sha256 of stdout, stderr) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(command + ["--config", str(config), "--format", fmt,
-                               "--max-degree", DEGREE])
+                               "--max-degree", degree])
     return {"exit": code,
             "stdout_sha256": hashlib.sha256(
                 out.getvalue().encode()).hexdigest(),
             "stderr": err.getvalue()}
 
 
-GRID = [(config, command, fmt) for config in CONFIGS for command in COMMANDS
-        for fmt in FORMATS]
+README_CONFIG = ROOT / "perfbench" / "configs" / "bracket-table.json"
+GRID = [(config, command, fmt, DEGREE) for config in CONFIGS
+        for command in COMMANDS for fmt in FORMATS] + [
+    (README_CONFIG, ["bracket"], "text", "10"),
+    (README_CONFIG, ["cup"], "json", "10"),
+]
 
 
 def test_grid_covers_every_pinned_run():
     pinned = json.loads(DIGESTS.read_text())
-    assert len(GRID) == 48
+    assert len(GRID) == 50
     assert sorted(pinned) == sorted(run_key(*run) for run in GRID)
 
 
-@pytest.mark.parametrize("config, command, fmt", GRID,
+@pytest.mark.parametrize("config, command, fmt, degree", GRID,
                          ids=[run_key(*run) for run in GRID])
-def test_cli_output_is_pinned(config, command, fmt):
-    pinned = json.loads(DIGESTS.read_text())[run_key(config, command, fmt)]
-    assert run_once(config, command, fmt) == pinned
+def test_cli_output_is_pinned(config, command, fmt, degree):
+    pinned = json.loads(DIGESTS.read_text())[
+        run_key(config, command, fmt, degree)]
+    assert run_once(config, command, fmt, degree) == pinned
 
 
 if __name__ == "__main__":

@@ -250,6 +250,48 @@ def test_circ_equals_oracle_three_generators(A3):
     assert sweep_formula_vs_oracle(A3, 3, circ, circ_oracle) is None
 
 
+def long_run_pairs(A, top, slots, count, seed=0):
+    """count basis pairs (outer, inner) of total degree <= top, drawn with
+    the given seed, each with a long splitting run in `circ`: at a slot r
+    in slots the inner alpha_r is 1 and the outer kappa_r is at least 3,
+    so that rho_r - beta_r = kappa_r - 1 >= 2, and the run passes circ's
+    guards (alpha + gamma is at most 1 off r)."""
+    rng = random.Random(seed)
+    symbols = [k for m in range(top + 1) for k in full_basis(A, m)]
+    pairs = set()
+    while len(pairs) < count:
+        r = rng.choice(slots)
+        gamma, kappa, h = rng.choice([k for k in symbols if k[1][r] >= 3])
+        inner = rng.choice([
+            (alpha, beta, g) for alpha, beta, g in symbols
+            if alpha[r] == 1 and sum(beta) + sum(kappa) <= top
+            and all(alpha[s] + gamma[s] <= 1 for s in range(A.n) if s != r)])
+        pairs.add(((gamma, kappa, h), inner))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("fixture, slots, count", [
+    # the step is a root of unity: keys repeat, and 1 + zeta + zeta^2
+    # cancels
+    ("Ad3", (0, 1), 60),
+    # the step has a formal exponent
+    ("A2", (0, 1), 40),
+    # the step is +-1
+    ("A_comm", (0, 1), 40),
+    # the middle slot: the step has factors from both sides of r
+    ("A3", (1,), 40),
+])
+def test_circ_long_splitting_runs_equal_oracle(fixture, slots, count,
+                                                request):
+    """The closed form's splitting sums, walked as geometric runs from
+    their first unit, equal the oracle on runs of three to ten
+    splittings, up to total degree 10."""
+    A = request.getfixturevalue(fixture)
+    for k1, k2 in long_run_pairs(A, 10, slots, count):
+        c1, c2 = Cochain.basis(A, *k1), Cochain.basis(A, *k2)
+        assert circ(A, c1, c2) == circ_oracle(A, c1, c2), (k1, k2)
+
+
 def test_circle_homotopy_identity_trivial_group(A2, A3):
     """delta(f o g) = f o (delta g) - (-1)^l (delta f) o g
                       + (-1)^l [g ^ f - (-1)^{lm} f ^ g]
