@@ -266,6 +266,19 @@ class Algebra:
                  for l in range(k + 1, n) if a[l]],
                 tuple(ai | bi for ai, bi in zip(a, b)))
 
+    def skew_mono(self, a, g, b):
+        """The skew rule on monomials, (x^a (x) g)(x^b (x) h) =
+        x^a (g.x^b) (x) gh: None if a slot repeats, else (factors, a | b)
+        with the coefficient unit_product(factors), the factors of
+        `mono_mul` followed by the character of g on x^b.  The group part
+        of the product is mult[g][h], for the caller to form."""
+        hit = self.mono_mul(a, b)
+        if hit is None:
+            return None
+        factors, mono = hit
+        factors += self.chi_factors(g, b)
+        return factors, mono
+
 
 def cached(fn):
     """Memoize fn(A, *args) per algebra: the result is kept in A.caches
@@ -307,12 +320,12 @@ class SkewElement(SparseVector):
         out = {}
         for (a, g), c1 in self.terms.items():
             for (b, h), c2 in other.terms.items():
-                hit = alg.mono_mul(a, b)
+                hit = alg.skew_mono(a, g, b)
                 if hit is None:
                     continue
                 factors, mono = hit
-                u = alg.unit_product(factors + alg.chi_factors(g, b))
-                accumulate(out, (mono, alg.group.mult[g][h]), c1 * c2 * u)
+                accumulate(out, (mono, alg.group.mult[g][h]),
+                           c1 * c2 * alg.unit_product(factors))
         return SkewElement(alg, out)
 
     def __repr__(self):

@@ -19,15 +19,18 @@ that does not depend on the outer cochain: `_cup_legs` holds the
 diagonal's leg pairs per degree pair (m, l), and `_contractions` holds the
 doubly split and contracted generators per inner basis symbol and outer
 degree, indexed by the kappa the outer cochain is applied to, with the
-inner split's coefficient read from `_cup_legs`.  Both are built from
-`diagonal`, `phi_generator`, `Algebra.unit_product` and skew-algebra
-arithmetic alone, never from the closed forms, so the oracles stay
-independent of `cup` and `circ`.  Every unit coefficient, in the closed
-forms and in the oracles alike, is summed once from its list of (q, -q or
-character, exponent) factors by `Algebra.unit_key`, except that `circ`
-sums the factors of only the first unit of each splitting sum, reads the
-others off it as a geometric run (`_run_step`) and adds them all as
-integer counts (`Universe.unit_sum`).
+inner split's coefficient read from `_cup_legs`.  The oracles multiply
+basis monomials of the skew group algebra by its one skew rule,
+`Algebra.skew_mono`, so each term pair of `cup_oracle` on a leg pair, and
+each contraction hit of `circ_oracle`, adds one unit or nothing.  The
+tables and the oracles are built from `diagonal`, `phi_generator`,
+`Algebra.skew_mono` and `Algebra.unit_product` alone, never from the
+closed forms, so the oracles stay independent of `cup` and `circ`.  Every
+unit coefficient, in the closed forms and in the oracles alike, is summed
+once from its list of (q, -q or character, exponent) factors by
+`Algebra.unit_key`, except that `circ` sums the factors of only the first
+unit of each splitting sum, reads the others off it as a geometric run
+(`_run_step`) and adds them all as integer counts (`Universe.unit_sum`).
 The rest build each unit as a `Unit` with `Algebra.unit_product`.
 
 `PairProducts`, the one product table of `bracket_table` and
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .algebra import SkewElement, cached
+from .algebra import cached
 from .cohomology import collect_classes, is_cocycle
 from .linalg import accumulate
 from .resolution import (Cochain, add_index, compositions, diagonal,
@@ -86,33 +89,29 @@ def _cup_legs(A, m, l):
     return legs
 
 
-def _blocks(A, f):
-    """The terms of a cochain grouped by generator index:
-    {beta: SkewElement of the (x^alpha (x) g) parts on e_beta^*}."""
-    blocks = {}
-    for (alpha, beta, g), c in f.terms.items():
-        blocks.setdefault(beta, {})[(alpha, g)] = c
-    return {b: SkewElement(A, block) for b, block in blocks.items()}
-
-
 def cup_oracle(A, f1, f2):
     """Cup product evaluated as multiply-after-diagonal: on e_rho, the
-    block of f1 on the left leg e_b1 times the block of f2 on the right leg
+    term of f1 on the left leg e_b1 times the term of f2 on the right leg
     e_b2, summed over the splittings (b1, b2) of rho with their diagonal
-    coefficients; independent of the closed form."""
-    total = f1.degree + f2.degree
+    coefficients u.  Each term pair on a leg pair is one monomial product,
+    (x^alpha (x) g)(x^gamma (x) h), by `Algebra.skew_mono`: one unit, or
+    zero.  Independent of the closed form."""
     legs = _cup_legs(A, f1.degree, f2.degree)
-    right = _blocks(A, f2)
+    mult = A.group.mult
     out = {}
-    for b1, left in _blocks(A, f1).items():
-        for b2, r in right.items():
-            hit = legs.get((b1, b2))
+    for (alpha, b1, g), c1 in f1.terms.items():
+        for (gamma, b2, h), c2 in f2.terms.items():
+            leg = legs.get((b1, b2))
+            if leg is None:
+                continue
+            hit = A.skew_mono(alpha, g, gamma)
             if hit is None:
                 continue
-            rho, u = hit
-            for (mono, g), c in (left * r).scale(u).terms.items():
-                accumulate(out, (mono, rho, g), c)
-    return Cochain(A, total, out)
+            rho, u = leg
+            factors, mono = hit
+            accumulate(out, (mono, rho, mult[g][h]),
+                       c1 * c2 * u * A.unit_product(factors))
+    return Cochain(A, f1.degree + f2.degree, out)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +152,13 @@ def circ_oracle(A, outer, inner):
     the diagonal, apply the inner cochain to the middle leg with the Koszul
     sign, move its group part across the right leg, contract (all four in
     `_contractions`, once per inner basis symbol), then multiply the outer
-    cochain's value in between x^a (x) 1 and x^b (x) g."""
+    cochain's value in between x^a (x) 1 and x^b (x) g.  That value,
+    x^a (x^gamma (x) h)(x^b (x) g), is two monomial products by
+    `Algebra.skew_mono`, so each hit adds one unit, or nothing."""
     m, l = outer.degree, inner.degree
     if m + l - 1 < 0:
         return Cochain(A, 0)
+    mult = A.group.mult
     out = {}
     for (alpha, beta, g), c_in in inner.terms.items():
         table = _contractions(A, (alpha, beta, g), m)
@@ -164,13 +166,19 @@ def circ_oracle(A, outer, inner):
             hits = table.get(kappa)
             if not hits:
                 continue
-            middle = SkewElement.basis(A, gamma, h, c_out)
+            base = c_out * c_in
+            gout = mult[h][g]
             for rho, a, b, coeff in hits:
-                val = SkewElement.basis(A, a, 0) * middle \
-                    * SkewElement.basis(A, b, g)
-                scale = coeff * c_in
-                for (mono, gout), c in val.terms.items():
-                    accumulate(out, (mono, rho, gout), c * scale)
+                left = A.skew_mono(a, 0, gamma)
+                if left is None:
+                    continue
+                factors, mid = left
+                right = A.skew_mono(mid, h, b)
+                if right is None:
+                    continue
+                more, mono = right
+                accumulate(out, (mono, rho, gout),
+                           coeff * base * A.unit_product(factors + more))
     return Cochain(A, m + l - 1, out)
 
 

@@ -73,14 +73,19 @@ def perm_sign(p):
     return -1 if inversions % 2 else 1
 
 
-@pytest.fixture(scope="session")
-def S3():
+def s3_algebra():
     """q = -1 with the table group S3 acting by the sign character on both
     generators: nonabelian, so conjugation moves the group parts."""
     return build_algebra(2, N=2, q_spec={(0, 1): ("rational", -1)},
                          group_spec=("table", S3_MULT,
                                      [[(perm_sign(p), 0)] * 2
                                       for p in S3_PERMS]))
+
+
+@pytest.fixture(scope="session")
+def S3():
+    """The session copy of `s3_algebra`."""
+    return s3_algebra()
 
 
 def random_cyclo(field, rng, height=9):

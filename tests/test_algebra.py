@@ -360,8 +360,11 @@ def test_unit_matches_literal_product(A, data):
     _same_unit(A.unit_product(exps, sign), _literal(A, sign, units))
 
 
-@pytest.mark.parametrize("name", SESSION_ALGEBRAS)
+@pytest.mark.parametrize("name", SESSION_ALGEBRAS + ("S3",))
 def test_chi_prod_and_mono_mul_match_literal_products(name, request):
+    """chi_prod, mono_mul and skew_mono against units multiplied out power
+    by power; skew_mono on every pair of basis monomials (x^a (x) g),
+    (x^b (x) h), a repeated slot giving None and a zero product."""
     A = request.getfixturevalue(name)
     for g in range(A.group.order):
         for exps in product(range(-2, 3), repeat=A.n):
@@ -379,6 +382,17 @@ def test_chi_prod_and_mono_mul_match_literal_products(name, request):
                                    if a[l]])
             _same_unit(A.unit_product(hit[0]), want)
             assert hit[1] == tuple(x | y for x, y in zip(a, b))
+    for (a, g), (b, h) in product(product(product((0, 1), repeat=A.n),
+                                          range(A.group.order)), repeat=2):
+        want = literal_skew_mul(A, SkewElement.basis(A, a, g),
+                                SkewElement.basis(A, b, h))
+        hit = A.skew_mono(a, g, b)
+        if hit is None:
+            assert want.is_zero()
+            continue
+        (key, c), = want.terms.items()
+        assert key == (hit[1], A.group.mult[g][h])
+        _same_unit(A.unit_product(hit[0]), c)
 
 
 def literal_skew_mul(A, s, t):

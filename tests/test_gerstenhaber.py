@@ -1,17 +1,19 @@
 import hashlib
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import qhoch.gerstenhaber
-from conftest import random_scalar
+from conftest import random_scalar, s3_algebra
 from qhoch import (Cochain, bracket, bracket_oracle, build_algebra, circ,
                    circ_oracle, cup, cup_oracle, formal_algebra,
                    g_action_on_cochain, hom_differential, invariant_basis,
                    is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, unit_cochain)
 from qhoch.algebra import SkewElement
+from qhoch.cli import load_config
 from qhoch.gerstenhaber import (PairProducts, axiom_suite, bracket_table,
                                 product_check)
 from qhoch.resolution import (compositions, diagonal, full_basis,
@@ -124,19 +126,34 @@ def random_cochain(A, m, rng):
     return out
 
 
-@pytest.mark.parametrize("fixture, maker", [
-    ("A3", lambda: formal_algebra(3)),
-    ("Ad3", lambda: quantum_coefficient_action_algebra(3)),
-], ids=["A3", "Ad3"])
-def test_tabled_oracles_equal_literal_walk(fixture, maker, request):
+def rank_oracle_dense():
+    """n = 3 over Q(zeta_60), C6 acting, q13 formal: the algebra of
+    `perfbench/configs/rank-oracle-dense.json`, read through the CLI."""
+    path = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+            / "rank-oracle-dense.json")
+    return load_config(str(path))[0]
+
+
+@pytest.mark.parametrize("fixture, maker, degrees", [
+    ("A3", lambda: formal_algebra(3), 4),
+    ("Ad3", lambda: quantum_coefficient_action_algebra(3), 4),
+    ("S3", s3_algebra, 4),
+    (None, rank_oracle_dense, 3),
+], ids=["A3", "Ad3", "S3", "rank-oracle-dense"])
+def test_tabled_oracles_equal_literal_walk(fixture, maker, degrees,
+                                           request):
     """The oracles' tables in A.caches change no answer: on random
-    multi-term cochains they equal the literal walks, for degree pairs
-    interleaved on one warm algebra (each inner cochain is reused with
-    every outer degree) and on a fresh one."""
+    multi-term cochains of degree < degrees they equal the literal walks,
+    for degree pairs interleaved on one warm algebra (each inner cochain
+    is reused with every outer degree) and on a fresh one.  On the
+    nonabelian S3 the group parts of a product do not commute; the dense
+    algebra has sixth roots of unity as q entries and characters, and a
+    formal q13."""
     rng = random.Random(29)
-    for A in (request.getfixturevalue(fixture), maker()):
-        cochains = {m: random_cochain(A, m, rng) for m in range(4)}
-        pairs = [(m, l) for m in range(4) for l in range(4)]
+    warm = request.getfixturevalue(fixture) if fixture else maker()
+    for A in (warm, maker()):
+        cochains = {m: random_cochain(A, m, rng) for m in range(degrees)}
+        pairs = [(m, l) for m in range(degrees) for l in range(degrees)]
         rng.shuffle(pairs)
         nonzero = 0
         for m, l in pairs:
