@@ -58,8 +58,8 @@ MAX_DEGREE = 32
 # takes 22 s at 372,736 symbols, `basis --format json` 12 s and a 238 MB
 # peak at 372,736, `dims --verify` 45 s at 4096, `cup` 8.5 s at 1792 and
 # `bracket --format json` 13 s and a 204 MB peak at 1120.  The pair limit
-# admits every checked-in config, and `verify` takes 150 s at 54,880 pairs
-# where every symbol is a class.
+# admits every checked-in config, and `verify` takes 43 s and a 151 MB peak
+# at 54,880 pairs where every symbol is a class.
 MAX_SYMBOLS = {"dims": 400_000, "basis": 100_000, "dims --verify": 2500,
                "cup": 2000, "bracket": 1000}
 MAX_FLATNESS_COCHAINS = 5000

@@ -36,6 +36,9 @@ The rest build each unit as a `Unit` with `Algebra.unit_product`.
 `PairProducts`, the one product table of `bracket_table` and
 `axiom_suite`, holds cup products and brackets but no circle products: a
 bracket entry is `bracket` of its pair, or its reverse read by antisymmetry.
+A product of a product, [f, c_k] for a computed cochain f, is read by
+linearity in f from the brackets [e_t, c_k] of each basis symbol t with the
+listed c_k, which the table holds per (t, k).
 """
 
 from __future__ import annotations
@@ -370,6 +373,7 @@ class PairProducts:
         self.cochains = cochains
         self._cup = {}
         self._bracket = {}
+        self._basis_bracket = {}
 
     def cup(self, i, j):
         hit = self._cup.get((i, j))
@@ -387,6 +391,21 @@ class PairProducts:
                 bracket(self.A, a, b) if rev is None
                 else _reversed(rev, b.degree, a.degree))
         return hit
+
+    def bracket_with(self, f, k):
+        """[f, c_k] = sum_t f_t [e_t, c_k] over the terms f_t e_t of f, for
+        the k-th listed cochain c_k; [e_t, c_k] is `bracket` of the basis
+        cochain e_t with c_k, held per (t, k)."""
+        ck = self.cochains[k]
+        out = {}
+        for t, coeff in f.terms.items():
+            br = self._basis_bracket.get((t, k))
+            if br is None:
+                br = self._basis_bracket[(t, k)] = bracket(
+                    self.A, Cochain.basis(self.A, *t), ck)
+            for key, c in br.terms.items():
+                accumulate(out, key, coeff * c)
+        return Cochain(self.A, f.degree + ck.degree - 1, out)
 
 
 def bracket_table(A, classes):
@@ -409,10 +428,14 @@ def axiom_suite(A, max_degree):
     Jacobi check reaches pairs of total degree max_degree + 2 when the third
     class has degree 0.  The table reads a reversed bracket by graded
     antisymmetry, so the antisymmetry check pins the sign rule of
-    `_reversed`, not a second computation.  Products involving a computed
-    product (the outer brackets of Jacobi, the products in the derivation
-    rule) are formed afresh.  `is_coboundary` builds its image of the
-    differential once per degree (see there)."""
+    `_reversed`, not a second computation.  The brackets of a computed
+    product with a class (the outer brackets [[x, y], z] of Jacobi and the
+    left side [b ^ c, a] of the derivation rule) come from
+    `PairProducts.bracket_with`, by linearity in the product from one
+    bracket per (basis symbol, class) held in the same table; they are the
+    same cochains as `bracket` of the product with the class.  The cups on
+    the derivation rule's right side are formed afresh.  `is_coboundary`
+    builds its image of the differential once per degree (see there)."""
     from .cohomology import is_coboundary
     failures = []
     classes = collect_classes(A, range(max_degree + 1))
@@ -480,7 +503,7 @@ def axiom_suite(A, max_degree):
             for c in idx:
                 if deg[a] + deg[b] + deg[c] - 1 > max_degree:
                     continue
-                lhs = bracket(A, products.cup(b, c), cochains[a])
+                lhs = products.bracket_with(products.cup(b, c), a)
                 rhs = cup(A, products.bracket(b, a), cochains[c])
                 second = cup(A, cochains[b], products.bracket(c, a))
                 if (deg[b] * (deg[a] - 1)) % 2:
@@ -501,7 +524,7 @@ def _jacobiator(A, products, a, b, c):
         inner = products.bracket(x, y)
         if inner.is_zero():
             continue
-        term = bracket(A, inner, products.cochains[z])
+        term = products.bracket_with(inner, z)
         if ((products.cochains[x].degree - 1)
                 * (products.cochains[z].degree - 1)) % 2:
             term = -term

@@ -490,6 +490,11 @@ class Scalar:
                 and self.terms == other.terms)
 
     def __hash__(self):
+        # a monomial, the common case, hashes its one term; equal scalars
+        # have equal term maps, so they take the same branch
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return hash((e, c.nums, c.den))
         return hash(frozenset((e, c.nums, c.den)
                               for e, c in self.terms.items()))
 

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from qhoch import (build_algebra, formal_algebra,
                    quantum_coefficient_action_algebra)
+from qhoch.cli import load_config
 
 
 # Names of the session algebra fixtures below, for tests that run on each.
@@ -56,6 +57,15 @@ def A_comm():
 def A_ext():
     """q = 1: the exterior-algebra case, trivial group."""
     return build_algebra(2, N=1, q_spec={(0, 1): ("rational", 1)})
+
+
+@pytest.fixture(scope="session")
+def readme():
+    """The README's example config, `perfbench/configs/bracket-table.json`,
+    read through the CLI: q = zeta_3, C3 acting by the two cube roots."""
+    path = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+            / "bracket-table.json")
+    return load_config(str(path))[0]
 
 
 # S3 as permutations of (0, 1, 2), the identity first, and its

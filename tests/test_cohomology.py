@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 import pytest
 
@@ -11,7 +10,6 @@ from qhoch import (Cochain, average, build_algebra, class_equal,
                    hom_differential, invariant_basis, invariant_dims, is_flat,
                    invariant_rank_oracle, is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, rank_oracle)
-from qhoch.cli import load_config
 from qhoch.cohomology import full_basis
 from qhoch.linalg import RowReducer, in_span
 from qhoch.resolution import compositions
@@ -176,15 +174,6 @@ def test_invariant_class_units_carry_root_tags(name, request):
                     assert isinstance(v, Unit) and c.root is not None
                     tagged += 1
     assert tagged
-
-
-@pytest.fixture(scope="module")
-def readme():
-    """The README's example config, `perfbench/configs/bracket-table.json`,
-    read through the CLI."""
-    path = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
-            / "bracket-table.json")
-    return load_config(str(path))[0]
 
 
 @pytest.mark.parametrize("name", ["S3", "Ad3", "A2_Z3", "readme"])

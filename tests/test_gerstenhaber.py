@@ -7,8 +7,8 @@ import pytest
 
 import qhoch.gerstenhaber
 from conftest import random_scalar, s3_algebra
-from qhoch import (Cochain, bracket, bracket_oracle, build_algebra, circ,
-                   circ_oracle, cup, cup_oracle, formal_algebra,
+from qhoch import (Cochain, Unit, bracket, bracket_oracle, build_algebra,
+                   circ, circ_oracle, cup, cup_oracle, formal_algebra,
                    g_action_on_cochain, hom_differential, invariant_basis,
                    is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, unit_cochain)
@@ -466,9 +466,16 @@ def test_bracket_descends_to_cohomology(Ad3):
         assert is_cocycle(Ad3, diff) and is_coboundary(Ad3, diff)
 
 
-def test_axiom_suite_small(A2, Ad3):
+def test_axiom_suite_small(A2, Ad3, S3):
+    """The suite passes on A2, Ad3 and the nonabelian S3, whose classes are
+    orbit sums with several terms: there a product f of classes has more
+    than one term, and `bracket_with` forms [f, c] from several basis
+    brackets."""
     assert axiom_suite(A2, 2) == []
     assert axiom_suite(Ad3, 3) == []
+    assert any(len(c.terms) > 1 for m in range(3)
+               for c in invariant_basis(S3, m).classes)
+    assert axiom_suite(S3, 2) == []
 
 
 def test_bracket_table_entries_equal_bracket(A2_Z3):
@@ -505,6 +512,63 @@ def test_pair_products_read_column_major(name, request, monkeypatch):
             assert products.bracket(i, j) == real(A, cochains[i],
                                                   cochains[j])
     assert len(calls) == k * (k + 1) // 2
+
+
+def mixed_cochain(A, m, rng):
+    """`random_cochain` with every other coefficient replaced by a unit
+    sign * zeta^k * t^e, so the terms carry unit coefficients, non-unit
+    ones and, where the algebra has formal parameters, Laurent ones."""
+    terms = {}
+    for i, (key, c) in enumerate(random_cochain(A, m, rng).terms.items()):
+        if i % 2:
+            c = A.uni.unit(sign=rng.choice((1, -1)),
+                           zeta=rng.randrange(A.uni.field.N),
+                           exps=[rng.randint(-2, 2)
+                                 for _ in range(A.uni.nparams)])
+        terms[key] = c
+    return Cochain(A, m, terms)
+
+
+@pytest.mark.parametrize("name", ["S3", "Ad3", "A2", "readme"])
+def test_pair_products_bracket_with_is_bilinear(name, request, monkeypatch):
+    """`PairProducts.bracket_with(f, k)` equals `bracket` of f with the
+    k-th class on random multi-term cochains f, with unit, non-unit and
+    (on the formal A2) Laurent coefficients, and on zero cochains, read
+    twice over.  It calls `bracket` once per (basis symbol of f, class)
+    and never for a zero f, which gets the zero cochain of degree
+    |f| + |c_k| - 1."""
+    A = request.getfixturevalue(name)
+    rng = random.Random(43)
+    classes = [c for m in range(3) for c in invariant_basis(A, m).classes]
+    fs = [mixed_cochain(A, m, rng) for m in range(3) for _ in range(2)]
+    coeffs = [c for f in fs for c in f.terms.values()]
+    assert any(type(c) is Unit for c in coeffs)
+    assert any(c.as_unit() is None for c in coeffs)
+    if A.uni.nparams:
+        assert any(min(e) < 0 for c in coeffs for e in c.terms)
+    real = qhoch.gerstenhaber.bracket
+    calls = []
+
+    def counting(A, f1, f2):
+        (t,) = f1.terms
+        calls.append((t, next(k for k, c in enumerate(classes) if c is f2)))
+        return real(A, f1, f2)
+    monkeypatch.setattr(qhoch.gerstenhaber, "bracket", counting)
+    products = PairProducts(A, classes)
+    nonzero = 0
+    for _ in range(2):
+        for f in fs:
+            for k, ck in enumerate(classes):
+                got = products.bracket_with(f, k)
+                assert got == real(A, f, ck), (f, k)
+                nonzero += not got.is_zero()
+        for m in range(3):
+            for k, ck in enumerate(classes):
+                got = products.bracket_with(Cochain(A, m), k)
+                assert got.is_zero() and got.degree == m + ck.degree - 1
+    assert nonzero >= len(fs)
+    assert sorted(calls) == sorted({(t, k) for f in fs for t in f.terms
+                                    for k in range(len(classes))})
 
 
 def test_axiom_suite_reports_every_failure_of_a_broken_circ(monkeypatch):

@@ -219,6 +219,37 @@ def test_compatible_universes_compare_by_value():
     assert t.one != s.one
 
 
+def test_scalar_hash_one_term_and_term_order():
+    """A one-term scalar hashes its one term and a longer one the set of
+    its terms: a Unit and the equal plain Scalar, and multi-term scalars
+    built in different term orders, hash alike and find each other as
+    dict keys."""
+    uni = Universe(CycloField(6), ("t", "u"))
+    field = uni.field
+    rng = random.Random(17)
+    for sign, k, exps in ((1, 0, (0, 0)), (-1, 1, (2, -1)), (1, 5, (-3, 0))):
+        u = uni.unit(sign=sign, zeta=k, exps=exps)
+        plain = Scalar(uni, {exps: field.element(field.root(sign, k).coeffs)})
+        assert type(u) is Unit and type(plain) is Scalar
+        assert u == plain and hash(u) == hash(plain)
+        assert {u: "unit"}[plain] == "unit" and {plain: "plain"}[u] == "plain"
+    for size in (2, 3, 5):
+        terms = {}
+        while len(terms) < size:
+            c = random_cyclo(field, rng)
+            if not c.is_zero():
+                terms[(rng.randint(-3, 3), rng.randint(-3, 3))] = c
+        items = list(terms.items())
+        forward = uni.zero
+        for e, c in items:
+            forward = forward + uni.monomial(c, e)
+        backward = Scalar(uni, dict(reversed(items)))
+        assert list(forward.terms) != list(backward.terms)
+        assert forward == backward and hash(forward) == hash(backward)
+        assert {forward: size}[backward] == size
+        assert {backward: size}[forward] == size
+
+
 @given(num=st.integers(-40, 40), den=st.integers(1, 40),
        e1=st.integers(-5, 5), e2=st.integers(-5, 5))
 @settings(max_examples=200, deadline=None)
