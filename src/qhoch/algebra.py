@@ -42,13 +42,13 @@ class Group:
     (`_generators`): associativity by Light's test (`_associative`, order^2
     per generator), then chi_{gh} = chi_g chi_h (order per generator and
     column), which holds for all h once it holds for generators, the
-    table being associative and chi_0 = 1.  ``check_products=False`` skips
-    both, for a group whose law and characters hold by construction.
+    table being associative and chi_0 = 1.  Every group is checked this
+    way; a cyclic table has one generator.
     """
 
     __slots__ = ("order", "mult", "inverse", "chi")
 
-    def __init__(self, mult, chi, check_products=True):
+    def __init__(self, mult, chi):
         self.mult = tuple(tuple(row) for row in mult)
         self.order = len(self.mult)
         self.chi = tuple(tuple(row) for row in chi)
@@ -58,9 +58,9 @@ class Group:
                 if self.mult[g][h] == 0:
                     inv[g] = h
         self.inverse = tuple(inv)
-        self._validate(check_products)
+        self._validate()
 
-    def _validate(self, check_products):
+    def _validate(self):
         n = self.order
         rng = range(n)
         for g in rng:
@@ -68,7 +68,7 @@ class Group:
                 raise TableError("element 0 is not an identity")
             if self.inverse[g] is None:
                 raise TableError(f"element {g} has no inverse")
-        gens = _generators(self.mult) if check_products else ()
+        gens = _generators(self.mult)
         if not _associative(self.mult, gens):
             raise TableError("multiplication table is not associative")
         ngen = len(self.chi[0]) if self.chi else 0
@@ -151,9 +151,9 @@ def make_cyclic_group(uni, n, order, chi_gen):
             raise ValueError("character order does not divide the group order")
     mult = [[(a + b) % order for b in range(order)] for a in range(order)]
     chi = [tuple(u ** a for u in chi_gen) for a in range(order)]
-    # addition modulo order is associative, and chi = u^a is a
-    # homomorphism because u^order = 1
-    return Group(mult, chi, check_products=False)
+    # Group checks this table like any other, on its one generator 1; the
+    # checks above come first because their messages name the cause
+    return Group(mult, chi)
 
 
 _ONE_EXPONENTS = (0, 0, ())

@@ -33,6 +33,15 @@ unit of each splitting sum, reads the others off it as a geometric run
 (`_run_step`) and adds them all as integer counts (`Universe.unit_sum`).
 The rest build each unit as a `Unit` with `Algebra.unit_product`.
 
+The closed forms share with the oracles the algebra's characters, unit
+builders and exponent tables, and `circ` also its product `Algebra.mono_mul`,
+which reorders the outer value (the oracles reach it through `skew_mono`).
+`cup` keeps its own reordering formula, so `cup` against `cup_oracle`, and
+the bar check, are the independent checks of `mono_mul`.  What belongs to
+the circle product alone (which splitting survives, the diagonal and
+contraction coefficients, the Koszul sign and the run) is a closed form
+checked against `circ_oracle`'s literal walk.
+
 `PairProducts`, the one product table of `bracket_table` and
 `axiom_suite`, holds cup products and brackets but no circle products: a
 bracket entry is `bracket` of its pair, or its reverse read by antisymmetry.
@@ -209,16 +218,22 @@ def _run_step(A, alpha, beta, g, r):
 
 
 def circ(A, outer, inner):
-    """Closed-form circle product: one flat coefficient per surviving
-    splitting.  The splitting sum is univariate once the vanishing guards
-    are imposed (the right index is zero below the active slot r and the
-    left one matches the inner index above it), and every splitting of one
-    (outer term, inner term, r) lands on the same symbol.  Its units form a
-    geometric run: the factor list is built once, at p = beta_r, and the
-    unit of splitting p is that unit times v^{p - beta_r} for the step v of
-    `_run_step`, which depends on the inner term and r alone.  The run's
-    keys are added up as integers from its first key and summed once by
-    `Universe.unit_sum`."""
+    """Closed-form circle product, one coefficient per (outer term
+    (gamma, kappa, h), inner term (alpha, beta, g), slot r with alpha_r = 1),
+    stated in these inputs.
+
+    Only the splittings of e_rho, rho = kappa + beta - e_r, that leave
+    e_beta as the middle leg survive; as rho - beta = kappa - e_r, there are
+    kappa_r of them, all on one symbol.  At the first, p = beta_r, the left
+    remainder nu is kappa below r and the right leg rho2 is (kappa_r - 1)
+    e_r plus kappa above r.  Its unit collects the diagonal coefficients of
+    both stages, the contraction's factors at slot r, the Koszul sign
+    (-1)^{|nu| (l + 1)} and the character of g on e_{rho2}; the outer value
+    x^gamma (x) h is reordered between the contraction's monomials `above`
+    and `below` (alpha above and below r) by `Algebra.mono_mul`, and h acts
+    on `below`.  The unit of splitting p is the first times v^{p - beta_r}
+    for the step v of `_run_step`; the run's keys are added up as integers
+    and summed once by `Universe.unit_sum`."""
     m, l = outer.degree, inner.degree
     if m + l - 1 < 0:
         return Cochain(A, 0)
@@ -227,85 +242,58 @@ def circ(A, outer, inner):
     N = A.uni.field.N
     q_exp, nq_exp = A.q_exp, A.nq_exp
     for (gamma, kappa, h), c_out in outer.terms.items():
-        chi_outer = A.chi_exp[h]
         for (alpha, beta, g), c_in in inner.terms.items():
             base = c_out * c_in
             for r in range(n):
-                if alpha[r] != 1:
+                if not (alpha[r] and kappa[r]):
                     continue
-                mono = list(add_index(alpha, gamma))
-                mono[r] -= 1
-                if any(x > 1 for x in mono):
+                above = (0,) * (r + 1) + alpha[r + 1:]
+                below = alpha[:r] + (0,) * (n - r)
+                left = A.mono_mul(above, gamma)
+                if left is None:
                     continue
-                mono = tuple(mono)
-                rho = list(add_index(kappa, beta))
-                rho[r] -= 1
-                if any(x < 0 for x in rho):
+                factors, mid = left
+                right = A.mono_mul(mid, below)
+                if right is None:
                     continue
-                rho = tuple(rho)
-                if any(rho[s] < beta[s] for s in range(n)):
-                    continue
-                # the first splitting of the run, p = beta_r
-                rho1 = rho[:r] + beta[r:]
-                rho2 = sub_index(rho, rho1)
-                nu = sub_index(rho1, beta)
-                factors = []
+                more, mono = right
+                # rho - beta = kappa - e_r, split at r into nu and rho2
+                excess = kappa[:r] + (kappa[r] - 1,) + kappa[r + 1:]
+                nu = excess[:r] + (0,) * (n - r)
+                rho2 = (0,) * r + excess[r:]
+                factors += (more + A.chi_factors(h, below)
+                            + A.chi_factors(g, rho2))
                 # diagonal coefficients (both stages)
                 for k in range(n):
                     for t in range(k + 1, n):
-                        e = rho2[k] * rho1[t] + beta[k] * nu[t]
+                        e = rho2[k] * beta[t] + beta[k] * nu[t]
                         if e:
                             factors.append((q_exp[k][t], e))
                 # contraction coefficients at the active slot
-                for s in range(r + 1, n):
-                    if alpha[s]:
-                        factors.append((nq_exp[r][s], nu[r] + 1))
+                factors += [(nq_exp[r][s], 1) for s in range(r + 1, n)
+                            if alpha[s]]
+                factors += [(nq_exp[s][r], kappa[r]) for s in range(r)
+                            if alpha[s]]
                 for s in range(r):
-                    if alpha[s]:
-                        factors.append((nq_exp[s][r], rho2[r] + 1))
-                for t in range(r):
                     for s2 in range(r + 1, n):
-                        e = alpha[t] * (alpha[s2] + rho2[s2]) \
-                            + alpha[s2] * nu[t]
+                        e = alpha[s] * (alpha[s2] + kappa[s2]) \
+                            + alpha[s2] * kappa[s]
                         if e:
-                            factors.append((nq_exp[t][s2], e))
-                # outer characters on the generators moved past it
-                for s in range(r):
-                    if alpha[s]:
-                        factors.append((chi_outer[s], 1))
-                # reordering the three generator blocks into normal form
-                for s in range(r):
-                    if alpha[s]:
-                        for v in range(s + 1, n):
-                            if gamma[v]:
-                                factors.append((nq_exp[s][v], -1))
-                for v in range(r):
-                    if gamma[v] + alpha[v]:
-                        for s in range(r + 1, n):
-                            if alpha[s]:
-                                factors.append(
-                                    (nq_exp[v][s], -(gamma[v] + alpha[v])))
-                for s in range(r + 1, n):
-                    if alpha[s]:
-                        for v in range(r, s):
-                            if gamma[v]:
-                                factors.append((nq_exp[v][s], -1))
-                # the inner group element passes the right-hand
-                # generator leg e_{rho2}
-                factors += A.chi_factors(g, rho2)
+                            factors.append((nq_exp[s][s2], e))
                 key = A.unit_key(factors, sum(nu) * (l + 1))
                 counts = {key: 1}
-                if rho[r] > beta[r]:
+                if kappa[r] > 1:
                     exps, sign, k = key
                     step_exps, step_sign, step_k = _run_step(A, alpha, beta,
                                                              g, r)
-                    for _ in range(rho[r] - beta[r]):
+                    for _ in range(kappa[r] - 1):
                         exps = tuple(map(add, exps, step_exps))
                         sign *= step_sign
                         k = (k + step_k) % N
                         key = (exps, sign, k)
                         counts[key] = counts.get(key, 0) + 1
-                accumulate(out, (mono, rho, A.group.mult[h][g]),
+                accumulate(out, (mono, add_index(beta, excess),
+                                 A.group.mult[h][g]),
                            base * A.uni.unit_sum(counts))
     return Cochain(A, m + l - 1, out)
 

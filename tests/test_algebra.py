@@ -268,8 +268,9 @@ def test_homomorphism_check_on_every_character_column(N, mult):
 @pytest.mark.parametrize("N, order", [(1, 1), (2, 2), (4, 4), (6, 3),
                                       (12, 12)])
 def test_cyclic_group_passes_every_table_check(N, order):
-    """`make_cyclic_group` skips the checks that walk the products g h; its
-    table and characters pass them when given to a table group."""
+    """`make_cyclic_group` builds a table and characters that pass every
+    table-group check, in its own `Group` and when given to a table group
+    again."""
     uni = build_algebra(2, N=N, q_spec={(0, 1): ("formal", "q")}).uni
     for sign, k in product((1, -1) if order % 2 == 0 else (1,),
                            range(0, N, N // order)):

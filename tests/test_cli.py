@@ -358,9 +358,9 @@ def test_table_group_is_validated_once(monkeypatch):
     validated = []
     validate = Group._validate
 
-    def counting(self, check_products):
+    def counting(self):
         validated.append(self.order)
-        validate(self, check_products)
+        validate(self)
     monkeypatch.setattr(Group, "_validate", counting)
     parse_config({**CFG_FORMAL, "group": _cyclic_table(4)})
     assert validated == [4]

@@ -1,7 +1,9 @@
 """Every number the CLI prints stays as it is: the exit code, the sha256 of
 stdout and the whole of stderr of each command on each benchmark config,
-in both output formats, at degree 3, and of the text bracket table and
-the JSON cup table of the README config (bracket-table) at degree 10.
+in both output formats, at degree 3, of the text bracket table and
+the JSON cup table of the README config (bracket-table) at degree 10, and
+of the bracket table of a nonabelian group, S3 by the sign character
+(`s3.json`), in both formats at degree 3.
 The JSON bracket table at degree 10 is pinned by the benchmark's golden
 file.
 
@@ -51,16 +53,17 @@ def run_once(config, command, fmt, degree=DEGREE):
 
 
 README_CONFIG = ROOT / "perfbench" / "configs" / "bracket-table.json"
+S3_CONFIG = Path(__file__).resolve().parent / "s3.json"
 GRID = [(config, command, fmt, DEGREE) for config in CONFIGS
         for command in COMMANDS for fmt in FORMATS] + [
     (README_CONFIG, ["bracket"], "text", "10"),
     (README_CONFIG, ["cup"], "json", "10"),
-]
+] + [(S3_CONFIG, ["bracket"], fmt, DEGREE) for fmt in FORMATS]
 
 
 def test_grid_covers_every_pinned_run():
     pinned = json.loads(DIGESTS.read_text())
-    assert len(GRID) == 50
+    assert len(GRID) == 52
     assert sorted(pinned) == sorted(run_key(*run) for run in GRID)
 
 

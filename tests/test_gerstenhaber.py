@@ -12,7 +12,7 @@ from qhoch import (Cochain, Unit, bracket, bracket_oracle, build_algebra,
                    g_action_on_cochain, hom_differential, invariant_basis,
                    is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, unit_cochain)
-from qhoch.algebra import SkewElement
+from qhoch.algebra import Algebra, SkewElement
 from qhoch.cli import load_config
 from qhoch.gerstenhaber import (PairProducts, axiom_suite, bracket_table,
                                 product_check)
@@ -204,6 +204,8 @@ def test_cup_degree_addition(Ad3):
 
 @pytest.mark.parametrize("fixture,maxtot", [
     ("A2", 4), ("A2_Z3", 3), ("Ad3", 4), ("Ad4", 3), ("A_comm", 4), ("A_ext", 4),
+    # nonabelian: the group part of a product is mult[g][h], not mult[h][g]
+    ("S3", 3),
 ])
 def test_cup_equals_oracle(fixture, maxtot, request):
     A = request.getfixturevalue(fixture)
@@ -257,6 +259,8 @@ def test_circ_golden_list(A2_Z3):
 
 @pytest.mark.parametrize("fixture,maxtot", [
     ("A2", 4), ("A2_Z3", 3), ("Ad3", 4), ("Ad4", 3), ("A_comm", 4), ("A_ext", 4),
+    # nonabelian: the group part of a product is mult[h][g], not mult[g][h]
+    ("S3", 3),
 ])
 def test_circ_equals_oracle(fixture, maxtot, request):
     A = request.getfixturevalue(fixture)
@@ -363,6 +367,26 @@ def test_product_check_fails_on_a_broken_contraction(monkeypatch):
     monkeypatch.setattr(qhoch.gerstenhaber, "phi_generator", flipped)
     first = next(k for k in full_basis(A, 1) if k[1] == (1, 0))
     assert product_check(A, 2) == ("circle", first, ((1, 0), (0, 0), 0))
+
+
+def test_product_check_sees_a_broken_algebra_product(monkeypatch):
+    """`circ` and both oracles reorder monomials by `Algebra.mono_mul`,
+    while `cup` keeps its own formula, so a wrong algebra product still
+    fails product_check: with x2 * x1 = (-q12)^-2 x1 x2 in place of
+    (-q12)^-1 x1 x2, the cup of x2 with x1 in degree 0 is the witness."""
+    A = formal_algebra(2)
+    real_mono_mul = Algebra.mono_mul
+
+    def broken(self, a, b):
+        hit = real_mono_mul(self, a, b)
+        if (a, b) == ((0, 1), (1, 0)):
+            factors, mono = hit
+            hit = [(u, 2 * e) for u, e in factors], mono
+        return hit
+
+    monkeypatch.setattr(Algebra, "mono_mul", broken)
+    assert product_check(A, 2) == ("cup", ((0, 1), (0, 0), 0),
+                                   ((1, 0), (0, 0), 0))
 
 
 # ---------------------------------------------------------------------------
