@@ -42,7 +42,7 @@ class ConfigError(Exception):
 # N = 5040, but inverting an element with all 996 coordinates nonzero in
 # Q(zeta_997) takes 105 s; `dims --max-degree 1` with a cyclic group acting
 # trivially takes 0.37 s at group order 128 and 0.94 s at 256, and with
-# `--verify` 0.65 s at 128; `bracket --format json` on the README config
+# `--verify` 0.3 s at 128; `bracket --format json` on the README config
 # takes 6.3 s and writes 71 MB at degree 30, with a 118 MB peak.
 MAX_N = 12
 MAX_CYCLOTOMIC_ORDER = 1000

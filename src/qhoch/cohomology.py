@@ -13,9 +13,12 @@ one average per conjugation orbit; only the oracle eliminates averages.
 
 The Reynolds average `average` never forms a translate: the translates of
 a term are monomial units, which it counts per conjugate by their
-`Algebra.unit_key` and sums as integers with `Universe.unit_sum`.
-`g_action_on_cochain` forms a single translate term by term; the mean of
-its translates over the group is the average.
+`Algebra.unit_key` and sums as integers with `Universe.unit_sum`.  That
+walk over the group depends only on the term's group part g and on
+gamma = alpha - beta, so `_reynolds_walk` makes it once per (g, gamma) and
+every later term with the same pair reads it.  `g_action_on_cochain` forms
+a single translate term by term; the mean of its translates over the group
+is the average.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .algebra import cached
 from .linalg import RowReducer, accumulate
 from .resolution import (Cochain, add_index, full_basis, hom_differential,
                          homotopy, is_flat, sub_index)
-from .scalars import Frac, QQ
+from .scalars import Frac, QQ, Scalar
 
 
 def hh_component_basis(A, m, g):
@@ -72,33 +75,46 @@ def g_action_on_cochain(A, h, c):
         for (alpha, beta, g), coeff in c.terms.items()})
 
 
+@cached
+def _reynolds_walk(A, g, gamma):
+    """The mean over the group of the translates of a term with group part
+    g and alpha - beta = gamma, without its coefficient: the pairs
+    (h g h^{-1}, (1/|G|) sum of chi_h^gamma over the h with that conjugate)
+    whose sum is not zero.  The translates are monomial units, so they are
+    counted by their `Algebra.unit_key` and summed as integers by
+    `Universe.unit_sum`.  Cached per (g, gamma)."""
+    conjugate = A.group.conjugate
+    counts = {}
+    for h in range(A.group.order):
+        per = counts.setdefault(conjugate(h, g), {})
+        key = A.unit_key(A.chi_factors(h, gamma))
+        per[key] = per.get(key, 0) + 1
+    scale = QQ(1, A.group.order)
+    walk = []
+    for g2, per in counts.items():
+        v = A.uni.unit_sum(per) * scale
+        if not v.is_zero():
+            walk.append((g2, v.as_unit() or v))
+    return tuple(walk)
+
+
 def average(A, c):
     """Reynolds operator: the mean of the translates over the group.
 
     The translates of one term (alpha, beta, g) are monomial units
-    +-zeta^k * t^e on the symbols (alpha, beta, h g h^{-1}), so for each
-    conjugate the units are counted by their `Algebra.unit_key` and summed
-    as integers by `Universe.unit_sum`; the term's coefficient multiplies
-    that one sum.  A coefficient that comes back to a monomial unit is
-    returned as that `Unit`, so that products with it stay on the units'
-    fast path."""
-    conjugate = A.group.conjugate
-    elements = range(A.group.order)
+    +-zeta^k * t^e on the symbols (alpha, beta, h g h^{-1}); their mean per
+    conjugate depends only on g and gamma = alpha - beta, and
+    `_reynolds_walk` walks the group once per such pair.  The term's
+    coefficient, a Scalar or a Frac, multiplies that mean from the left.
+    A Scalar coefficient that comes back to a monomial unit is returned as
+    that `Unit`, so that products with it stay on the units' fast path."""
     out = {}
     for (alpha, beta, g), coeff in c.terms.items():
-        gamma = sub_index(alpha, beta)
-        counts = {}
-        for h in elements:
-            per = counts.setdefault(conjugate(h, g), {})
-            key = A.unit_key(A.chi_factors(h, gamma))
-            per[key] = per.get(key, 0) + 1
-        for g2, per in counts.items():
-            accumulate(out, (alpha, beta, g2), coeff * A.uni.unit_sum(per))
-    scale = QQ(1, A.group.order)
+        for g2, v in _reynolds_walk(A, g, sub_index(alpha, beta)):
+            accumulate(out, (alpha, beta, g2), coeff * v)
     terms = {}
     for key, v in out.items():
-        v = v * scale
-        terms[key] = v.as_unit() or v
+        terms[key] = (v.as_unit() or v) if isinstance(v, Scalar) else v
     return Cochain(A, c.degree, terms)
 
 

@@ -60,7 +60,10 @@ class SparseVector:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, -c)
+        return self._like(out)
 
     def scale(self, c):
         out = {}

@@ -76,19 +76,20 @@ def splittings(beta):
 # the coefficient functions of the induced differential
 # ---------------------------------------------------------------------------
 
-def slot_unit(A, g, gamma, l):
-    """(-1)^{gamma_l} prod_{k != l} (-q_{kl})^{gamma_k} compared against
-    chi_{g,l}; returns the left-hand unit."""
-    return A.unit_product([(A.nq_exp[k][l], gamma[k]) for k in range(A.n)
-                           if k != l and gamma[k]], gamma[l])
-
-
 def slot_condition_holds(A, g, gamma, l):
     """True when gamma_l = -1 or the quantum/character relation holds in
-    slot l (the membership condition for the flat subcomplexes)."""
+    slot l (the membership condition for the flat subcomplexes): the unit
+    (-1)^{gamma_l} prod_{k != l} (-q_{kl})^{gamma_k} equals chi_{g,l}.
+    The two are compared by their `Algebra.unit_key`s, on the field's
+    tagged roots, since at even N the keys (-1, k) and (1, k + N/2) name
+    one root."""
     if gamma[l] == -1:
         return True
-    return slot_unit(A, g, gamma, l) == A.chi(g, l)
+    exps, sign, k = A.unit_key([(A.nq_exp[j][l], gamma[j]) for j in range(A.n)
+                                if j != l and gamma[j]], gamma[l])
+    chi_exps, chi_sign, chi_k = A.unit_key([(A.chi_exp[g][l], 1)])
+    root = A.uni.field.root
+    return exps == chi_exps and root(sign, k) is root(chi_sign, chi_k)
 
 
 def is_flat(A, g, gamma):
@@ -178,6 +179,15 @@ class Cochain(SparseVector):
         if other.degree != self.degree:
             raise ValueError("cannot add cochains of different degrees")
         return SparseVector.__add__(self, other)
+
+    def __sub__(self, other):
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other
+        if other.degree != self.degree:
+            raise ValueError("cannot subtract cochains of different degrees")
+        return SparseVector.__sub__(self, other)
 
     def to_frac(self):
         return Cochain(self.alg, self.degree,

@@ -145,10 +145,15 @@ class CycloField:
 
     ``_roots[0][k]`` and ``_roots[1][k]`` are the tagged roots zeta^k and
     -zeta^k, k < N; at even N the second tuple is the first rotated by N/2.
-    ``_by_nums`` maps their coordinates back to them."""
+    ``_by_nums`` maps their coordinates back to them.  Two tables fill as
+    they are read: ``_shifts`` holds the rows of `shift_rows` per shift,
+    and ``_inverses`` the result (s, c) of `_inverse_mod` per primitive
+    coordinate tuple with a positive leading coordinate, which
+    `CycloElement.inv` shares between elements that differ only in content
+    or sign."""
 
     __slots__ = ("N", "degree", "modulus", "_roots", "_by_nums", "_shifts",
-                 "zero", "one", "zeta")
+                 "_inverses", "zero", "one", "zeta")
 
     def __init__(self, N):
         if N < 1:
@@ -176,6 +181,7 @@ class CycloField:
         self._roots = (tuple(plus), tuple(minus))
         self._by_nums = {r.nums: r for r in plus + minus}
         self._shifts = {}
+        self._inverses = {}
         self.zero = CycloElement(self, (0,) * d)
         self.one = self.root(1, 0)
         self.zeta = self.root(1, 1)
@@ -354,7 +360,8 @@ class CycloElement:
     def inv(self):
         """Multiplicative inverse: sign * zeta^-k for a root of unity, the
         reciprocal for a rational, else by the fraction-free extended
-        Euclidean algorithm `_inverse_mod` against the cyclotomic modulus."""
+        Euclidean algorithm `_inverse_mod` against the cyclotomic modulus,
+        run once per primitive coordinate tuple (`CycloField._inverses`)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
         f = self.field
@@ -365,13 +372,20 @@ class CycloElement:
         nums = list(self.nums)
         while not nums[-1]:
             nums.pop()
-        # self == content * x / den with x primitive, so its inverse is
-        # den * s / (content * c) where s * x == c modulo Phi_N
+        # self == content * x / den with x primitive and its leading
+        # coordinate positive, so its inverse is den * s / (content * c)
+        # where s * x == c modulo Phi_N
         content = gcd(*nums)
+        if nums[-1] < 0:
+            content = -content
         if len(nums) == 1:
-            s, c = [1], nums[0] // content
+            s, c = [1], 1
         else:
-            s, c = _inverse_mod([a // content for a in nums], f.modulus)
+            x = tuple([a // content for a in nums])
+            hit = f._inverses.get(x)
+            if hit is None:
+                hit = f._inverses[x] = _inverse_mod(x, f.modulus)
+            s, c = hit
         num, den = self.den, content * c
         if den < 0:
             num, den = -num, -den

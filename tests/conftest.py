@@ -68,6 +68,16 @@ def readme():
     return load_config(str(path))[0]
 
 
+@pytest.fixture(scope="session")
+def rank_oracle_dense():
+    """The benchmark config `perfbench/configs/rank-oracle-dense.json` read
+    through the CLI: N = 60, q13 formal, C6 acting by zeta^10, zeta^50 and
+    -1."""
+    path = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+            / "rank-oracle-dense.json")
+    return load_config(str(path))[0]
+
+
 # S3 as permutations of (0, 1, 2), the identity first, and its
 # multiplication table: S3_MULT[a][b] is the index of S3_PERMS[a] composed
 # after S3_PERMS[b].

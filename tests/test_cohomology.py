@@ -5,14 +5,14 @@ from itertools import product
 import pytest
 
 from conftest import S3_MULT, SESSION_ALGEBRAS, random_scalar
-from qhoch import (Cochain, average, build_algebra, class_equal,
+from qhoch import (Cochain, Frac, average, build_algebra, class_equal,
                    formal_algebra, g_action_on_cochain, hh_component_basis,
                    hom_differential, invariant_basis, invariant_dims, is_flat,
                    invariant_rank_oracle, is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, rank_oracle)
 from qhoch.cohomology import full_basis
 from qhoch.linalg import RowReducer, in_span
-from qhoch.resolution import compositions
+from qhoch.resolution import compositions, sub_index
 from qhoch.scalars import Unit
 
 
@@ -109,23 +109,41 @@ def test_average_is_the_mean_of_the_translates(name, request):
     """The counted unit sums of `average` equal the mean of the
     translates formed one by one, on random cochains whose terms share
     their (alpha, beta) across several group parts, so that on S3 the
-    translates of different terms land on one symbol."""
+    translates of different terms land on one symbol, and share their
+    (g, gamma = alpha - beta) across several (alpha, beta), so that they
+    read one walk of the group (`_reynolds_walk`, kept per (g, gamma)).
+    Every other cochain has Frac coefficients."""
     A = request.getfixturevalue(name)
     order = A.group.order
     rng = random.Random(15)
-    for _ in range(40):
+    seen = set()
+    partners = 0
+    for trial in range(40):
         m = rng.randrange(4)
         c = Cochain(A, m)
         pairs = sorted({(a, b) for a, b, _ in all_keys(A, m)})
+        by_gamma = {}
+        for a, b in pairs:
+            by_gamma.setdefault(sub_index(a, b), []).append((a, b))
         for alpha, beta in rng.sample(pairs, min(2, len(pairs))):
+            partner = rng.choice(by_gamma[sub_index(alpha, beta)])
+            partners += partner != (alpha, beta)
             for g in rng.sample(range(order), rng.randint(1, 3)):
-                coeff = random_scalar(A.uni, rng)
-                if not coeff.is_zero():
-                    c = c + Cochain.basis(A, alpha, beta, g, coeff)
+                for a, b in dict.fromkeys([(alpha, beta), partner]):
+                    coeff = random_scalar(A.uni, rng)
+                    if not coeff.is_zero():
+                        c = c + Cochain.basis(A, a, b, g, coeff)
+        if trial % 2:
+            den = A.uni.from_rational(rng.randint(2, 9)) + A.uni.unit(zeta=1)
+            c = Cochain(A, m, {k: Frac(v, den) for k, v in c.terms.items()})
         mean = Cochain(A, m)
         for h in range(order):
             mean = mean + g_action_on_cochain(A, h, c)
         assert average(A, c) == mean.scale(Fraction(1, order))
+        seen |= {(g, sub_index(a, b)) for a, b, g in c.terms}
+    assert partners
+    walks = {key[1:] for key in A.caches if key[0] == "_reynolds_walk"}
+    assert seen <= walks
 
 
 def test_invariant_basis_fixed_pointwise(Ad3, A2_Z3):

@@ -1,8 +1,13 @@
 """The sparse-vector arithmetic shared by the four formal-sum classes."""
 
+import random
+from itertools import product
+
 import pytest
 
+from conftest import random_scalar
 from qhoch import Cochain, SkewElement, Tensor, Tensor2
+from qhoch.resolution import compositions
 
 CLASSES = (Cochain, SkewElement, Tensor, Tensor2)
 
@@ -68,3 +73,40 @@ def test_cochain_zero_and_degree_rules(A2):
         d - c
     with pytest.raises(ValueError):
         Cochain(A2, 2, {((0, 0), (1, 0), 0): A2.one()})
+
+
+@pytest.mark.parametrize("name", ["A2", "Ad3"])
+def test_cochain_subtraction_adds_the_negation(name, request):
+    """a - b == a + (-b) on random cochains (Laurent coefficients, keys
+    shared between a and b so that terms cancel), with a zero cochain of
+    another degree on either side, and with the same ValueError as + when
+    two nonzero cochains differ in degree."""
+    A = request.getfixturevalue(name)
+    rng = random.Random(21)
+
+    def draw(m):
+        keys = [(a, b, g) for b in compositions(A.n, m)
+                for a in product((0, 1), repeat=A.n)
+                for g in range(A.group.order)]
+        return Cochain(A, m, {k: random_scalar(A.uni, rng)
+                              for k in rng.sample(keys, min(4, len(keys)))})
+
+    for _ in range(60):
+        m = rng.randrange(4)
+        a, b = draw(m), draw(m)
+        for k in rng.sample(sorted(b.terms), len(b.terms) // 2):
+            a.terms[k] = b.terms[k]  # equal coefficients cancel in a - b
+        assert a - b == a + (-b)
+        assert (a - b).degree == m
+        assert not any(v.is_zero() for v in (a - b).terms.values())
+        other = Cochain(A, m + 1 + rng.randrange(3))
+        for x, y in ((a, other), (other, b), (other, other)):
+            assert x - y == x + (-y)
+            assert (x - y).degree == (x + (-y)).degree
+        c = draw(m + 1)
+        if not (a.is_zero() or c.is_zero()):
+            for x, y in ((a, c), (c, a)):
+                with pytest.raises(ValueError):
+                    x + (-y)
+                with pytest.raises(ValueError):
+                    x - y

@@ -227,15 +227,17 @@ def slot_product(A, parity, gamma, l):
     return u
 
 
-@pytest.mark.parametrize("fixture",
-                         ["A2", "A3", "A2_Z3", "Ad3", "Ad4", "A_comm", "A_ext"])
+@pytest.mark.parametrize("fixture", ["A2", "A3", "A2_Z3", "Ad3", "Ad4",
+                                     "A_comm", "A_ext", "rank_oracle_dense"])
 def test_omega_small_and_norm_follow_the_slot_condition(fixture, request):
     """With gamma = beta - alpha: norm_g counts the slots l with
-    gamma_l != -1 and slot_product(gamma_l) != chi_{g,l}, and omega_small
-    vanishes exactly when alpha_l = 0, beta_l = 0 or
-    slot_product(beta_l) == -chi_{g,l}, the slot unit rebuilt with the
-    parity of beta_l.  Both equal slot_condition_holds, which the library
-    now uses for each."""
+    gamma_l != -1 and slot_product(gamma_l) != chi_{g,l}, is_flat holds
+    when there is none, and omega_small vanishes exactly when alpha_l = 0,
+    beta_l = 0 or slot_product(beta_l) == -chi_{g,l}, the slot unit
+    rebuilt with the parity of beta_l.  All follow slot_condition_holds,
+    which compares unit keys on the field's tagged roots; Ad4 and
+    rank_oracle_dense have even N, where -zeta^k and zeta^(k + N/2) are
+    one root."""
     A = request.getfixturevalue(fixture)
     for g in range(A.group.order):
         for m in range(6):
@@ -246,6 +248,7 @@ def test_omega_small_and_norm_follow_the_slot_condition(fixture, request):
                                slot_product(A, gamma[l], gamma, l)
                                != A.chi(g, l)]
                     assert norm_g(A, g, gamma) == len(failing), (g, gamma)
+                    assert is_flat(A, g, gamma) == (not failing), (g, gamma)
                     for l in range(A.n):
                         vanishes = (alpha[l] == 0 or beta[l] == 0
                                     or slot_product(A, beta[l], gamma, l)

@@ -2,9 +2,12 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+import qhoch.scalars
 
 from conftest import random_cyclo, random_scalar
 from qhoch import (CycloField, Frac, Scalar, Unit, Universe, build_algebra,
@@ -466,3 +469,39 @@ def test_cyclo_kernel_matches_fraction_reference(N, data):
         one = (Fraction(1),) + (Fraction(0),) * (d - 1)
         assert _reference_mul(ra, inv.coeffs, modulus) == one
         assert a * inv == field.one and hash(a * inv) == hash(field.one)
+
+
+@given(N=st.sampled_from((5, 12, 60)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_cyclo_inverse_runs_euclid_once_per_primitive_value(N, data):
+    """x * x.inv() == 1, and x, 3x and -x/2, which differ only in content
+    and sign, cost at most one run of `_inverse_mod` between them: none
+    when each is a rational or a root of unity (3 zeta^k is neither, but
+    shares its run with -zeta^k / 2)."""
+    field = CycloField(N)
+    d = field.degree
+    if data.draw(st.integers(0, 4)) == 0:
+        x = field.root(data.draw(st.sampled_from((1, -1))),
+                       data.draw(st.integers(0, N - 1)))
+    else:
+        coord = st.one_of(st.just(0), st.integers(-30, 30))
+        den = data.draw(st.integers(1, 12))
+        x = field.element([Fraction(a, den) for a in data.draw(
+            st.lists(coord, min_size=d, max_size=d))])
+    assume(not x.is_zero())
+    family = (x, x * 3, x.scale(Fraction(-1, 2)))
+    runs = []
+    real = qhoch.scalars._inverse_mod
+
+    def spy(*args):
+        runs.append(args)
+        return real(*args)
+
+    with patch.object(qhoch.scalars, "_inverse_mod", spy):
+        for y in family:
+            inv = y.inv()
+            _canonical(inv)
+            assert y * inv == field.one
+    euclid = any(field.as_root(y) is None and any(y.nums[1:])
+                 for y in family)
+    assert len(runs) == euclid
