@@ -4,8 +4,9 @@ exterior algebras twisted by finite diagonal group actions."""
 from .algebra import (Algebra, Group, SkewElement, build_algebra,
                       formal_algebra, group_act, make_cyclic_group,
                       quantum_coefficient_action_algebra, trivial_group)
-from .cohomology import (CohomologyBasis, class_equal, g_action_on_cochain,
-                         hh_component_basis, invariant_basis, invariant_dims,
+from .cohomology import (CohomologyBasis, class_equal, coboundary_oracle,
+                         g_action_on_cochain, hh_component_basis,
+                         invariant_basis, invariant_dims,
                          invariant_rank_oracle, is_coboundary, is_cocycle,
                          rank_oracle, average)
 from .gerstenhaber import (axiom_suite, bracket, bracket_oracle, circ,

@@ -1,15 +1,18 @@
 """The closed-form cohomology basis, the group action on cochains with its
 averaging operator, the independent rank oracle, and equality in
-cohomology.
+cohomology with its elimination oracle.
 
 The differential vanishes exactly on the subcomplexes K_{g,gamma} whose
-gamma = beta - alpha lies in the flat set C_g (`resolution.is_flat`);
-those basis symbols are the cocycle classes, and the cohomology of the full
-skew group algebra is the group-invariant part of their span.  Each
-intermediate has one producer: `full_basis` orders the symbols, `is_flat`
-selects the classes, and `_subcomplex` holds the differential images that
-both the rank oracle and `_image_reducer` read.  `invariant_basis` keeps
-one average per conjugation orbit; only the oracle eliminates averages.
+gamma = beta - alpha lies in the flat set C_g (`resolution.is_flat`), and
+every other subcomplex is acyclic; those basis symbols are the cocycle
+classes, and the cohomology of the full skew group algebra is the
+group-invariant part of their span.  The same theorem decides equality in
+cohomology: `is_coboundary` reads a cocycle's flat terms and eliminates
+nothing.  Each intermediate has one producer: `full_basis` orders the
+symbols, `is_flat` selects the classes, and `_subcomplex` holds the
+differential images that the rank oracle reads and that `_image_reducer`
+eliminates for `coboundary_oracle`.  `invariant_basis` keeps one average
+per conjugation orbit; only the rank oracle eliminates averages.
 
 The Reynolds average `average` never forms a translate: the translates of
 a term are monomial units, which it counts per conjugate by their
@@ -280,6 +283,26 @@ def is_cocycle(A, c):
     return hom_differential(A, c).is_zero()
 
 
+def is_coboundary(A, c):
+    """Membership of c in the image of the differential from one degree
+    below, read off the blocks K_{g,gamma}.
+
+    The differential maps each block to itself.  A flat block has zero
+    differential, so no coboundary has a flat term; a non-flat block is
+    acyclic by the contracting homotopy, so a cocycle with no flat term is
+    a coboundary.  `flatness_check` verifies both halves of this.  A
+    nonzero cochain of degree 0 with no flat term is not a cocycle, so it
+    needs no case of its own.  A zero cochain is answered before forming
+    its empty differential: most identities `axiom_suite` checks hold at
+    chain level, so most cochains it asks about are zero."""
+    if c.is_zero():
+        return True
+    for alpha, beta, g in c.terms:
+        if is_flat(A, g, sub_index(beta, alpha)):
+            return False
+    return is_cocycle(A, c)
+
+
 @cached
 def _image_reducer(A, m):
     """Echelon form of the image of the differential into degree m, over
@@ -293,9 +316,11 @@ def _image_reducer(A, m):
     return red
 
 
-def is_coboundary(A, c):
+def coboundary_oracle(A, c):
     """Exact membership of c in the image of the differential from one
-    degree below, over the quotient field of the coefficient ring.
+    degree below, by elimination over the quotient field of the coefficient
+    ring: the reference that `is_coboundary`'s block test is checked
+    against, as `flatness_check` checks the theorem that test rests on.
 
     The echelon form of that image depends only on the algebra and the
     degree, and membership tests leave it unchanged, so `_image_reducer`

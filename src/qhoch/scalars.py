@@ -513,7 +513,10 @@ class Scalar:
                               for e, c in self.terms.items()))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar):
+            # a Frac, or any other operand, takes the sum from the right
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.uni.from_rational(other)
         self._check(other)
         out = dict(self.terms)
@@ -536,8 +539,9 @@ class Scalar:
                     return self.uni.zero
                 return Scalar(self.uni, {e: c.scale(other)
                                          for e, c in self.terms.items()})
-            if isinstance(other, CycloElement):
-                other = self.uni.from_cyclo(other)
+            if not isinstance(other, CycloElement):
+                return NotImplemented
+            other = self.uni.from_cyclo(other)
         self._check(other)
         if len(self.terms) == 1 and len(other.terms) == 1:
             # monomial times monomial, the common case; two tagged roots

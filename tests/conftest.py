@@ -59,13 +59,18 @@ def A_ext():
     return build_algebra(2, N=1, q_spec={(0, 1): ("rational", 1)})
 
 
-@pytest.fixture(scope="session")
-def readme():
+def readme_algebra():
     """The README's example config, `perfbench/configs/bracket-table.json`,
     read through the CLI: q = zeta_3, C3 acting by the two cube roots."""
     path = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
             / "bracket-table.json")
     return load_config(str(path))[0]
+
+
+@pytest.fixture(scope="session")
+def readme():
+    """The session copy of `readme_algebra`."""
+    return readme_algebra()
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,15 @@ from itertools import product
 
 import pytest
 
-from conftest import S3_MULT, SESSION_ALGEBRAS, random_scalar
-from qhoch import (Cochain, Frac, average, build_algebra, class_equal,
+from conftest import (S3_MULT, SESSION_ALGEBRAS, random_scalar,
+                      readme_algebra)
+from qhoch import (Cochain, Frac, average, axiom_suite, bracket,
+                   build_algebra, class_equal, coboundary_oracle, cup,
                    formal_algebra, g_action_on_cochain, hh_component_basis,
                    hom_differential, invariant_basis, invariant_dims, is_flat,
                    invariant_rank_oracle, is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, rank_oracle)
-from qhoch.cohomology import full_basis
+from qhoch.cohomology import collect_classes, full_basis
 from qhoch.linalg import RowReducer, in_span
 from qhoch.resolution import compositions, sub_index
 from qhoch.scalars import Unit
@@ -322,6 +324,67 @@ def test_degree_zero_dim_is_center_dimension(Ad3):
 # equality in cohomology
 # ---------------------------------------------------------------------------
 
+def _coboundary_cases(A, top, rng):
+    """Cochains of degree <= top on which to decide coboundaries: zero and
+    the classes; the cups and brackets of classes; d(x) and d(x) + class for
+    seeded x; and non-cocycles, among them random cochains of every degree
+    and their parts with no flat term."""
+    classes = [c for _, c in collect_classes(A, range(top + 1))]
+    by_degree = {m: [c for c in classes if c.degree == m]
+                 for m in range(top + 1)}
+    cases = [Cochain(A, 0)] + classes
+    for a in classes:
+        for b in classes:
+            if a.degree + b.degree <= top:
+                cases.append(cup(A, a, b))
+            if 0 < a.degree + b.degree <= top + 1:
+                cases.append(bracket(A, a, b))
+    for m in range(top + 1):
+        for _ in range(3):
+            x = random_cochain(A, m, rng)
+            cases.append(x)
+            cases.append(Cochain(A, m, {
+                (alpha, beta, g): coeff
+                for (alpha, beta, g), coeff in x.terms.items()
+                if not is_flat(A, g, sub_index(beta, alpha))}))
+            if m < top:
+                dx = hom_differential(A, x)
+                cases.append(dx)
+                cases.extend(dx + c for c in by_degree[m + 1])
+    return cases
+
+
+@pytest.mark.parametrize("name", ["readme", "A2", "S3", "Aq2",
+                                  "rank_oracle_dense"])
+def test_is_coboundary_equals_coboundary_oracle(name, request):
+    """The block test equals exact elimination on every case of
+    `_coboundary_cases`.  The cases reach both answers, and both reasons a
+    cocycle test is needed: non-cocycles of degree 0 and of positive degree
+    with no flat term."""
+    A = (quantum_coefficient_action_algebra(2) if name == "Aq2"
+         else request.getfixturevalue(name))
+    answers = set()
+    hidden = set()
+    for c in _coboundary_cases(A, 4, random.Random(11)):
+        expected = coboundary_oracle(A, c)
+        assert is_coboundary(A, c) is expected, c
+        answers.add(expected)
+        if not is_cocycle(A, c) and not any(
+                is_flat(A, g, sub_index(beta, alpha))
+                for alpha, beta, g in c.terms):
+            hidden.add(c.degree == 0)
+    assert answers == {True, False}
+    assert hidden == {True, False}
+
+
+def test_axiom_suite_builds_no_image_of_the_differential():
+    """`axiom_suite` decides its identities by the block test alone: it
+    leaves no echelon of the oracle in A.caches."""
+    A = readme_algebra()
+    assert axiom_suite(A, 3) == []
+    assert not [key for key in A.caches if key[0] == "_image_reducer"]
+
+
 def test_class_equal_reflexive_and_shifted(A2):
     rng = random.Random(17)
     c = Cochain.basis(A2, (1, 1), (1, 1), 0)
@@ -377,9 +440,10 @@ def test_rank_oracle_seed_disagreement_reported():
 # work kept in A.caches
 # ---------------------------------------------------------------------------
 
-def test_is_coboundary_cached_image_interleaved_degrees():
-    """The image of the differential is kept per degree; interleaving the
-    degrees must not mix them up, and repeat calls answer the same."""
+def test_coboundary_oracle_cached_image_interleaved_degrees():
+    """The oracle's image of the differential is kept per degree;
+    interleaving the degrees must not mix them up, and repeat calls answer
+    the same."""
     A = quantum_coefficient_action_algebra(3)
 
     def boundary(m):
@@ -400,7 +464,7 @@ def test_is_coboundary_cached_image_interleaved_degrees():
     order = [cases[0], cases[3], cases[1], cases[2]]
     for _ in range(2):
         for c, expected in order:
-            assert is_coboundary(A, c) is expected
+            assert coboundary_oracle(A, c) is expected
             assert span_check(c) is expected
 
 

@@ -11,7 +11,7 @@ import qhoch.scalars
 
 from conftest import random_cyclo, random_scalar
 from qhoch import (CycloField, Frac, Scalar, Unit, Universe, build_algebra,
-                   cyclotomic_polynomial)
+                   cyclotomic_polynomial, formal_algebra)
 
 
 def test_cyclotomic_polynomial_small():
@@ -266,6 +266,26 @@ def test_frac_field_laws(num, den, e1, e2):
     assert (a + b) * b == a * b + b * b
     if not a.is_zero():
         assert a * a.inv() == Frac(uni.one)
+
+
+def test_scalar_with_frac_on_the_right():
+    """A Scalar or Unit on the left of +, - or * defers to the Frac on the
+    right, and gives what the same operation with the Frac on the left
+    gives."""
+    A = formal_algebra(2)
+    uni = A.uni
+    assert A.one() * Frac(A.one()) == Frac(A.one())
+    assert A.one() + Frac(A.one()) == Frac(uni.from_rational(2))
+    assert (A.one() - Frac(A.one())).is_zero()
+    rng = random.Random(5)
+    t = uni.param_unit(0)
+    for _ in range(40):
+        s = random_scalar(uni, rng)
+        f = Frac(random_scalar(uni, rng) + t, uni.one + t * t)
+        for left in (s, t):
+            assert isinstance(left * f, Frac) and left * f == f * left
+            assert isinstance(left + f, Frac) and left + f == f + left
+            assert isinstance(left - f, Frac) and left - f == -(f - left)
 
 
 def test_scalar_cancellation_stores_no_key():
