@@ -16,8 +16,12 @@ Every structure constant is a product of integer powers of the q_{ij}, the
 exponents (sign bit, zeta power, Laurent exponents) in the tables q_exp,
 nq_exp and chi_exp.  `Algebra.unit_key` sums the exponents of a product of
 them into the key (exps, sign, k) of the unit sign * zeta^k * t^exps, and
-`Algebra.unit_product` builds each unit coefficient once from that key
-instead of as a running product of units.
+`Algebra.unit_product` takes each unit coefficient from the universe's
+table of units at that key instead of forming a running product of units.
+The factor lists of the monomial product (`Algebra.mono_mul`) and of the
+characters on a monomial (`Algebra.chi_factors`) depend on a few small
+indices only; each is computed once per algebra, kept as a tuple in
+`A.caches`, and handed out as a fresh list.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from functools import wraps
 
 from .linalg import SparseVector, accumulate
-from .scalars import CycloField, Unit, Universe
+from .scalars import CycloField, Universe
 
 
 class TableError(ValueError):
@@ -156,16 +160,53 @@ def make_cyclic_group(uni, n, order, chi_gen):
     return Group(mult, chi)
 
 
+def cached(fn):
+    """Memoize fn(A, *args) per algebra: the result is kept in A.caches
+    under (fn.__name__,) + args, computed on a miss only and stored whole.
+    The arguments after A are hashable (multi-indices as tuples), and no
+    cached result is None, so a falsy result such as {} or 0 is kept too."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def memo(A, *args):
+        key = (name,) + args
+        hit = A.caches.get(key)
+        if hit is None:
+            hit = A.caches[key] = fn(A, *args)
+        return hit
+    return memo
+
+
 _ONE_EXPONENTS = (0, 0, ())
 
 
 def _unit_exponents(u):
     """(sign bit, zeta power, nonzero (slot, Laurent exponent) pairs) of
-    the Unit u = (-1)^sign * zeta^k * t^e, read from its root tag."""
-    (exps, c), = u.terms.items()
-    sign, k = c.root
+    the Unit u = (-1)^sign * zeta^k * t^e, read from its key."""
+    exps, sign, k = u.key
     return (1 if sign == -1 else 0, k,
             tuple((p, e) for p, e in enumerate(exps) if e))
+
+
+@cached
+def _chi_factors(A, g, exps):
+    """The factors of `Algebra.chi_factors`, as a tuple."""
+    return tuple([(c, e) for c, e in zip(A.chi_exp[g], exps)
+                  if e and c != _ONE_EXPONENTS])
+
+
+@cached
+def _mono_mul(A, a, b):
+    """`Algebra.mono_mul` with its factors as a tuple, or () in place of
+    None."""
+    n = A.n
+    for i in range(n):
+        if a[i] and b[i]:
+            return ()
+    # x_l x_k = (-q_{kl})^{-1} x_k x_l for k < l
+    return (tuple([(A.nq_exp[k][l], -1) for k in range(n) if b[k]
+                   for l in range(k + 1, n) if a[l]]),
+            tuple([ai | bi for ai, bi in zip(a, b)]))
 
 
 class Algebra:
@@ -235,36 +276,30 @@ class Algebra:
 
     def unit_product(self, factors, sign=0):
         """The Unit (-1)^sign * prod u^e over factors as in `unit_key`,
-        built once from the summed exponents."""
+        the universe's unit at the summed exponents."""
         if not factors:
             return self._signs[sign % 2]
-        exps, sign, k = self.unit_key(factors, sign)
-        return Unit(self.uni, {exps: self.uni.field.root(sign, k)})
+        return self.uni.from_key(*self.unit_key(factors, sign))
 
     def chi_factors(self, g, exps):
         """The factors of prod_i chi_{g,i}^{exps_i}, the character of g on
-        the monomial x^exps, for `unit_product`; characters equal to 1 are
-        left out."""
-        return [(c, e) for c, e in zip(self.chi_exp[g], exps)
-                if e and c != _ONE_EXPONENTS]
+        the monomial x^exps (a tuple), for `unit_product`; characters equal
+        to 1 are left out.  A fresh list, read from a table cached per
+        (g, exps)."""
+        return list(_chi_factors(self, g, exps))
 
     def chi_prod(self, g, exps):
         """prod_i chi_{g,i}^{exps_i} as a Unit."""
-        return self.unit_product(self.chi_factors(g, exps))
+        return self.unit_product(_chi_factors(self, g, exps))
 
     # -- monomial arithmetic -------------------------------------------------
 
     def mono_mul(self, a, b):
-        """Normal form of x^a * x^b: None if a slot repeats, else
-        (factors, a | b) with the coefficient unit_product(factors)."""
-        n = self.n
-        for i in range(n):
-            if a[i] and b[i]:
-                return None
-        # x_l x_k = (-q_{kl})^{-1} x_k x_l for k < l
-        return ([(self.nq_exp[k][l], -1) for k in range(n) if b[k]
-                 for l in range(k + 1, n) if a[l]],
-                tuple(ai | bi for ai, bi in zip(a, b)))
+        """Normal form of x^a * x^b (two tuples): None if a slot repeats,
+        else (factors, a | b) with the coefficient unit_product(factors),
+        the factors a fresh list read from a table cached per (a, b)."""
+        hit = _mono_mul(self, a, b)
+        return (list(hit[0]), hit[1]) if hit else None
 
     def skew_mono(self, a, g, b):
         """The skew rule on monomials, (x^a (x) g)(x^b (x) h) =
@@ -276,25 +311,8 @@ class Algebra:
         if hit is None:
             return None
         factors, mono = hit
-        factors += self.chi_factors(g, b)
+        factors += _chi_factors(self, g, b)
         return factors, mono
-
-
-def cached(fn):
-    """Memoize fn(A, *args) per algebra: the result is kept in A.caches
-    under (fn.__name__,) + args, computed on a miss only and stored whole.
-    The arguments after A are hashable (multi-indices as tuples), and no
-    cached result is None, so a falsy result such as {} or 0 is kept too."""
-    name = fn.__name__
-
-    @wraps(fn)
-    def memo(A, *args):
-        key = (name,) + args
-        hit = A.caches.get(key)
-        if hit is None:
-            hit = A.caches[key] = fn(A, *args)
-        return hit
-    return memo
 
 
 class SkewElement(SparseVector):

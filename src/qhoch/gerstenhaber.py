@@ -31,7 +31,15 @@ once from its list of (q, -q or character, exponent) factors by
 `Algebra.unit_key`, except that `circ` sums the factors of only the first
 unit of each splitting sum, reads the others off it as a geometric run
 (`_run_step`) and adds them all as integer counts (`Universe.unit_sum`).
-The rest build each unit as a `Unit` with `Algebra.unit_product`.
+The rest take each unit from the universe's table of units with
+`Algebra.unit_product`, and a product of two units is the table's unit at
+the sum of their keys (see `qhoch.scalars`), so each unit value is built
+once per universe.  The factor lists of `Algebra.mono_mul` and
+`Algebra.chi_factors` are read from tables cached per argument, a fresh
+list per call, which `circ` and `cup` extend in place.  Each of the four
+products hands the map it accumulated to `Cochain.from_accumulated`,
+without the constructor's checks: `accumulate` stores no zero, and every
+key it was given has the result's degree.
 
 The closed forms share with the oracles the algebra's characters, unit
 builders and exponent tables, and `circ` also its product `Algebra.mono_mul`,
@@ -84,7 +92,7 @@ def cup(A, f1, f2):
             key = (add_index(alpha, gamma), add_index(beta, kappa),
                    A.group.mult[g][h])
             accumulate(out, key, (c1 * c2) * A.unit_product(factors, sign))
-    return Cochain(A, f1.degree + f2.degree, out)
+    return Cochain.from_accumulated(A, f1.degree + f2.degree, out)
 
 
 @cached
@@ -123,7 +131,7 @@ def cup_oracle(A, f1, f2):
             factors, mono = hit
             accumulate(out, (mono, rho, mult[g][h]),
                        c1 * c2 * u * A.unit_product(factors))
-    return Cochain(A, f1.degree + f2.degree, out)
+    return Cochain.from_accumulated(A, f1.degree + f2.degree, out)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +199,7 @@ def circ_oracle(A, outer, inner):
                 more, mono = right
                 accumulate(out, (mono, rho, gout),
                            coeff * base * A.unit_product(factors + more))
-    return Cochain(A, m + l - 1, out)
+    return Cochain.from_accumulated(A, m + l - 1, out)
 
 
 def _run_step(A, alpha, beta, g, r):
@@ -295,7 +303,7 @@ def circ(A, outer, inner):
                 accumulate(out, (mono, add_index(beta, excess),
                                  A.group.mult[h][g]),
                            base * A.uni.unit_sum(counts))
-    return Cochain(A, m + l - 1, out)
+    return Cochain.from_accumulated(A, m + l - 1, out)
 
 
 def _signed_sum(first, second, m, l):

@@ -163,13 +163,26 @@ class Cochain(SparseVector):
                 raise ValueError("cochain term of wrong homological degree")
             self.terms[key] = c
 
+    @classmethod
+    def from_accumulated(cls, alg, degree, terms):
+        """The cochain holding the map terms itself, without the checks of
+        the constructor: for a map that holds no zero, as one filled by
+        `accumulate`, and whose keys all have |beta| == degree."""
+        c = cls.__new__(cls)
+        c.alg = alg
+        c.degree = degree
+        c.terms = terms
+        return c
+
     def _like(self, terms):
         return Cochain(self.alg, self.degree, terms)
 
     @staticmethod
     def basis(alg, alpha, beta, g, coeff=None):
         c = alg.one() if coeff is None else coeff
-        return Cochain(alg, sum(beta), {(tuple(alpha), tuple(beta), g): c})
+        beta = tuple(beta)
+        terms = {} if c.is_zero() else {(tuple(alpha), beta, g): c}
+        return Cochain.from_accumulated(alg, sum(beta), terms)
 
     def __add__(self, other):
         if other.is_zero():

@@ -18,12 +18,18 @@ The monomial units ``+-zeta^k * t^e`` (the quantum coefficients, the
 diagonal characters and their products) are `Unit`s: one-term Scalars whose
 coefficient is the tagged root ``field.root(sign, k)``, one of the roots
 +-zeta^k, k < N, that the field builds once.  They compare and hash as the
-Scalars they are.  A product of two monomials whose coefficients are tagged
-roots is a Unit; the subclass only adds the powers and inverses that stay
-inside the units.  A sum of many monomial units is not formed as a running
-sum of Scalars: `Universe.unit_sum` takes them as integer counts of their
-keys (exps, sign, k) and adds the counted rows of the roots into one
-integer vector per exps.
+Scalars they are.  Each universe keeps one Unit per key (exps, sign, k),
+with (sign, k) read from the root's tag, so that at even N the key of
+-zeta^k is that of zeta^(k + N/2); every unit the package makes is taken
+from that table (`Universe.from_key`).  A Unit carries its key, and the
+product of two units of one universe is the table's unit at the sum of
+their keys; powers, negatives and inverses of units are read off their
+keys the same way.  Equality never relies on the table: a Unit built
+outside it, or taken from a compatible second universe, equals the table's
+unit of its value, and identity only lets a comparison stop early.  A sum
+of many monomial units is not formed as a running sum of Scalars:
+`Universe.unit_sum` takes them as integer counts of their keys and adds the
+counted rows of the roots into one integer vector per exps.
 """
 
 from __future__ import annotations
@@ -401,14 +407,20 @@ class CycloElement:
 # ---------------------------------------------------------------------------
 
 class Universe:
-    """Shared context: the cyclotomic field plus the formal parameter slots."""
+    """Shared context: the cyclotomic field plus the formal parameter slots.
 
-    __slots__ = ("field", "nparams", "param_names", "zero", "one")
+    ``units`` is the table of monomial units, one `Unit` per key
+    (exps, sign, k) read from the tagged root, filled as units are made.
+    Entries go in by ``setdefault``, so threads that race on one key all
+    get the one entry that won."""
+
+    __slots__ = ("field", "nparams", "param_names", "zero", "one", "units")
 
     def __init__(self, field, param_names=()):
         self.field = field
         self.param_names = tuple(param_names)
         self.nparams = len(self.param_names)
+        self.units = {}
         self.zero = Scalar(self, {})
         self.one = self.unit()
 
@@ -420,7 +432,20 @@ class Universe:
         """The monomial unit sign * zeta^zeta * t^exps."""
         if exps is None:
             exps = (0,) * self.nparams
-        return Unit(self, {tuple(exps): self.field.root(sign, zeta)})
+        return self.from_key(tuple(exps), sign, zeta)
+
+    def from_key(self, exps, sign, k):
+        """The table's unit sign * zeta^k * t^exps, for any sign +-1 and
+        integer k."""
+        return self._interned(exps, self.field.root(sign, k))
+
+    def _interned(self, exps, root):
+        """The table's unit {exps: root} for a tagged root."""
+        key = (exps,) + root.root
+        u = self.units.get(key)
+        if u is None:
+            u = self.units.setdefault(key, Unit(self, {exps: root}, key))
+        return u
 
     def param_unit(self, index):
         exps = [0] * self.nparams
@@ -438,7 +463,7 @@ class Universe:
         if len(counts) == 1:
             ((exps, sign, k), count), = counts.items()
             if count == 1:
-                return Unit(self, {exps: field.root(sign, k)})
+                return self.from_key(exps, sign, k)
         rows = {}
         for (exps, sign, k), count in counts.items():
             nums = field.root(sign, k).nums
@@ -455,8 +480,10 @@ class Universe:
                 # integer coordinates over 1 are canonical
                 c = CycloElement(field, tuple(row))
                 terms[exps] = field.as_root(c) or c
-        if len(terms) == 1 and next(iter(terms.values())).root is not None:
-            return Unit(self, terms)
+        if len(terms) == 1:
+            (exps, c), = terms.items()
+            if c.root is not None:
+                return self._interned(exps, c)
         return Scalar(self, terms)
 
     def from_cyclo(self, c):
@@ -525,7 +552,7 @@ class Scalar:
         return Scalar(self.uni, out)
 
     def __neg__(self):
-        return self.__class__(self.uni, {e: -c for e, c in self.terms.items()})
+        return Scalar(self.uni, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -533,6 +560,15 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other):
+        if (other.__class__ is Unit and self.__class__ is Unit
+                and self.uni is other.uni):
+            # unit times unit, the commonest product: the table's unit at
+            # the sum of the keys, which are canonical and stay so
+            uni = self.uni
+            (e1, s1, k1), (e2, s2, k2) = self.key, other.key
+            key = (tuple(map(add, e1, e2)), s1 * s2, (k1 + k2) % uni.field.N)
+            hit = uni.units.get(key)
+            return hit if hit is not None else uni.from_key(*key)
         if not isinstance(other, Scalar):
             if isinstance(other, (int, Fraction)):
                 if other == 0:
@@ -544,13 +580,13 @@ class Scalar:
             other = self.uni.from_cyclo(other)
         self._check(other)
         if len(self.terms) == 1 and len(other.terms) == 1:
-            # monomial times monomial, the common case; two tagged roots
-            # multiply to a tagged root, so the product of units is a Unit
+            # monomial times monomial; two tagged roots multiply to a
+            # tagged root, so the product of units is the table's Unit
             (e1, c1), = self.terms.items()
             (e2, c2), = other.terms.items()
             c = c1 * c2
             if c.root is not None:
-                return Unit(self.uni, {tuple(map(add, e1, e2)): c})
+                return self.uni._interned(tuple(map(add, e1, e2)), c)
             if c.is_zero():
                 return Scalar(self.uni, {})
             return Scalar(self.uni, {tuple(map(add, e1, e2)): c})
@@ -574,8 +610,8 @@ class Scalar:
         return None
 
     def as_unit(self):
-        """The Unit equal to this scalar, or None if it is not a monomial
-        with a +-zeta^k coefficient."""
+        """The table's Unit equal to this scalar, or None if it is not a
+        monomial with a +-zeta^k coefficient."""
         if len(self.terms) != 1:
             return None
         (exps, c), = self.terms.items()
@@ -583,7 +619,7 @@ class Scalar:
             c = self.uni.field.as_root(c)
             if c is None:
                 return None
-        return Unit(self.uni, {exps: c})
+        return self.uni._interned(exps, c)
 
     def __pow__(self, e):
         u = self.as_unit()
@@ -620,20 +656,32 @@ class Scalar:
 
 class Unit(Scalar):
     """A monomial unit sign * zeta^k * t^e: the one-term Scalar
-    {e: field.root(sign, k)}.
+    {e: field.root(sign, k)}, with its key (e, sign, k) read from the
+    root's tag.
 
     Quantum coefficients, their products, and the diagonal characters all
     live here.  Equality and hashing are those of Scalar, so a Unit equals
-    the Scalar with the same term; products, powers and inverses of units
-    stay units.
+    the Scalar with the same term; products, powers, negatives and inverses
+    of units stay units, taken from the universe's table by their keys.
     """
 
-    __slots__ = ()
+    __slots__ = ("key",)
+
+    def __init__(self, uni, terms, key=None):
+        self.uni = uni
+        self.terms = terms
+        if key is None:
+            (exps, c), = terms.items()
+            key = (exps,) + (c.root or uni.field.as_root(c).root)
+        self.key = key
 
     @property
     def exps(self):
         """The Laurent exponent vector e."""
-        return next(iter(self.terms))
+        return self.key[0]
+
+    def as_unit(self):
+        return self
 
     def __mul__(self, other):
         # Scalar's product already returns a Unit for two units.  This method
@@ -641,12 +689,14 @@ class Unit(Scalar):
         # Scalar.__mul__ up per call so that a wrapper put there sees them too.
         return Scalar.__mul__(self, other)
 
+    def __neg__(self):
+        exps, sign, k = self.key
+        return self.uni.from_key(exps, -sign, k)
+
     def __pow__(self, e):
-        (exps, c), = self.terms.items()
-        sign, k = c.root
-        return Unit(self.uni, {tuple([a * e for a in exps]):
-                               self.uni.field.root(sign if e % 2 else 1,
-                                                   k * e)})
+        exps, sign, k = self.key
+        return self.uni.from_key(tuple([a * e for a in exps]),
+                                 sign if e % 2 else 1, k * e)
 
     def inv(self):
         return self ** -1

@@ -396,6 +396,72 @@ def test_chi_prod_and_mono_mul_match_literal_products(name, request):
         _same_unit(A.unit_product(hit[0]), c)
 
 
+@pytest.mark.parametrize("name", SESSION_ALGEBRAS + ("S3",))
+def test_monomial_factor_lists_are_fresh(name, request):
+    """`mono_mul`, `chi_factors` and `skew_mono` read their factors from
+    tables cached per argument and hand out a fresh list each time, so a
+    caller that extends the list, as `circ` does with +=, leaves the next
+    call's result unchanged."""
+    A = request.getfixturevalue(name)
+    junk = [(A.q_exp[0][0], 1)]
+    monos = list(product((0, 1), repeat=A.n))
+    for a, b in product(monos, repeat=2):
+        hit = A.mono_mul(a, b)
+        if hit is None:
+            continue
+        first = list(hit[0])
+        factors = hit[0]
+        factors += junk
+        assert A.mono_mul(a, b) == (first, hit[1])
+        for g in range(A.group.order):
+            factors, mono = A.skew_mono(a, g, b)
+            first = list(factors)
+            factors += junk
+            assert A.skew_mono(a, g, b) == (first, mono)
+    for g in range(A.group.order):
+        for exps in product(range(-1, 2), repeat=A.n):
+            factors = A.chi_factors(g, exps)
+            first = list(factors)
+            factors += junk
+            assert A.chi_factors(g, exps) == first
+
+
+@pytest.mark.parametrize("name", SESSION_ALGEBRAS + ("S3",
+                                                     "rank_oracle_dense"))
+def test_unit_product_reads_the_universe_table(name, request):
+    """`unit_product` of one factor is the very Unit the factor was read
+    from (q, -q or a character), and a product that cancels is one or -1
+    of the universe: the units of the algebra all come from one table."""
+    A = request.getfixturevalue(name)
+    tables = ((A.q, A.q_exp), (A.nq, A.nq_exp), (A.group.chi, A.chi_exp))
+    for units, exps in tables:
+        for row, row_exps in zip(units, exps):
+            for u, u_exps in zip(row, row_exps):
+                assert A.unit_product([(u_exps, 1)]) is u
+                assert A.unit_product([(u_exps, 2), (u_exps, -1)]) is u
+                assert A.unit_product([(u_exps, 1), (u_exps, -1)], 1) \
+                    is -A.one()
+                assert A.unit_product([(u_exps, -1)]) is u.inv()
+
+
+def test_even_N_table_has_one_entry_per_root(rank_oracle_dense):
+    """At even N, -zeta^k is zeta^(k + N/2): the table's key is read from
+    the field's tagged root, so both spellings give one object, whose key
+    carries the sign +1."""
+    A = rank_oracle_dense
+    uni = A.uni
+    N = uni.field.N
+    assert N % 2 == 0
+    for exps in ((0,) * uni.nparams, (1,) * uni.nparams):
+        for k in range(-N, 2 * N):
+            z = uni.unit(zeta=k, exps=exps)
+            half = uni.unit(zeta=k + N // 2, exps=exps)
+            assert -z is half
+            assert uni.unit(sign=-1, zeta=k, exps=exps) is half
+            assert z.key[1] == half.key[1] == 1
+            assert z * uni.unit(sign=-1) is half
+
+
 def literal_skew_mul(A, s, t):
     """(a (x) g)(b (x) h) = a * (g.b) (x) gh with the reordering unit and
     the character unit each multiplied out power by power, then multiplied

@@ -216,6 +216,25 @@ def test_cup_equals_oracle_three_generators(A3):
     assert sweep_formula_vs_oracle(A3, 3, cup, cup_oracle) is None
 
 
+@pytest.mark.parametrize("fixture", ["A3", "S3"])
+def test_products_hold_only_checked_terms(fixture, request):
+    """cup, circ and both oracles hand the map they accumulated to
+    `Cochain.from_accumulated`, which skips the constructor's checks; on
+    every product of the A3 and S3 sweeps the checked constructor keeps
+    every term, so no term is zero and each has the result's degree."""
+    A = request.getfixturevalue(fixture)
+    for m in range(4):
+        for l in range(4 - m):
+            for k1 in all_keys(A, m):
+                c1 = Cochain.basis(A, *k1)
+                for k2 in all_keys(A, l):
+                    c2 = Cochain.basis(A, *k2)
+                    for op in (cup, cup_oracle, circ, circ_oracle):
+                        r = op(A, c1, c2)
+                        assert Cochain(A, r.degree,
+                                       dict(r.terms)).terms == r.terms
+
+
 # ---------------------------------------------------------------------------
 # circle product
 # ---------------------------------------------------------------------------

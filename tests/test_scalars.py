@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from unittest.mock import patch
@@ -525,3 +527,108 @@ def test_cyclo_inverse_runs_euclid_once_per_primitive_value(N, data):
     euclid = any(field.as_root(y) is None and any(y.nums[1:])
                  for y in family)
     assert len(runs) == euclid
+
+
+# ---------------------------------------------------------------------------
+# the universe's table of units
+# ---------------------------------------------------------------------------
+
+@given(N=st.sampled_from((1, 2, 3, 4, 6, 60)),
+       nparams=st.sampled_from((0, 1, 2)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_equal_unit_keys_give_one_object(N, nparams, data):
+    """Every unit is read from its universe's table by its key, so units
+    of one value made in different ways are one object: the product of two
+    units, as_unit of a tagged or a plain one-term Scalar, negation, powers
+    and inverses."""
+    uni = _universe(N, nparams)
+    field = uni.field
+
+    def draw():
+        sign = data.draw(st.sampled_from((1, -1)))
+        k = data.draw(st.integers(-2 * N, 2 * N))
+        exps = tuple(data.draw(st.integers(-3, 3)) for _ in range(nparams))
+        return sign, k, exps, uni.unit(sign=sign, zeta=k, exps=exps)
+
+    (s1, k1, e1, u), (s2, k2, e2, v) = draw(), draw()
+    product_exps = tuple(a + b for a, b in zip(e1, e2))
+    assert u * v is v * u is uni.unit(sign=s1 * s2, zeta=k1 + k2,
+                                      exps=product_exps)
+    assert uni.unit(sign=s1, zeta=k1 + N, exps=e1) is u
+    assert u.as_unit() is u
+    tagged = Scalar(uni, {e1: field.root(s1, k1)})
+    plain = Scalar(uni, {e1: field.element(field.root(s1, k1).coeffs)})
+    assert tagged.as_unit() is plain.as_unit() is u
+    assert -u is uni.unit(sign=-s1, zeta=k1, exps=e1) and -(-u) is u
+    e = data.draw(st.integers(-4, 4))
+    assert u ** e is u.inv() ** -e
+    assert u.inv() is u ** -1
+    assert u * u.inv() is u ** 0 is uni.one
+    assert u.key in uni.units and uni.units[u.key] is u
+
+
+@pytest.mark.parametrize("N", [1, 3, 4, 60])
+def test_unit_outside_the_table_compares_and_multiplies_by_value(N):
+    """Equality never needs the table: a Unit built directly, with a tagged
+    or a plain coefficient, and a unit of a compatible second universe
+    equal the table's unit of their value, hash alike and multiply to the
+    same products."""
+    uni = Universe(CycloField(N), ("t", "u"))
+    other = Universe(CycloField(N), ("t", "u"))
+    field = uni.field
+    for sign, k, exps in ((1, 0, (0, 0)), (-1, 1, (2, -1)), (1, 2, (-3, 0))):
+        u = uni.unit(sign=sign, zeta=k, exps=exps)
+        v = uni.unit(sign=-1, zeta=k + 1, exps=(1, 1))
+        root = field.root(sign, k)
+        built = (Unit(uni, {exps: root}),
+                 Unit(uni, {exps: field.element(root.coeffs)}),
+                 other.unit(sign=sign, zeta=k, exps=exps))
+        for w in built:
+            assert w is not u
+            assert w == u and u == w and hash(w) == hash(u)
+            for got in (w * v, v * w, w * w.inv(), w ** 3, -w):
+                assert type(got) is Unit
+            assert w * v == u * v and v * w == v * u
+            assert w * w.inv() == uni.one and w ** 3 == u ** 3
+            assert -w == -u and (w - u).is_zero()
+            assert w * Scalar(uni, {}) == uni.zero
+
+
+def test_threads_racing_on_the_unit_table_share_one_winner():
+    """Units made at once by more threads than cores, with the switch
+    interval shortened, are one object per key: `setdefault` lets exactly
+    one entry win and every thread reads that entry."""
+    uni = Universe(CycloField(12), ("t",))
+    keys = [(sign, k, (e,)) for sign in (1, -1) for k in range(12)
+            for e in range(-2, 3)]
+    seen = [None] * 6
+    start = threading.Barrier(len(seen))
+
+    def work(slot):
+        start.wait(timeout=10)
+        got = {}
+        for _ in range(3):
+            for sign, k, exps in keys:
+                u = uni.unit(sign=sign, zeta=k, exps=exps)
+                v = u * uni.one
+                got.setdefault(u.key, set()).update((id(u), id(v)))
+        seen[slot] = got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(seen))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got is not None for got in seen)
+    for key, u in uni.units.items():
+        for got in seen:
+            assert got.get(key, {id(u)}) == {id(u)}
+    # at even N the keys of -zeta^k and zeta^(k + 6) agree
+    assert len(uni.units) == len(seen[0]) == 12 * 5
