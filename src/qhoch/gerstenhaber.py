@@ -29,17 +29,19 @@ closed forms, so the oracles stay independent of `cup` and `circ`.  Every
 unit coefficient, in the closed forms and in the oracles alike, is summed
 once from its list of (q, -q or character, exponent) factors by
 `Algebra.unit_key`, except that `circ` sums the factors of only the first
-unit of each splitting sum, reads the others off it as a geometric run
-(`_run_step`) and adds them all as integer counts (`Universe.unit_sum`).
-The rest take each unit from the universe's table of units with
-`Algebra.unit_product`, and a product of two units is the table's unit at
-the sum of their keys (see `qhoch.scalars`), so each unit value is built
-once per universe.  The factor lists of `Algebra.mono_mul` and
-`Algebra.chi_factors` are read from tables cached per argument, a fresh
-list per call, which `circ` and `cup` extend in place.  Each of the four
-products hands the map it accumulated to `Cochain.from_accumulated`,
-without the constructor's checks: `accumulate` stores no zero, and every
-key it was given has the result's degree.
+unit of each splitting sum and multiplies it by the sum of the run's
+powers of one step, 1 + v + ... + v^{kappa_r - 1}; the step (`_run_step`)
+and that sum (`_run_sum`, added up as integer counts by
+`Universe.unit_sum`) are cached per algebra.  The rest take each unit from
+the universe's table of units with `Algebra.unit_product`, and a product
+of two units is the table's unit at the sum of their keys (see
+`qhoch.scalars`), so each unit value is built once per universe.  The
+factor lists of `Algebra.mono_mul` and `Algebra.chi_factors` are read
+from tables cached per argument, a fresh list per call, which `circ` and
+`cup` extend in place.  Each of the four products hands the map it
+accumulated to `Cochain.from_accumulated`, without the constructor's
+checks: `accumulate` stores no zero, and every key it was given has the
+result's degree.
 
 The closed forms share with the oracles the algebra's characters, unit
 builders and exponent tables, and `circ` also its product `Algebra.mono_mul`,
@@ -53,13 +55,18 @@ checked against `circ_oracle`'s literal walk.
 `PairProducts`, the one product table of `bracket_table` and
 `axiom_suite`, holds cup products and brackets but no circle products: a
 bracket entry is `bracket` of its pair, or its reverse read by antisymmetry.
-A product of a product, [f, c_k] for a computed cochain f, is read by
-linearity in f from the brackets [e_t, c_k] of each basis symbol t with the
-listed c_k, which the table holds per (t, k).
+A product of a product, [f, c_k], f ^ c_k or c_k ^ f for a computed cochain
+f, is added into a caller's map by linearity in f from the products of
+each basis cochain e_t with the listed c_k, which the table holds per
+(product, t, k).  `axiom_suite` sums each Jacobi and
+derivation identity that way into one map and builds no cochain per term;
+`bracket` likewise adds its second circle product into the first one's
+fresh map.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from operator import add
 
 from .algebra import cached
@@ -202,6 +209,7 @@ def circ_oracle(A, outer, inner):
     return Cochain.from_accumulated(A, m + l - 1, out)
 
 
+@cached
 def _run_step(A, alpha, beta, g, r):
     """The step v of the geometric runs of `circ` for the inner term
     (alpha, beta, g) and the slot r it contracts (alpha_r = 1), as an
@@ -225,6 +233,24 @@ def _run_step(A, alpha, beta, g, r):
     return A.unit_key(factors, sum(beta) + 1)
 
 
+@cached
+def _run_sum(A, step, count):
+    """The Scalar 1 + v + ... + v^{count - 1} for the step v of a run,
+    given by its key as `_run_step` gives it: the keys of the powers are
+    added up as integers and summed once by `Universe.unit_sum`."""
+    step_exps, step_sign, step_k = step
+    N = A.uni.field.N
+    exps, sign, k = (0,) * len(step_exps), 1, 0
+    counts = {}
+    for _ in range(count):
+        key = (exps, sign, k)
+        counts[key] = counts.get(key, 0) + 1
+        exps = tuple(map(add, exps, step_exps))
+        sign *= step_sign
+        k = (k + step_k) % N
+    return A.uni.unit_sum(counts)
+
+
 def circ(A, outer, inner):
     """Closed-form circle product, one coefficient per (outer term
     (gamma, kappa, h), inner term (alpha, beta, g), slot r with alpha_r = 1),
@@ -240,14 +266,14 @@ def circ(A, outer, inner):
     x^gamma (x) h is reordered between the contraction's monomials `above`
     and `below` (alpha above and below r) by `Algebra.mono_mul`, and h acts
     on `below`.  The unit of splitting p is the first times v^{p - beta_r}
-    for the step v of `_run_step`; the run's keys are added up as integers
-    and summed once by `Universe.unit_sum`."""
+    for the step v of `_run_step`, so the run is the first unit times the
+    sum `_run_sum` of the first kappa_r powers of v, both cached per
+    algebra."""
     m, l = outer.degree, inner.degree
     if m + l - 1 < 0:
         return Cochain(A, 0)
     out = {}
     n = A.n
-    N = A.uni.field.N
     q_exp, nq_exp = A.q_exp, A.nq_exp
     for (gamma, kappa, h), c_out in outer.terms.items():
         for (alpha, beta, g), c_in in inner.terms.items():
@@ -288,21 +314,12 @@ def circ(A, outer, inner):
                             + alpha[s2] * kappa[s]
                         if e:
                             factors.append((nq_exp[s][s2], e))
-                key = A.unit_key(factors, sum(nu) * (l + 1))
-                counts = {key: 1}
+                coeff = base * A.unit_product(factors, sum(nu) * (l + 1))
                 if kappa[r] > 1:
-                    exps, sign, k = key
-                    step_exps, step_sign, step_k = _run_step(A, alpha, beta,
-                                                             g, r)
-                    for _ in range(kappa[r] - 1):
-                        exps = tuple(map(add, exps, step_exps))
-                        sign *= step_sign
-                        k = (k + step_k) % N
-                        key = (exps, sign, k)
-                        counts[key] = counts.get(key, 0) + 1
+                    coeff = coeff * _run_sum(
+                        A, _run_step(A, alpha, beta, g, r), kappa[r])
                 accumulate(out, (mono, add_index(beta, excess),
-                                 A.group.mult[h][g]),
-                           base * A.uni.unit_sum(counts))
+                                 A.group.mult[h][g]), coeff)
     return Cochain.from_accumulated(A, m + l - 1, out)
 
 
@@ -322,10 +339,14 @@ def _reversed(br, m, l):
 
 
 def bracket(A, f1, f2):
-    """Graded bracket [f1, f2] = f1 o f2 - (-1)^{(m-1)(l-1)} f2 o f1."""
+    """Graded bracket [f1, f2] = f1 o f2 - (-1)^{(m-1)(l-1)} f2 o f1.  The
+    second circle product is added into the first one's fresh map."""
     first = circ(A, f1, f2)
     second = first if f2 is f1 else circ(A, f2, f1)
-    return _signed_sum(first, second, f1.degree, f2.degree)
+    negate = not ((f1.degree - 1) * (f2.degree - 1)) % 2
+    for key, c in list(second.terms.items()):
+        accumulate(first.terms, key, -c if negate else c)
+    return first
 
 
 def bracket_oracle(A, f1, f2):
@@ -359,17 +380,24 @@ def unit_cochain(A):
 
 
 class PairProducts:
-    """Pairwise products over one list of cochains, filled lazily: the cup
-    product and the bracket of each ordered pair are computed at most once.
-    A bracket entry is `bracket` of its pair, or, when the reversed pair is
-    already held, `_reversed` of that entry by graded antisymmetry."""
+    """Pairwise products over one list of cochains c_0, c_1, ..., filled
+    lazily: the cup product and the bracket of each ordered pair are
+    computed at most once.  A bracket entry is `bracket` of its pair, or,
+    when the reversed pair is already held, `_reversed` of that entry by
+    graded antisymmetry.
+
+    A product P(f, c_k) of a computed cochain f with a listed c_k, for a
+    bilinear P such as `bracket`, `cup` or `_cup_swapped`, is read by
+    linearity in f: `add` adds +-P(f, c_k) into a caller's map, term by
+    term of f, from P(e_t, c_k) for each basis cochain e_t, held per
+    (P, t, k) and filled by calling P."""
 
     def __init__(self, A, cochains):
         self.A = A
         self.cochains = cochains
         self._cup = {}
         self._bracket = {}
-        self._basis_bracket = {}
+        self._basis = {}
 
     def cup(self, i, j):
         hit = self._cup.get((i, j))
@@ -388,20 +416,26 @@ class PairProducts:
                 else _reversed(rev, b.degree, a.degree))
         return hit
 
-    def bracket_with(self, f, k):
-        """[f, c_k] = sum_t f_t [e_t, c_k] over the terms f_t e_t of f, for
-        the k-th listed cochain c_k; [e_t, c_k] is `bracket` of the basis
-        cochain e_t with c_k, held per (t, k)."""
+    def add(self, out, product, f, k, negate=False):
+        """out += product(A, f, c_k), or -= with negate: the sum over the
+        terms f_t e_t of f of f_t product(A, e_t, c_k)."""
+        A = self.A
         ck = self.cochains[k]
-        out = {}
         for t, coeff in f.terms.items():
-            br = self._basis_bracket.get((t, k))
-            if br is None:
-                br = self._basis_bracket[(t, k)] = bracket(
-                    self.A, Cochain.basis(self.A, *t), ck)
-            for key, c in br.terms.items():
+            terms = self._basis.get((product, t, k))
+            if terms is None:
+                terms = self._basis[(product, t, k)] = product(
+                    A, Cochain.basis(A, *t), ck).terms
+            if negate:
+                coeff = -coeff
+            for key, c in terms.items():
                 accumulate(out, key, coeff * c)
-        return Cochain(self.A, f.degree + ck.degree - 1, out)
+
+
+def _cup_swapped(A, f1, f2):
+    """f2 ^ f1, the cup product with its factors swapped, for
+    `PairProducts.add` of c_k ^ f."""
+    return cup(A, f2, f1)
 
 
 def bracket_table(A, classes):
@@ -424,15 +458,14 @@ def axiom_suite(A, max_degree):
     Jacobi check reaches pairs of total degree max_degree + 2 when the third
     class has degree 0.  The table reads a reversed bracket by graded
     antisymmetry, so the antisymmetry check pins the sign rule of
-    `_reversed`, not a second computation.  The brackets of a computed
-    product with a class (the outer brackets [[x, y], z] of Jacobi and the
-    left side [b ^ c, a] of the derivation rule) come from
-    `PairProducts.bracket_with`, by linearity in the product from one
-    bracket per (basis symbol, class) held in the same table; they are the
-    same cochains as `bracket` of the product with the class.  The cups on
-    the derivation rule's right side are formed afresh.  `is_coboundary`
-    decides each identity from the flat terms of its difference (see
-    there)."""
+    `_reversed`, not a second computation.  Each Jacobi and derivation
+    identity is summed into one map (`_jacobi_terms`, `_derivation_terms`):
+    the products of a product with a class, the outer brackets [[x, y], z]
+    and [b ^ c, a] and the cups [b, a] ^ c and b ^ [c, a], are read by
+    linearity from the table's products of each basis symbol with a class.
+    `is_coboundary` decides each identity from the flat terms of that map
+    (see there).  The classes come in degree order, so each inner loop runs
+    over the prefix of classes the degree bound admits."""
     from .cohomology import is_coboundary
     failures = []
     classes = collect_classes(A, range(max_degree + 1))
@@ -442,87 +475,102 @@ def axiom_suite(A, max_degree):
     deg = [c.degree for c in cochains]
     idx = range(len(cochains))
 
-    def check(cond, text):
-        if not cond:
-            failures.append(text)
+    def upto(d):
+        """The positions of the classes of degree <= d."""
+        return range(bisect_right(deg, d))
 
     # graded commutativity of the cup product
     for a in idx:
-        for b in idx:
-            if deg[a] + deg[b] > max_degree:
-                continue
+        for b in upto(max_degree - deg[a]):
             ab = products.cup(a, b)
             ba = products.cup(b, a)
             if (deg[a] * deg[b]) % 2:
                 diff = ab + ba
             else:
                 diff = ab - ba
-            check(is_cocycle(A, ab) and is_cocycle(A, ba),
-                  f"cup of cocycles not a cocycle: {labels[a]},{labels[b]}")
-            check(is_coboundary(A, diff),
-                  f"graded commutativity fails: {labels[a]},{labels[b]}")
+            if not (is_cocycle(A, ab) and is_cocycle(A, ba)):
+                failures.append(f"cup of cocycles not a cocycle: "
+                                f"{labels[a]},{labels[b]}")
+            if not is_coboundary(A, diff):
+                failures.append(f"graded commutativity fails: "
+                                f"{labels[a]},{labels[b]}")
     # bracket lands in degree m+l-1, is a cocycle on cocycles, and the
     # graded antisymmetry holds exactly at chain level
     for a in idx:
-        for b in idx:
-            if deg[a] + deg[b] - 1 > max_degree or deg[a] + deg[b] == 0:
+        for b in upto(max_degree + 1 - deg[a]):
+            if deg[a] + deg[b] == 0:
                 continue
-            la, lb = labels[a], labels[b]
             br = products.bracket(a, b)
-            check(br.is_zero() or br.degree == deg[a] + deg[b] - 1,
-                  f"bracket degree off: {la},{lb}")
-            check(is_cocycle(A, br), f"bracket not a cocycle: {la},{lb}")
+            if not (br.is_zero() or br.degree == deg[a] + deg[b] - 1):
+                failures.append(f"bracket degree off: {labels[a]},{labels[b]}")
+            if not is_cocycle(A, br):
+                failures.append(f"bracket not a cocycle: "
+                                f"{labels[a]},{labels[b]}")
             # [a,b] = -(-1)^{(|a|-1)(|b|-1)}[b,a], read from the table
-            rev = products.bracket(b, a)
-            check(rev == _reversed(br, deg[a], deg[b]),
-                  f"graded antisymmetry fails: {la},{lb}")
+            if products.bracket(b, a) != _reversed(br, deg[a], deg[b]):
+                failures.append(f"graded antisymmetry fails: "
+                                f"{labels[a]},{labels[b]}")
     # graded Jacobi, up to coboundary.  The jacobiator of (a, b, c) is the
     # same cochain for its three cyclic rotations (they permute its three
     # signed terms), so each rotation class is decided once.
     jacobi_holds = {}
     for a in idx:
         for b in idx:
-            for c in idx:
-                if deg[a] + deg[b] + deg[c] - 2 > max_degree:
-                    continue
+            for c in upto(max_degree + 2 - deg[a] - deg[b]):
                 key = min((a, b, c), (b, c, a), (c, a, b))
                 holds = jacobi_holds.get(key)
                 if holds is None:
-                    jac = _jacobiator(A, products, a, b, c)
-                    holds = jacobi_holds[key] = is_coboundary(A, jac)
-                check(holds,
-                      f"Jacobi fails: {labels[a]},{labels[b]},{labels[c]}")
+                    holds = jacobi_holds[key] = is_coboundary(
+                        A, Cochain.from_accumulated(
+                            A, deg[a] + deg[b] + deg[c] - 2,
+                            _jacobi_terms(products, a, b, c)))
+                if not holds:
+                    failures.append(f"Jacobi fails: "
+                                    f"{labels[a]},{labels[b]},{labels[c]}")
     # [-, a] is a graded derivation of the cup product:
     # [b ^ c, a] = [b, a] ^ c + (-1)^{|b| (|a|-1)} b ^ [c, a]
     for a in idx:
         for b in idx:
-            for c in idx:
-                if deg[a] + deg[b] + deg[c] - 1 > max_degree:
-                    continue
-                lhs = products.bracket_with(products.cup(b, c), a)
-                rhs = cup(A, products.bracket(b, a), cochains[c])
-                second = cup(A, cochains[b], products.bracket(c, a))
-                if (deg[b] * (deg[a] - 1)) % 2:
-                    rhs = rhs - second
-                else:
-                    rhs = rhs + second
-                check(is_coboundary(A, lhs - rhs),
-                      f"derivation rule fails: "
-                      f"{labels[a]},{labels[b]},{labels[c]}")
+            for c in upto(max_degree + 1 - deg[a] - deg[b]):
+                if not is_coboundary(A, Cochain.from_accumulated(
+                        A, deg[a] + deg[b] + deg[c] - 1,
+                        _derivation_terms(products, a, b, c))):
+                    failures.append(f"derivation rule fails: "
+                                    f"{labels[a]},{labels[b]},{labels[c]}")
     return failures
 
 
-def _jacobiator(A, products, a, b, c):
-    """(-1)^{(|a|-1)(|c|-1)}[[a,b],c] + cyclic, degrees shifted by one, for
-    the classes at positions a, b, c of a `PairProducts` table."""
-    out = Cochain(A, 0)
+def _jacobi_terms(products, a, b, c):
+    """The jacobiator (-1)^{(|a|-1)(|c|-1)}[[a,b],c] + cyclic, degrees
+    shifted by one, of the classes at positions a, b, c of a `PairProducts`
+    table, as one map: each outer bracket is added in by linearity in the
+    inner one."""
+    cochains = products.cochains
+    out = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
         inner = products.bracket(x, y)
-        if inner.is_zero():
-            continue
-        term = products.bracket_with(inner, z)
-        if ((products.cochains[x].degree - 1)
-                * (products.cochains[z].degree - 1)) % 2:
-            term = -term
-        out = out + term
+        if inner.terms:
+            products.add(out, bracket, inner, z, negate=(
+                (cochains[x].degree - 1) * (cochains[z].degree - 1)) % 2)
+    return out
+
+
+def _derivation_terms(products, a, b, c):
+    """[b ^ c, a] - [b, a] ^ c - (-1)^{|b| (|a|-1)} b ^ [c, a] for the
+    classes at positions a, b, c of a `PairProducts` table, as one map: the
+    outer bracket and both cups are added in by linearity in the inner
+    product.  The map is empty when b ^ c, [b, a] and [c, a] are all
+    zero."""
+    bc = products.cup(b, c)
+    ba = products.bracket(b, a)
+    ca = products.bracket(c, a)
+    out = {}
+    if bc.terms:
+        products.add(out, bracket, bc, a)
+    if ba.terms:
+        products.add(out, cup, ba, c, negate=True)
+    if ca.terms:
+        products.add(out, _cup_swapped, ca, b, negate=not (
+            products.cochains[b].degree
+            * (products.cochains[a].degree - 1)) % 2)
     return out

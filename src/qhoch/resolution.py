@@ -175,7 +175,9 @@ class Cochain(SparseVector):
         return c
 
     def _like(self, terms):
-        return Cochain(self.alg, self.degree, terms)
+        # `+`, `-`, negation and `scale` store no zero, and `__add__` and
+        # `__sub__` check that both operands have this degree
+        return Cochain.from_accumulated(self.alg, self.degree, terms)
 
     @staticmethod
     def basis(alg, alpha, beta, g, coeff=None):
