@@ -27,6 +27,7 @@ indices only; each is computed once per algebra, kept as a tuple in
 from __future__ import annotations
 
 from functools import wraps
+from operator import add
 
 from .linalg import SparseVector, accumulate
 from .scalars import CycloField, Universe
@@ -180,10 +181,11 @@ def cached(fn):
 _ONE_EXPONENTS = (0, 0, ())
 
 
-def _unit_exponents(u):
+def key_exponents(key):
     """(sign bit, zeta power, nonzero (slot, Laurent exponent) pairs) of
-    the Unit u = (-1)^sign * zeta^k * t^e, read from its key."""
-    exps, sign, k = u.key
+    the unit (-1)^sign * zeta^k * t^e with key (e, sign, k): a factor for
+    `Algebra.unit_key`."""
+    exps, sign, k = key
     return (1 if sign == -1 else 0, k,
             tuple((p, e) for p, e in enumerate(exps) if e))
 
@@ -214,7 +216,7 @@ class Algebra:
 
     q[i][j] is the full matrix of units with q[i][i] = -1 and
     q[j][i] = q[i][j]^{-1}; nq[i][j] = -q[i][j] (so nq[i][i] = 1).
-    q_exp, nq_exp and chi_exp hold the `_unit_exponents` of q, nq and the
+    q_exp, nq_exp and chi_exp hold the `key_exponents` of q, nq and the
     group characters, the factors `unit_product` takes.
     Indices are 0-based throughout the code.
     """
@@ -245,7 +247,7 @@ class Algebra:
         if len(self.group.chi[0]) != n:
             raise ValueError("character matrix width must equal n")
         self.q_exp, self.nq_exp, self.chi_exp = (
-            tuple(tuple(_unit_exponents(u) for u in row) for row in table)
+            tuple(tuple(key_exponents(u.key) for u in row) for row in table)
             for table in (self.q, self.nq, self.group.chi))
         self.caches = {}
 
@@ -260,11 +262,12 @@ class Algebra:
     def chi(self, g, i):
         return self.group.chi[g][i]
 
-    def unit_key(self, factors, sign=0):
-        """(exps, sign, k) with (-1)^sign * prod u^e = sign * zeta^k * t^exps,
-        sign +-1 and 0 <= k < N, over the pairs (exponents of u, e) in
-        factors, each taken from q_exp, nq_exp or chi_exp: the exponents are
-        summed and no object is built."""
+    def unit_key(self, factors, sign=0, keys=()):
+        """(exps, sign, k) with (-1)^sign * prod u^e * prod v =
+        sign * zeta^k * t^exps, sign +-1 and 0 <= k < N, over the pairs
+        (exponents of u, e) in factors, each taken from q_exp, nq_exp or
+        chi_exp or made by `key_exponents`, and the units v whose keys are
+        listed in keys: the exponents are summed and no object is built."""
         k = 0
         exps = [0] * self.uni.nparams
         for (s, z, t), e in factors:
@@ -272,14 +275,20 @@ class Algebra:
             k += z * e
             for p, v in t:
                 exps[p] += v * e
+        for e, s, z in keys:
+            if s == -1:
+                sign += 1
+            k += z
+            if e:
+                exps = list(map(add, exps, e))
         return tuple(exps), -1 if sign % 2 else 1, k % self.uni.field.N
 
-    def unit_product(self, factors, sign=0):
-        """The Unit (-1)^sign * prod u^e over factors as in `unit_key`,
-        the universe's unit at the summed exponents."""
-        if not factors:
+    def unit_product(self, factors, sign=0, keys=()):
+        """The Unit (-1)^sign * prod u^e * prod v over factors and keys as
+        in `unit_key`, the universe's unit at the summed exponents."""
+        if not (factors or keys):
             return self._signs[sign % 2]
-        return self.uni.from_key(*self.unit_key(factors, sign))
+        return self.uni.from_key(*self.unit_key(factors, sign, keys))
 
     def chi_factors(self, g, exps):
         """The factors of prod_i chi_{g,i}^{exps_i}, the character of g on

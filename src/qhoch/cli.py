@@ -281,11 +281,6 @@ def scalar_json(s):
     return out
 
 
-# The fields of a term record start on this line when `write_json` writes
-# the record in a list that starts a line at indentation zero.
-FIELD_NL = "\n    "
-
-
 def _json_text(obj, nl):
     """obj as `write_json` writes it on a line that nl starts."""
     parts = []
@@ -297,33 +292,39 @@ def cochain_json(c, memo, nl):
     """The JSON text of the terms of the cochain c, as `write_json` writes
     it on a line that nl starts: a list, in the order of c.sorted_keys(),
     of one record per term, {"alpha", "beta", "coefficient" (scalar_json),
-    "coefficient_str" (scalar_str), "g"}.  memo belongs to one command and
-    maps each index vector (an alpha or a beta) and each coefficient to its
-    text in a list at indentation zero, so each is rendered once, however
-    many terms share it, and serves every indentation; memory grows with
+    "coefficient_str" (scalar_str), "g"}, each record built at its own
+    indentation.  memo belongs to one command and maps each line start nl
+    to the texts of record fields at that indentation: one per index
+    vector (an alpha or a beta) and one pair per coefficient, so each is
+    rendered once, however many terms share it.  The cochains of one
+    command all start on lines of one indentation, and memory grows with
     the distinct vectors and coefficients, not with the basis symbols."""
     if not c.terms:
         return "[]"
+    texts = memo.get(nl)
+    if texts is None:
+        texts = memo[nl] = {}
+    item = nl + "  "
+    field = item + "  "
     records = []
     for key in c.sorted_keys():
         alpha, beta, g = key
-        alpha_text = memo.get(alpha)
+        alpha_text = texts.get(alpha)
         if alpha_text is None:
-            alpha_text = memo[alpha] = _json_text(list(alpha), FIELD_NL)
-        beta_text = memo.get(beta)
+            alpha_text = texts[alpha] = _json_text(list(alpha), field)
+        beta_text = texts.get(beta)
         if beta_text is None:
-            beta_text = memo[beta] = _json_text(list(beta), FIELD_NL)
+            beta_text = texts[beta] = _json_text(list(beta), field)
         s = c.terms[key]
-        coefficient = memo.get(s)
+        coefficient = texts.get(s)
         if coefficient is None:
-            coefficient = memo[s] = (_json_text(scalar_json(s), FIELD_NL),
-                                     _json_text(scalar_str(s), FIELD_NL))
+            coefficient = texts[s] = (_json_text(scalar_json(s), field),
+                                      _json_text(scalar_str(s), field))
         records.append(
-            f'{{{FIELD_NL}"alpha": {alpha_text},{FIELD_NL}"beta": {beta_text},'
-            f'{FIELD_NL}"coefficient": {coefficient[0]},{FIELD_NL}'
-            f'"coefficient_str": {coefficient[1]},{FIELD_NL}"g": {g}\n  }}')
-    text = "[\n  " + ",\n  ".join(records) + "\n]"
-    return text if nl == "\n" else text.replace("\n", nl)
+            f'{{{field}"alpha": {alpha_text},{field}"beta": {beta_text},'
+            f'{field}"coefficient": {coefficient[0]},{field}'
+            f'"coefficient_str": {coefficient[1]},{field}"g": {g}{item}}}')
+    return "[" + item + ("," + item).join(records) + nl + "]"
 
 
 def write_json(obj, write):
@@ -332,46 +333,58 @@ def write_json(obj, write):
     `Cochain` in obj replaced by the list of term records of
     `cochain_json`.  obj is built of dicts with str keys, lists, str, int
     and Cochain; any other type (bool, float and None included) raises
-    TypeError.  Each cochain is written in one piece, and one memo serves
-    every cochain of obj."""
+    TypeError.  A list or dict writes its str, int and Cochain values
+    inline, so one whose values are all of these goes out in one piece,
+    and one memo serves every cochain of obj."""
     _write_json("", obj, write, "\n", {})
+
+
+def _leaf_json(obj, nl, memo):
+    """The text of obj, a str, an int or a Cochain, on a line that nl
+    starts; any other type raises TypeError."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is Cochain:
+        return cochain_json(obj, memo, nl)
+    raise TypeError(f"Object of type {kind.__name__} is not written as JSON")
 
 
 def _write_json(head, obj, write, nl, memo):
     """Write head and then obj; nl is a newline followed by the indentation
-    of the line obj starts on.  Each leaf, and each cochain, goes out in
-    one piece with the punctuation before it."""
+    of the line obj starts on.  The text of a list or dict is collected,
+    its leaves inline, up to each value that is itself a list or dict, and
+    written there."""
     kind = type(obj)
-    if kind is str:
-        write(head + _quote(obj))
-    elif kind is int:
-        write(head + int.__repr__(obj))
-    elif kind is Cochain:
-        write(head + cochain_json(obj, memo, nl))
-    elif kind is list or kind is dict:
-        if not obj:
-            write(head + ("[]" if kind is list else "{}"))
-            return
-        inner = nl + "  "
-        if kind is list:
-            head += "[" + inner
-            for value in obj:
-                _write_json(head, value, write, inner, memo)
-                head = "," + inner
-            write(nl + "]")
+    if kind is not list and kind is not dict:
+        write(head + _leaf_json(obj, nl, memo))
+        return
+    is_dict = kind is dict
+    if not obj:
+        write(head + ("{}" if is_dict else "[]"))
+        return
+    inner = nl + "  "
+    parts = [head + ("{" if is_dict else "[")]  # the text not yet written
+    label = inner
+    for value in sorted(obj) if is_dict else obj:
+        if is_dict:
+            if type(value) is not str:
+                raise TypeError(f"keys must be str, not "
+                                f"{type(value).__name__}")
+            label += _quote(value) + ": "
+            value = obj[value]
+        kind = type(value)
+        if kind is list or kind is dict:
+            parts.append(label)
+            _write_json("".join(parts), value, write, inner, memo)
+            parts = []
         else:
-            head += "{" + inner
-            for key in sorted(obj):
-                if type(key) is not str:
-                    raise TypeError(f"keys must be str, not "
-                                    f"{type(key).__name__}")
-                _write_json(head + _quote(key) + ": ", obj[key], write,
-                            inner, memo)
-                head = "," + inner
-            write(nl + "}")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not written "
-                        "as JSON")
+            parts.append(label + _leaf_json(value, inner, memo))
+        label = "," + inner
+    parts.append(nl + ("}" if is_dict else "]"))
+    write("".join(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import add
 
-from .algebra import cached
+from .algebra import cached, key_exponents
 from .cohomology import collect_classes, is_cocycle
 from .linalg import accumulate
 from .resolution import (Cochain, add_index, compositions, diagonal,
                          full_basis, phi_generator, sub_index)
+from .scalars import Unit
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +235,13 @@ def _run_step(A, alpha, beta, g, r):
 
 
 @cached
-def _run_sum(A, step, count):
-    """The Scalar 1 + v + ... + v^{count - 1} for the step v of a run,
-    given by its key as `_run_step` gives it: the keys of the powers are
+def _run_table(A, first, step, count):
+    """The Scalar sum of the run first * v^p, p < count, for the first
+    unit and the step v given by their keys: the keys of the terms are
     added up as integers and summed once by `Universe.unit_sum`."""
+    exps, sign, k = first
     step_exps, step_sign, step_k = step
     N = A.uni.field.N
-    exps, sign, k = (0,) * len(step_exps), 1, 0
     counts = {}
     for _ in range(count):
         key = (exps, sign, k)
@@ -251,75 +252,134 @@ def _run_sum(A, step, count):
     return A.uni.unit_sum(counts)
 
 
+@cached
+def _circ_outer(A, alpha, r, gamma, h):
+    """The part of the first unit of `circ` at slot r that the outer term
+    (gamma, kappa, h) brings, whatever its kappa: the outer value
+    x^gamma (x) h reordered between the contraction's monomials `above`
+    and `below` (alpha above and below r) by `Algebra.mono_mul`, the
+    character of h on `below`, and the contraction's factors -q_{rs} for
+    s > r with alpha_s = 1.  Returns (key, monomial), or () when a slot
+    repeats and the term is zero."""
+    n = A.n
+    above = (0,) * (r + 1) + alpha[r + 1:]
+    below = alpha[:r] + (0,) * (n - r)
+    left = A.mono_mul(above, gamma)
+    if left is None:
+        return ()
+    factors, mid = left
+    right = A.mono_mul(mid, below)
+    if right is None:
+        return ()
+    more, mono = right
+    factors += more + A.chi_factors(h, below)
+    factors += [(A.nq_exp[r][s], 1) for s in range(r + 1, n) if alpha[s]]
+    return A.unit_key(factors), mono
+
+
+@cached
+def _circ_inner(A, alpha, beta, g):
+    """The parts of the first units of `circ` that the inner term
+    (alpha, beta, g) brings, one per slot r with alpha_r = 1, each as a
+    function of the outer term's kappa, which it enters linearly: the left
+    remainder nu is kappa below r, and the right leg rho2 is
+    (kappa_r - 1) e_r plus kappa above r.  The part holds the diagonal
+    coefficients q_{kt}^{rho2_k beta_t + beta_k nu_t} (k < t) of both
+    stages, the character of g on e_{rho2}, the contraction's factors
+    (-q_{sr})^{kappa_r} for s < r and
+    (-q_{s s2})^{alpha_s (alpha_s2 + kappa_s2) + alpha_s2 kappa_s} for
+    s < r < s2, and the Koszul sign (-1)^{|nu| (l + 1)}, l = |beta|.
+    Returns a tuple of (r, K0, V, step): the key K0 of the part at
+    kappa = 0, the factors (V_i, i) of `key_exponents` form whose
+    kappa_i-th powers make up the rest, and the run's `_run_step`."""
+    n = A.n
+    q_exp, nq_exp, chi = A.q_exp, A.nq_exp, A.chi_exp[g]
+    l = sum(beta)
+    slots = []
+    for r in range(n):
+        if not alpha[r]:
+            continue
+        const = [(chi[r], -1)]
+        per = [[(chi[i], 1)] if i >= r else [] for i in range(n)]
+        for k in range(n):
+            for t in range(k + 1, n):
+                if k >= r and beta[t]:
+                    per[k].append((q_exp[k][t], beta[t]))
+                    if k == r:
+                        const.append((q_exp[k][t], -beta[t]))
+                if t < r and beta[k]:
+                    per[t].append((q_exp[k][t], beta[k]))
+        for s in range(r):
+            if alpha[s]:
+                per[r].append((nq_exp[s][r], 1))
+            for s2 in range(r + 1, n):
+                if alpha[s] and alpha[s2]:
+                    const.append((nq_exp[s][s2], 1))
+                if alpha[s]:
+                    per[s2].append((nq_exp[s][s2], 1))
+                if alpha[s2]:
+                    per[s].append((nq_exp[s][s2], 1))
+        steps = []
+        for i, factors in enumerate(per):
+            key = A.unit_key(factors, l + 1 if i < r else 0)
+            if key != A.uni.one.key:
+                steps.append((key_exponents(key), i))
+        slots.append((r, A.unit_key(const), tuple(steps),
+                      _run_step(A, alpha, beta, g, r)))
+    return tuple(slots)
+
+
 def circ(A, outer, inner):
     """Closed-form circle product, one coefficient per (outer term
-    (gamma, kappa, h), inner term (alpha, beta, g), slot r with alpha_r = 1),
-    stated in these inputs.
+    (gamma, kappa, h), inner term (alpha, beta, g), slot r with alpha_r = 1
+    and kappa_r > 0), stated in these inputs.
 
     Only the splittings of e_rho, rho = kappa + beta - e_r, that leave
     e_beta as the middle leg survive; as rho - beta = kappa - e_r, there are
-    kappa_r of them, all on one symbol.  At the first, p = beta_r, the left
-    remainder nu is kappa below r and the right leg rho2 is (kappa_r - 1)
-    e_r plus kappa above r.  Its unit collects the diagonal coefficients of
-    both stages, the contraction's factors at slot r, the Koszul sign
-    (-1)^{|nu| (l + 1)} and the character of g on e_{rho2}; the outer value
-    x^gamma (x) h is reordered between the contraction's monomials `above`
-    and `below` (alpha above and below r) by `Algebra.mono_mul`, and h acts
-    on `below`.  The unit of splitting p is the first times v^{p - beta_r}
-    for the step v of `_run_step`, so the run is the first unit times the
-    sum `_run_sum` of the first kappa_r powers of v, both cached per
-    algebra."""
+    kappa_r of them, all on one symbol.  The unit of the first, p = beta_r,
+    is one `Algebra.unit_key` sum of two cached keys: the outer part
+    `_circ_outer` per (alpha, r, gamma, h), which reorders the outer value
+    with `Algebra.mono_mul`, and the inner part, linear in kappa, which
+    `_circ_inner` holds per (alpha, beta, g) for each slot r.  When both coefficients of the
+    term pair are Units their keys join the sum; otherwise their product is
+    formed once, at the pair's first active slot.  The unit of splitting p
+    is the first times v^{p - beta_r} for the step v of `_run_step`, so the
+    coefficient is the universe's unit at the key when kappa_r = 1, and
+    else the run's sum `_run_table` per (first key, step, kappa_r)."""
     m, l = outer.degree, inner.degree
     if m + l - 1 < 0:
         return Cochain(A, 0)
     out = {}
-    n = A.n
-    q_exp, nq_exp = A.q_exp, A.nq_exp
+    mult = A.group.mult
+    from_key = A.uni.from_key
+    inner_slots = [(alpha, beta, g, c_in, _circ_inner(A, alpha, beta, g))
+                   for (alpha, beta, g), c_in in inner.terms.items()]
     for (gamma, kappa, h), c_out in outer.terms.items():
-        for (alpha, beta, g), c_in in inner.terms.items():
-            base = c_out * c_in
-            for r in range(n):
-                if not (alpha[r] and kappa[r]):
+        for alpha, beta, g, c_in, slots in inner_slots:
+            keys = base = None
+            for r, first, steps, step in slots:
+                count = kappa[r]
+                if not count:
                     continue
-                above = (0,) * (r + 1) + alpha[r + 1:]
-                below = alpha[:r] + (0,) * (n - r)
-                left = A.mono_mul(above, gamma)
-                if left is None:
+                hit = _circ_outer(A, alpha, r, gamma, h)
+                if not hit:
                     continue
-                factors, mid = left
-                right = A.mono_mul(mid, below)
-                if right is None:
-                    continue
-                more, mono = right
-                # rho - beta = kappa - e_r, split at r into nu and rho2
-                excess = kappa[:r] + (kappa[r] - 1,) + kappa[r + 1:]
-                nu = excess[:r] + (0,) * (n - r)
-                rho2 = (0,) * r + excess[r:]
-                factors += (more + A.chi_factors(h, below)
-                            + A.chi_factors(g, rho2))
-                # diagonal coefficients (both stages)
-                for k in range(n):
-                    for t in range(k + 1, n):
-                        e = rho2[k] * beta[t] + beta[k] * nu[t]
-                        if e:
-                            factors.append((q_exp[k][t], e))
-                # contraction coefficients at the active slot
-                factors += [(nq_exp[r][s], 1) for s in range(r + 1, n)
-                            if alpha[s]]
-                factors += [(nq_exp[s][r], kappa[r]) for s in range(r)
-                            if alpha[s]]
-                for s in range(r):
-                    for s2 in range(r + 1, n):
-                        e = alpha[s] * (alpha[s2] + kappa[s2]) \
-                            + alpha[s2] * kappa[s]
-                        if e:
-                            factors.append((nq_exp[s][s2], e))
-                coeff = base * A.unit_product(factors, sum(nu) * (l + 1))
-                if kappa[r] > 1:
-                    coeff = coeff * _run_sum(
-                        A, _run_step(A, alpha, beta, g, r), kappa[r])
-                accumulate(out, (mono, add_index(beta, excess),
-                                 A.group.mult[h][g]), coeff)
+                key, mono = hit
+                if keys is None:
+                    rho, gout = add_index(kappa, beta), mult[h][g]
+                    if type(c_out) is Unit and type(c_in) is Unit:
+                        keys = (c_out.key, c_in.key)
+                    else:
+                        keys, base = (), c_out * c_in
+                key = A.unit_key([(v, kappa[i]) for v, i in steps], 0,
+                                 (key, first) + keys)
+                coeff = (from_key(*key) if count == 1
+                         else _run_table(A, key, step, count))
+                if base is not None:
+                    coeff = base * coeff
+                # rho = kappa + beta - e_r
+                accumulate(out, (mono, rho[:r] + (rho[r] - 1,) + rho[r + 1:],
+                                 gout), coeff)
     return Cochain.from_accumulated(A, m + l - 1, out)
 
 
@@ -340,10 +400,15 @@ def _reversed(br, m, l):
 
 def bracket(A, f1, f2):
     """Graded bracket [f1, f2] = f1 o f2 - (-1)^{(m-1)(l-1)} f2 o f1.  The
-    second circle product is added into the first one's fresh map."""
+    second circle product is added into the first one's fresh map; when
+    either is zero, the other is the bracket, negated if need be."""
     first = circ(A, f1, f2)
     second = first if f2 is f1 else circ(A, f2, f1)
     negate = not ((f1.degree - 1) * (f2.degree - 1)) % 2
+    if not second.terms:
+        return first
+    if not first.terms:
+        return -second if negate else second
     for key, c in list(second.terms.items()):
         accumulate(first.terms, key, -c if negate else c)
     return first

@@ -24,7 +24,7 @@ the basis symbols (x^alpha (x) g) e_beta^*.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .algebra import cached
 from .linalg import SparseVector, accumulate
@@ -87,14 +87,16 @@ def slot_condition_holds(A, g, gamma, l):
         return True
     exps, sign, k = A.unit_key([(A.nq_exp[j][l], gamma[j]) for j in range(A.n)
                                 if j != l and gamma[j]], gamma[l])
-    chi_exps, chi_sign, chi_k = A.unit_key([(A.chi_exp[g][l], 1)])
+    chi_exps, chi_sign, chi_k = A.group.chi[g][l].key
     root = A.uni.field.root
     return exps == chi_exps and root(sign, k) is root(chi_sign, chi_k)
 
 
+@cached
 def is_flat(A, g, gamma):
-    """True when gamma lies in the flat set C_g: every slot meets a
-    membership condition."""
+    """True when gamma (a tuple) lies in the flat set C_g: every slot
+    meets a membership condition.  Cached per (g, gamma), as each block
+    recurs for every alpha and across degrees."""
     return all(slot_condition_holds(A, g, gamma, l) for l in range(A.n))
 
 
@@ -140,6 +142,10 @@ def omega_small(A, g, alpha, beta, l):
 # ---------------------------------------------------------------------------
 # cochains
 # ---------------------------------------------------------------------------
+
+# the order of `Cochain.sorted_keys`: by g, then beta, then alpha
+_SYMBOL_ORDER = itemgetter(2, 1, 0)
+
 
 class Cochain(SparseVector):
     """Homogeneous cochain: sparse map (alpha, beta, g) -> coefficient.
@@ -212,7 +218,10 @@ class Cochain(SparseVector):
         return {sub_index(beta, alpha) for (alpha, beta, g) in self.terms}
 
     def sorted_keys(self):
-        return sorted(self.terms, key=lambda k: (k[2], k[1], k[0]))
+        """The keys (alpha, beta, g) ordered by g, then beta, then alpha."""
+        if len(self.terms) < 2:
+            return list(self.terms)
+        return sorted(self.terms, key=_SYMBOL_ORDER)
 
     def __repr__(self):
         from .scalars import scalar_str

@@ -436,8 +436,13 @@ class Universe:
 
     def from_key(self, exps, sign, k):
         """The table's unit sign * zeta^k * t^exps, for any sign +-1 and
-        integer k."""
-        return self._interned(exps, self.field.root(sign, k))
+        integer k.  A key the table holds is read straight from it; only
+        the table's keys name their root by its tag, so any other key,
+        such as (exps, -1, k) at even N, goes through the root."""
+        u = self.units.get((exps, sign, k))
+        if u is None:
+            u = self._interned(exps, self.field.root(sign, k))
+        return u
 
     def _interned(self, exps, root):
         """The table's unit {exps: root} for a tagged root."""
