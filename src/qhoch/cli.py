@@ -4,8 +4,10 @@ verification suites.
 
 A command returns its result as a dict whose cochains stay `Cochain`s
 (under "terms"); no record is built per term.  `write_json` writes the
-result as indented JSON and each cochain in one piece, from the text
-`cochain_json` joins; `render_text` writes it as tab-separated lines.
+result as indented JSON, each list or dict whose values are str, int or
+`Cochain` in one piece, with the text `cochain_json` builds for each
+cochain at its own indentation; `render_text` writes it as tab-separated
+lines.
 Each writes through one memo per command, so each distinct coefficient,
 and in JSON each distinct alpha or beta vector, is rendered once.
 
@@ -368,20 +370,20 @@ def _write_json(head, obj, write, nl, memo):
     inner = nl + "  "
     parts = [head + ("{" if is_dict else "[")]  # the text not yet written
     label = inner
-    for value in sorted(obj) if is_dict else obj:
+    for item in sorted(obj) if is_dict else obj:
         if is_dict:
-            if type(value) is not str:
+            if type(item) is not str:
                 raise TypeError(f"keys must be str, not "
-                                f"{type(value).__name__}")
-            label += _quote(value) + ": "
-            value = obj[value]
-        kind = type(value)
+                                f"{type(item).__name__}")
+            label += _quote(item) + ": "
+            item = obj[item]
+        kind = type(item)
         if kind is list or kind is dict:
             parts.append(label)
-            _write_json("".join(parts), value, write, inner, memo)
+            _write_json("".join(parts), item, write, inner, memo)
             parts = []
         else:
-            parts.append(label + _leaf_json(value, inner, memo))
+            parts.append(label + _leaf_json(item, inner, memo))
         label = "," + inner
     parts.append(nl + ("}" if is_dict else "]"))
     write("".join(parts))

@@ -27,14 +27,19 @@ tables and the oracles are built from `diagonal`, `phi_generator`,
 `Algebra.skew_mono` and `Algebra.unit_product` alone, never from the
 closed forms, so the oracles stay independent of `cup` and `circ`.  Every
 unit coefficient, in the closed forms and in the oracles alike, is summed
-once from its list of (q, -q or character, exponent) factors by
-`Algebra.unit_key`, except that `circ` sums the factors of only the first
-unit of each splitting sum and multiplies it by the sum of the run's
-powers of one step, 1 + v + ... + v^{kappa_r - 1}; the step (`_run_step`)
-and that sum (`_run_sum`, added up as integer counts by
-`Universe.unit_sum`) are cached per algebra.  The rest take each unit from
-the universe's table of units with `Algebra.unit_product`, and a product
-of two units is the table's unit at the sum of their keys (see
+once by `Algebra.unit_key` from its list of (q, -q or character,
+exponent) factors and the keys of any units it is a product of: the
+diagonal coefficient of `_cup_legs`, kept as its key, and the
+coefficients of a term pair when both are Units (otherwise the pair's
+product is formed once and multiplies the unit).  `circ` sums the unit of
+only the first splitting of each run, as two cached keys, the outer
+term's part (`_circ_outer`) and the inner term's part, linear in kappa
+(`_circ_inner`); a run of one splitting is that unit, and a longer one,
+first * (1 + v + ... + v^{kappa_r - 1}) for the step v of `_run_step`,
+is read from `_run_table` per (first key, step, kappa_r), whose terms
+are added up as integer counts of keys by `Universe.unit_sum`.  Each unit
+is taken from the universe's table of units at its summed key, and a
+product of two units is the table's unit at the sum of their keys (see
 `qhoch.scalars`), so each unit value is built once per universe.  The
 factor lists of `Algebra.mono_mul` and `Algebra.chi_factors` are read
 from tables cached per argument, a fresh list per call, which `circ` and
@@ -82,7 +87,10 @@ from .scalars import Unit
 # ---------------------------------------------------------------------------
 
 def cup(A, f1, f2):
-    """Closed-form cup product, extended bilinearly."""
+    """Closed-form cup product, extended bilinearly.  Each coefficient is
+    one `Algebra.unit_product`, with the keys of both coefficients of the
+    term pair in its sum when both are Units, and otherwise times their
+    product."""
     out = {}
     q_exp = A.q_exp
     for (alpha, beta, g), c1 in f1.terms.items():
@@ -99,21 +107,26 @@ def cup(A, f1, f2):
                     sign += gamma[k] * alpha[l]
             key = (add_index(alpha, gamma), add_index(beta, kappa),
                    A.group.mult[g][h])
-            accumulate(out, key, (c1 * c2) * A.unit_product(factors, sign))
+            if type(c1) is Unit and type(c2) is Unit:
+                coeff = A.unit_product(factors, sign, (c1.key, c2.key))
+            else:
+                coeff = (c1 * c2) * A.unit_product(factors, sign)
+            accumulate(out, key, coeff)
     return Cochain.from_accumulated(A, f1.degree + f2.degree, out)
 
 
 @cached
 def _cup_legs(A, m, l):
     """Leg pairs of the diagonal in total degree m + l:
-    {(b1, b2): (rho, u)} over every splitting of every e_rho of degree
-    m + l with |b1| = m, where u is the diagonal coefficient.  Each leg
-    pair splits exactly one generator, rho = b1 + b2."""
+    {(b1, b2): (rho, key)} over every splitting of every e_rho of degree
+    m + l with |b1| = m, where key is the unit key of the diagonal
+    coefficient.  Each leg pair splits exactly one generator,
+    rho = b1 + b2."""
     legs = {}
     for rho in compositions(A.n, m + l):
         for b1, b2, u in diagonal(A, rho):
             if sum(b1) == m:
-                legs[(b1, b2)] = (rho, u)
+                legs[(b1, b2)] = (rho, u.key)
     return legs
 
 
@@ -123,7 +136,9 @@ def cup_oracle(A, f1, f2):
     e_b2, summed over the splittings (b1, b2) of rho with their diagonal
     coefficients u.  Each term pair on a leg pair is one monomial product,
     (x^alpha (x) g)(x^gamma (x) h), by `Algebra.skew_mono`: one unit, or
-    zero.  Independent of the closed form."""
+    zero, whose `Algebra.unit_product` also sums the key of u, and those of
+    c1 and c2 when both are Units (else it is times c1 * c2).  Independent
+    of the closed form."""
     legs = _cup_legs(A, f1.degree, f2.degree)
     mult = A.group.mult
     out = {}
@@ -135,10 +150,13 @@ def cup_oracle(A, f1, f2):
             hit = A.skew_mono(alpha, g, gamma)
             if hit is None:
                 continue
-            rho, u = leg
+            rho, u_key = leg
             factors, mono = hit
-            accumulate(out, (mono, rho, mult[g][h]),
-                       c1 * c2 * u * A.unit_product(factors))
+            if type(c1) is Unit and type(c2) is Unit:
+                coeff = A.unit_product(factors, 0, (u_key, c1.key, c2.key))
+            else:
+                coeff = (c1 * c2) * A.unit_product(factors, 0, (u_key,))
+            accumulate(out, (mono, rho, mult[g][h]), coeff)
     return Cochain.from_accumulated(A, f1.degree + f2.degree, out)
 
 
@@ -166,9 +184,9 @@ def _contractions(A, symbol, m):
                 continue
             # the coefficient of e_nu (x) e_beta in the diagonal of e_rho1,
             # the Koszul sign, and the character of g on e_rho2
-            u_inner = _cup_legs(A, sum(nu), l)[(nu, beta)][1]
-            coeff = u_outer * u_inner * A.unit_product(
-                A.chi_factors(g, rho2), l * sum(nu))
+            inner_key = _cup_legs(A, sum(nu), l)[(nu, beta)][1]
+            coeff = A.unit_product(A.chi_factors(g, rho2), l * sum(nu),
+                                   (u_outer.key, inner_key))
             contracted = phi_generator(A, nu, alpha, rho2)
             for (a, kappa, b), pc in contracted.terms.items():
                 table.setdefault(kappa, []).append((rho, a, b, coeff * pc))
@@ -340,9 +358,10 @@ def circ(A, outer, inner):
     is one `Algebra.unit_key` sum of two cached keys: the outer part
     `_circ_outer` per (alpha, r, gamma, h), which reorders the outer value
     with `Algebra.mono_mul`, and the inner part, linear in kappa, which
-    `_circ_inner` holds per (alpha, beta, g) for each slot r.  When both coefficients of the
-    term pair are Units their keys join the sum; otherwise their product is
-    formed once, at the pair's first active slot.  The unit of splitting p
+    `_circ_inner` holds per (alpha, beta, g) for each slot r.  When both
+    coefficients of the term pair are Units their keys join the sum;
+    otherwise their product is formed once, at the pair's first active
+    slot.  The unit of splitting p
     is the first times v^{p - beta_r} for the step v of `_run_step`, so the
     coefficient is the universe's unit at the key when kappa_r = 1, and
     else the run's sum `_run_table` per (first key, step, kappa_r)."""
@@ -357,29 +376,28 @@ def circ(A, outer, inner):
     for (gamma, kappa, h), c_out in outer.terms.items():
         for alpha, beta, g, c_in, slots in inner_slots:
             keys = base = None
-            for r, first, steps, step in slots:
+            for r, inner_key, steps, step in slots:
                 count = kappa[r]
                 if not count:
                     continue
                 hit = _circ_outer(A, alpha, r, gamma, h)
                 if not hit:
                     continue
-                key, mono = hit
+                outer_key, mono = hit
                 if keys is None:
-                    rho, gout = add_index(kappa, beta), mult[h][g]
+                    total, gout = add_index(kappa, beta), mult[h][g]
                     if type(c_out) is Unit and type(c_in) is Unit:
                         keys = (c_out.key, c_in.key)
                     else:
                         keys, base = (), c_out * c_in
-                key = A.unit_key([(v, kappa[i]) for v, i in steps], 0,
-                                 (key, first) + keys)
-                coeff = (from_key(*key) if count == 1
-                         else _run_table(A, key, step, count))
+                first = A.unit_key([(v, kappa[i]) for v, i in steps], 0,
+                                   (outer_key, inner_key) + keys)
+                coeff = (from_key(*first) if count == 1
+                         else _run_table(A, first, step, count))
                 if base is not None:
                     coeff = base * coeff
-                # rho = kappa + beta - e_r
-                accumulate(out, (mono, rho[:r] + (rho[r] - 1,) + rho[r + 1:],
-                                 gout), coeff)
+                rho = total[:r] + (total[r] - 1,) + total[r + 1:]
+                accumulate(out, (mono, rho, gout), coeff)
     return Cochain.from_accumulated(A, m + l - 1, out)
 
 

@@ -574,6 +574,35 @@ def mixed_cochain(A, m, rng):
     return Cochain(A, m, terms)
 
 
+@pytest.mark.parametrize("name", ["S3", "A2", "Ad3", "readme"])
+def test_products_equal_oracles_on_mixed_cochains(name, request):
+    """cup == cup_oracle and circ == circ_oracle on mixed cochains of total
+    degree <= 3.  A term pair of two Units enters the closed forms and the
+    cup oracle as two more keys in the unit's sum; a pair with a non-unit
+    coefficient as one product.  The basis sweeps only have coefficient 1,
+    so they cannot see a key left out of the sum, nor the non-unit
+    branch."""
+    A = request.getfixturevalue(name)
+    rng = random.Random(61)
+    cochains = {m: [mixed_cochain(A, m, rng) for _ in range(3)]
+                for m in range(4)}
+    nonzero = {"cup": 0, "circ": 0}
+    for m in range(4):
+        for l in range(4 - m):
+            for f1 in cochains[m]:
+                for f2 in cochains[l]:
+                    for name, op, oracle in (("cup", cup, cup_oracle),
+                                             ("circ", circ, circ_oracle)):
+                        got = op(A, f1, f2)
+                        assert got == oracle(A, f1, f2), (name, m, l)
+                        nonzero[name] += not got.is_zero()
+    coeffs = [c for fs in cochains.values() for f in fs
+              for c in f.terms.values()]
+    assert sum(type(c) is Unit and not c.is_one() for c in coeffs) > 10
+    assert sum(c.as_unit() is None for c in coeffs) > 10
+    assert min(nonzero.values()) > 10, nonzero
+
+
 @pytest.mark.parametrize("name", ["S3", "A2", "readme"])
 def test_cochain_arithmetic_keeps_the_constructor_invariants(name, request):
     """Cochain `+`, `-`, negation and `scale` build their result without

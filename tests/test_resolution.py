@@ -4,11 +4,12 @@ from itertools import product
 import pytest
 
 import qhoch.resolution
-from conftest import SESSION_ALGEBRAS, random_scalar
+from conftest import SESSION_ALGEBRAS, random_scalar, s3_algebra
 from qhoch import (Cochain, Tensor, Tensor2, bar_check, diagonal,
                    f_beta_expand, formal_algebra, hom_differential, homotopy,
                    is_flat, norm_g, omega_big, omega_small, phi_generator,
-                   phi_identity_check, resolution_differential, build_algebra)
+                   phi_identity_check, quantum_coefficient_action_algebra,
+                   resolution_differential, build_algebra)
 from qhoch.linalg import accumulate
 from qhoch.resolution import (add_index, bump, compositions, degree,
                               differential_check, phi_tensor, sub_index,
@@ -255,6 +256,26 @@ def test_omega_small_and_norm_follow_the_slot_condition(fixture, request):
                                     == -A.chi(g, l))
                         assert omega_small(A, g, alpha, beta, l).is_zero() \
                             == vanishes, (g, alpha, beta, l)
+
+
+@pytest.mark.parametrize("maker", [
+    s3_algebra, lambda: formal_algebra(2),
+    lambda: quantum_coefficient_action_algebra(3)], ids=["S3", "A2", "Ad3"])
+def test_is_flat_cached_per_block(maker):
+    """is_flat is cached per (g, gamma): on a fresh algebra, every block
+    with each gamma_l in -1..3 gets one entry in A.caches, and the answer,
+    on the call that fills it and on a later one in reverse order, is the
+    direct evaluation of every slot condition."""
+    A = maker()
+    blocks = [(g, gamma) for g in range(A.group.order)
+              for gamma in product(range(-1, 4), repeat=A.n)]
+    direct = {(g, gamma): all(qhoch.resolution.slot_condition_holds(
+        A, g, gamma, l) for l in range(A.n)) for g, gamma in blocks}
+    assert any(direct.values()) and not all(direct.values())
+    for order in (blocks, blocks[::-1]):
+        for g, gamma in order:
+            assert is_flat(A, g, gamma) is direct[(g, gamma)], (g, gamma)
+    assert sum(key[0] == "is_flat" for key in A.caches) == len(blocks)
 
 
 @pytest.mark.parametrize("fixture", ["A2", "Ad3", "Ad4", "A_comm", "A_ext"])
