@@ -341,17 +341,20 @@ def write_json(obj, write):
     _write_json("", obj, write, "\n", {})
 
 
+# the text of a str or an int leaf, by its type
+_LEAF_TEXT = {str: _quote, int: int.__repr__}
+
+
 def _leaf_json(obj, nl, memo):
     """The text of obj, a str, an int or a Cochain, on a line that nl
     starts; any other type raises TypeError."""
-    kind = type(obj)
-    if kind is str:
-        return _quote(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is Cochain:
+    text = _LEAF_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
+    if type(obj) is Cochain:
         return cochain_json(obj, memo, nl)
-    raise TypeError(f"Object of type {kind.__name__} is not written as JSON")
+    raise TypeError(f"Object of type {type(obj).__name__} is not written "
+                    "as JSON")
 
 
 def _write_json(head, obj, write, nl, memo):
@@ -378,12 +381,15 @@ def _write_json(head, obj, write, nl, memo):
             label += _quote(item) + ": "
             item = obj[item]
         kind = type(item)
-        if kind is list or kind is dict:
+        text = _LEAF_TEXT.get(kind)
+        if text is not None:
+            parts.append(label + text(item))
+        elif kind is Cochain:
+            parts.append(label + cochain_json(item, memo, inner))
+        else:
             parts.append(label)
             _write_json("".join(parts), item, write, inner, memo)
             parts = []
-        else:
-            parts.append(label + _leaf_json(item, inner, memo))
         label = "," + inner
     parts.append(nl + ("}" if is_dict else "]"))
     write("".join(parts))

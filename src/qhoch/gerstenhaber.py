@@ -77,8 +77,8 @@ from operator import add
 from .algebra import cached, key_exponents
 from .cohomology import collect_classes, is_cocycle
 from .linalg import accumulate
-from .resolution import (Cochain, add_index, compositions, diagonal,
-                         full_basis, phi_generator, sub_index)
+from .resolution import (Cochain, add_index, bump, compositions,
+                         diagonal, full_basis, phi_generator, sub_index)
 from .scalars import Unit
 
 
@@ -307,9 +307,10 @@ def _circ_inner(A, alpha, beta, g):
     (-q_{sr})^{kappa_r} for s < r and
     (-q_{s s2})^{alpha_s (alpha_s2 + kappa_s2) + alpha_s2 kappa_s} for
     s < r < s2, and the Koszul sign (-1)^{|nu| (l + 1)}, l = |beta|.
-    Returns a tuple of (r, K0, V, step): the key K0 of the part at
-    kappa = 0, the factors (V_i, i) of `key_exponents` form whose
-    kappa_i-th powers make up the rest, and the run's `_run_step`."""
+    Returns a tuple of (r, K0, V, step, beta - e_r): the key K0 of the
+    part at kappa = 0, the factors (V_i, i) of `key_exponents` form whose
+    kappa_i-th powers make up the rest, the run's `_run_step`, and the
+    index the outer kappa is added to for the result's generator."""
     n = A.n
     q_exp, nq_exp, chi = A.q_exp, A.nq_exp, A.chi_exp[g]
     l = sum(beta)
@@ -343,7 +344,7 @@ def _circ_inner(A, alpha, beta, g):
             if key != A.uni.one.key:
                 steps.append((key_exponents(key), i))
         slots.append((r, A.unit_key(const), tuple(steps),
-                      _run_step(A, alpha, beta, g, r)))
+                      _run_step(A, alpha, beta, g, r), bump(beta, r, -1)))
     return tuple(slots)
 
 
@@ -376,7 +377,7 @@ def circ(A, outer, inner):
     for (gamma, kappa, h), c_out in outer.terms.items():
         for alpha, beta, g, c_in, slots in inner_slots:
             keys = base = None
-            for r, inner_key, steps, step in slots:
+            for r, inner_key, steps, step, beta_below in slots:
                 count = kappa[r]
                 if not count:
                     continue
@@ -385,7 +386,7 @@ def circ(A, outer, inner):
                     continue
                 outer_key, mono = hit
                 if keys is None:
-                    total, gout = add_index(kappa, beta), mult[h][g]
+                    gout = mult[h][g]
                     if type(c_out) is Unit and type(c_in) is Unit:
                         keys = (c_out.key, c_in.key)
                     else:
@@ -396,8 +397,9 @@ def circ(A, outer, inner):
                          else _run_table(A, first, step, count))
                 if base is not None:
                     coeff = base * coeff
-                rho = total[:r] + (total[r] - 1,) + total[r + 1:]
-                accumulate(out, (mono, rho, gout), coeff)
+                # rho = kappa + beta - e_r
+                accumulate(out, (mono, add_index(kappa, beta_below), gout),
+                           coeff)
     return Cochain.from_accumulated(A, m + l - 1, out)
 
 
