@@ -86,11 +86,19 @@ from .scalars import Unit
 # cup product
 # ---------------------------------------------------------------------------
 
+def _pair_keys(c1, c2):
+    """How a product folds the coefficients c1, c2 of a term pair into its
+    unit: (their keys, None) for `Algebra.unit_key`'s sum when both are
+    Units, else ((), c1 * c2), the one product that multiplies the unit."""
+    if type(c1) is Unit and type(c2) is Unit:
+        return (c1.key, c2.key), None
+    return (), c1 * c2
+
+
 def cup(A, f1, f2):
     """Closed-form cup product, extended bilinearly.  Each coefficient is
-    one `Algebra.unit_product`, with the keys of both coefficients of the
-    term pair in its sum when both are Units, and otherwise times their
-    product."""
+    one `Algebra.unit_product`, with the term pair's coefficients folded
+    in by `_pair_keys`."""
     out = {}
     q_exp = A.q_exp
     for (alpha, beta, g), c1 in f1.terms.items():
@@ -107,11 +115,9 @@ def cup(A, f1, f2):
                     sign += gamma[k] * alpha[l]
             key = (add_index(alpha, gamma), add_index(beta, kappa),
                    A.group.mult[g][h])
-            if type(c1) is Unit and type(c2) is Unit:
-                coeff = A.unit_product(factors, sign, (c1.key, c2.key))
-            else:
-                coeff = (c1 * c2) * A.unit_product(factors, sign)
-            accumulate(out, key, coeff)
+            keys, base = _pair_keys(c1, c2)
+            coeff = A.unit_product(factors, sign, keys)
+            accumulate(out, key, coeff if base is None else base * coeff)
     return Cochain.from_accumulated(A, f1.degree + f2.degree, out)
 
 
@@ -136,9 +142,8 @@ def cup_oracle(A, f1, f2):
     e_b2, summed over the splittings (b1, b2) of rho with their diagonal
     coefficients u.  Each term pair on a leg pair is one monomial product,
     (x^alpha (x) g)(x^gamma (x) h), by `Algebra.skew_mono`: one unit, or
-    zero, whose `Algebra.unit_product` also sums the key of u, and those of
-    c1 and c2 when both are Units (else it is times c1 * c2).  Independent
-    of the closed form."""
+    zero, whose `Algebra.unit_product` also sums the key of u, with c1 and
+    c2 folded in by `_pair_keys`.  Independent of the closed form."""
     legs = _cup_legs(A, f1.degree, f2.degree)
     mult = A.group.mult
     out = {}
@@ -152,11 +157,10 @@ def cup_oracle(A, f1, f2):
                 continue
             rho, u_key = leg
             factors, mono = hit
-            if type(c1) is Unit and type(c2) is Unit:
-                coeff = A.unit_product(factors, 0, (u_key, c1.key, c2.key))
-            else:
-                coeff = (c1 * c2) * A.unit_product(factors, 0, (u_key,))
-            accumulate(out, (mono, rho, mult[g][h]), coeff)
+            keys, base = _pair_keys(c1, c2)
+            coeff = A.unit_product(factors, 0, (u_key,) + keys)
+            accumulate(out, (mono, rho, mult[g][h]),
+                       coeff if base is None else base * coeff)
     return Cochain.from_accumulated(A, f1.degree + f2.degree, out)
 
 
@@ -359,13 +363,12 @@ def circ(A, outer, inner):
     is one `Algebra.unit_key` sum of two cached keys: the outer part
     `_circ_outer` per (alpha, r, gamma, h), which reorders the outer value
     with `Algebra.mono_mul`, and the inner part, linear in kappa, which
-    `_circ_inner` holds per (alpha, beta, g) for each slot r.  When both
-    coefficients of the term pair are Units their keys join the sum;
-    otherwise their product is formed once, at the pair's first active
-    slot.  The unit of splitting p
-    is the first times v^{p - beta_r} for the step v of `_run_step`, so the
-    coefficient is the universe's unit at the key when kappa_r = 1, and
-    else the run's sum `_run_table` per (first key, step, kappa_r)."""
+    `_circ_inner` holds per (alpha, beta, g) for each slot r, with the term
+    pair's coefficients folded in by `_pair_keys` at the pair's first
+    active slot.  The unit of splitting p is the first times
+    v^{p - beta_r} for the step v of `_run_step`, so the coefficient is the
+    universe's unit at the key when kappa_r = 1, and else the run's sum
+    `_run_table` per (first key, step, kappa_r)."""
     m, l = outer.degree, inner.degree
     if m + l - 1 < 0:
         return Cochain(A, 0)
@@ -387,10 +390,7 @@ def circ(A, outer, inner):
                 outer_key, mono = hit
                 if keys is None:
                     gout = mult[h][g]
-                    if type(c_out) is Unit and type(c_in) is Unit:
-                        keys = (c_out.key, c_in.key)
-                    else:
-                        keys, base = (), c_out * c_in
+                    keys, base = _pair_keys(c_out, c_in)
                 first = A.unit_key([(v, kappa[i]) for v, i in steps], 0,
                                    (outer_key, inner_key) + keys)
                 coeff = (from_key(*first) if count == 1
