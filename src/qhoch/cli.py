@@ -297,10 +297,11 @@ def cochain_json(c, memo, nl):
     "coefficient_str" (scalar_str), "g"}, each record built at its own
     indentation.  memo belongs to one command and maps each line start nl
     to the texts of record fields at that indentation: one per index
-    vector (an alpha or a beta) and one pair per coefficient, so each is
-    rendered once, however many terms share it.  The cochains of one
-    command all start on lines of one indentation, and memory grows with
-    the distinct vectors and coefficients, not with the basis symbols."""
+    vector (an alpha or a beta) and one pair per coefficient, found by its
+    `Scalar.value_key`, so each is rendered once, however many terms share
+    it.  The cochains of one command all start on lines of one
+    indentation, and memory grows with the distinct vectors and
+    coefficients, not with the basis symbols."""
     if not c.terms:
         return "[]"
     texts = memo.get(nl)
@@ -318,10 +319,11 @@ def cochain_json(c, memo, nl):
         if beta_text is None:
             beta_text = texts[beta] = _json_text(list(beta), field)
         s = c.terms[key]
-        coefficient = texts.get(s)
+        value = s.value_key()
+        coefficient = texts.get(value)
         if coefficient is None:
-            coefficient = texts[s] = (_json_text(scalar_json(s), field),
-                                      _json_text(scalar_str(s), field))
+            coefficient = texts[value] = (_json_text(scalar_json(s), field),
+                                          _json_text(scalar_str(s), field))
         records.append(
             f'{{{field}"alpha": {alpha_text},{field}"beta": {beta_text},'
             f'{field}"coefficient": {coefficient[0]},{field}'
@@ -485,14 +487,15 @@ def cmd_verify(A, max_degree):
 # ---------------------------------------------------------------------------
 
 def _terms_text(c, memo):
-    """One line for the terms of the cochain c; memo maps each coefficient
-    to its scalar_str."""
+    """One line for the terms of the cochain c; memo maps each coefficient,
+    by its `Scalar.value_key`, to its scalar_str."""
     parts = []
     for key in c.sorted_keys():
         s = c.terms[key]
-        text = memo.get(s)
+        value = s.value_key()
+        text = memo.get(value)
         if text is None:
-            text = memo[s] = scalar_str(s)
+            text = memo[value] = scalar_str(s)
         alpha, beta, g = key
         parts.append(f"({text})*(x^{alpha}(x)g{g})e{beta}^*")
     return " + ".join(parts)

@@ -535,14 +535,18 @@ class Scalar:
         return ((self.uni is other.uni or self.uni.compatible(other.uni))
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        # a monomial, the common case, hashes its one term; equal scalars
-        # have equal term maps, so they take the same branch
+    def value_key(self):
+        """A key of plain tuples and ints, equal exactly for equal scalars
+        of one universe: a monomial, the common case, gives its one term
+        as (exponents, numerators, denominator), and any other scalar the
+        frozenset of its terms."""
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
-            return hash((e, c.nums, c.den))
-        return hash(frozenset((e, c.nums, c.den)
-                              for e, c in self.terms.items()))
+            return (e, c.nums, c.den)
+        return frozenset((e, c.nums, c.den) for e, c in self.terms.items())
+
+    def __hash__(self):
+        return hash(self.value_key())
 
     def __add__(self, other):
         if not isinstance(other, Scalar):

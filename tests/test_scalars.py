@@ -227,8 +227,8 @@ def test_compatible_universes_compare_by_value():
 def test_scalar_hash_one_term_and_term_order():
     """A one-term scalar hashes its one term and a longer one the set of
     its terms: a Unit and the equal plain Scalar, and multi-term scalars
-    built in different term orders, hash alike and find each other as
-    dict keys."""
+    built in different term orders, hash alike, find each other as dict
+    keys and have equal `value_key`s, which differ for unequal scalars."""
     uni = Universe(CycloField(6), ("t", "u"))
     field = uni.field
     rng = random.Random(17)
@@ -238,6 +238,8 @@ def test_scalar_hash_one_term_and_term_order():
         assert type(u) is Unit and type(plain) is Scalar
         assert u == plain and hash(u) == hash(plain)
         assert {u: "unit"}[plain] == "unit" and {plain: "plain"}[u] == "plain"
+        assert u.value_key() == plain.value_key()
+        assert u.value_key() != (-u).value_key() != (u + u).value_key()
     for size in (2, 3, 5):
         terms = {}
         while len(terms) < size:
@@ -253,6 +255,8 @@ def test_scalar_hash_one_term_and_term_order():
         assert forward == backward and hash(forward) == hash(backward)
         assert {forward: size}[backward] == size
         assert {backward: size}[forward] == size
+        assert forward.value_key() == backward.value_key()
+        assert forward.value_key() != (forward + uni.one).value_key()
 
 
 @given(num=st.integers(-40, 40), den=st.integers(1, 40),
