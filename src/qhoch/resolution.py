@@ -80,9 +80,10 @@ def slot_condition_holds(A, g, gamma, l):
     """True when gamma_l = -1 or the quantum/character relation holds in
     slot l (the membership condition for the flat subcomplexes): the unit
     (-1)^{gamma_l} prod_{k != l} (-q_{kl})^{gamma_k} equals chi_{g,l}.
-    The two are compared by their `Algebra.unit_key`s, on the field's
-    tagged roots, since at even N the keys (-1, k) and (1, k + N/2) name
-    one root."""
+    The two are compared by their keys, the slot unit's summed by
+    `Algebra.unit_key` and chi_{g,l}'s read from the group's table, on the
+    field's tagged roots, since at even N the keys (-1, k) and
+    (1, k + N/2) name one root."""
     if gamma[l] == -1:
         return True
     exps, sign, k = A.unit_key([(A.nq_exp[j][l], gamma[j]) for j in range(A.n)

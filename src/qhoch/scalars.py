@@ -536,10 +536,11 @@ class Scalar:
                 and self.terms == other.terms)
 
     def value_key(self):
-        """A key of plain tuples and ints, equal exactly for equal scalars
-        of one universe: a monomial, the common case, gives its one term
-        as (exponents, numerators, denominator), and any other scalar the
-        frozenset of its terms."""
+        """A hashable key built of ints, tuples and frozensets, whose
+        hashing and equality run no Python code, equal exactly for equal
+        scalars of one universe: a monomial, the common case, gives its one
+        term as (exponents, numerators, denominator), and any other scalar
+        the frozenset of its terms."""
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
             return (e, c.nums, c.den)
