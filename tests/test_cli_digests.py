@@ -3,7 +3,9 @@ stdout and the whole of stderr of each command on each benchmark config,
 in both output formats, at degree 3, of the text bracket table and
 the JSON cup table of the README config (bracket-table) at degree 10, and
 of the bracket table of a nonabelian group, S3 by the sign character
-(`s3.json`), in both formats at degree 3.
+(`s3.json`), in both formats at degree 3, and of a field with N = 1
+(`formal3.json`, one formal parameter and q = -1, 1), its bracket table in
+both formats and its `dims --verify` in JSON at degree 3.
 The JSON bracket table at degree 10 is pinned by the benchmark's golden
 file.
 
@@ -54,16 +56,20 @@ def run_once(config, command, fmt, degree=DEGREE):
 
 README_CONFIG = ROOT / "perfbench" / "configs" / "bracket-table.json"
 S3_CONFIG = Path(__file__).resolve().parent / "s3.json"
+FORMAL3_CONFIG = Path(__file__).resolve().parent / "formal3.json"
 GRID = [(config, command, fmt, DEGREE) for config in CONFIGS
         for command in COMMANDS for fmt in FORMATS] + [
     (README_CONFIG, ["bracket"], "text", "10"),
     (README_CONFIG, ["cup"], "json", "10"),
-] + [(S3_CONFIG, ["bracket"], fmt, DEGREE) for fmt in FORMATS]
+] + [(S3_CONFIG, ["bracket"], fmt, DEGREE) for fmt in FORMATS] + [
+    (FORMAL3_CONFIG, ["bracket"], fmt, DEGREE) for fmt in FORMATS] + [
+    (FORMAL3_CONFIG, ["dims", "--verify"], "json", DEGREE),
+]
 
 
 def test_grid_covers_every_pinned_run():
     pinned = json.loads(DIGESTS.read_text())
-    assert len(GRID) == 52
+    assert len(GRID) == 55
     assert sorted(pinned) == sorted(run_key(*run) for run in GRID)
 
 
