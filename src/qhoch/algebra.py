@@ -13,21 +13,21 @@ chi_{g,i} a root of unity.  The skew product on Lambda x kG is
 
 Every structure constant is a product of integer powers of the q_{ij}, the
 -q_{ij} and the chi_{g,i}.  The algebra keeps each of these units as its
-exponents (sign bit, zeta power, Laurent exponents) in the tables q_exp,
-nq_exp and chi_exp.  `Algebra.unit_key` sums the exponents of a product of
-them into the key (exps, sign, k) of the unit sign * zeta^k * t^exps, and
+key (exps, j) (see `qhoch.scalars`) in the tables q_exp, nq_exp and
+chi_exp.  `Algebra.unit_key` sums a list of factors (key, exponent), the
+keys scaled by their exponents, into the key of their product, and
 `Algebra.unit_product` takes each unit coefficient from the universe's
 table of units at that key instead of forming a running product of units.
-The factor lists of the monomial product (`Algebra.mono_mul`) and of the
-characters on a monomial (`Algebra.chi_factors`) depend on a few small
-indices only; each is computed once per algebra, kept as a tuple in
-`A.caches`, and handed out as a fresh list.
+The factor tuples of the monomial product (`Algebra.mono_mul`), of the
+characters on a monomial (`Algebra.chi_factors`) and of the skew rule
+(`Algebra.skew_mono`) depend on a few small indices only; each is computed
+once per algebra and kept in `A.caches`, and callers read the cached
+tuples themselves.
 """
 
 from __future__ import annotations
 
 from functools import wraps
-from operator import add
 
 from .linalg import SparseVector, accumulate
 from .scalars import CycloField, Universe
@@ -161,54 +161,25 @@ def make_cyclic_group(uni, n, order, chi_gen):
     return Group(mult, chi)
 
 
+_MISS = object()
+
+
 def cached(fn):
     """Memoize fn(A, *args) per algebra: the result is kept in A.caches
     under (fn.__name__,) + args, computed on a miss only and stored whole.
-    The arguments after A are hashable (multi-indices as tuples), and no
-    cached result is None, so a falsy result such as {} or 0 is kept too."""
+    The arguments after A are hashable (multi-indices as tuples); any
+    result is kept, None and falsy ones such as {} or 0 too.  A method of
+    `Algebra` can be cached this way."""
     name = fn.__name__
 
     @wraps(fn)
     def memo(A, *args):
         key = (name,) + args
-        hit = A.caches.get(key)
-        if hit is None:
+        hit = A.caches.get(key, _MISS)
+        if hit is _MISS:
             hit = A.caches[key] = fn(A, *args)
         return hit
     return memo
-
-
-_ONE_EXPONENTS = (0, 0, ())
-
-
-def key_exponents(key):
-    """(sign bit, zeta power, nonzero (slot, Laurent exponent) pairs) of
-    the unit (-1)^sign * zeta^k * t^e with key (e, sign, k): a factor for
-    `Algebra.unit_key`."""
-    exps, sign, k = key
-    return (1 if sign == -1 else 0, k,
-            tuple((p, e) for p, e in enumerate(exps) if e))
-
-
-@cached
-def _chi_factors(A, g, exps):
-    """The factors of `Algebra.chi_factors`, as a tuple."""
-    return tuple([(c, e) for c, e in zip(A.chi_exp[g], exps)
-                  if e and c != _ONE_EXPONENTS])
-
-
-@cached
-def _mono_mul(A, a, b):
-    """`Algebra.mono_mul` with its factors as a tuple, or () in place of
-    None."""
-    n = A.n
-    for i in range(n):
-        if a[i] and b[i]:
-            return ()
-    # x_l x_k = (-q_{kl})^{-1} x_k x_l for k < l
-    return (tuple([(A.nq_exp[k][l], -1) for k in range(n) if b[k]
-                   for l in range(k + 1, n) if a[l]]),
-            tuple([ai | bi for ai, bi in zip(a, b)]))
 
 
 class Algebra:
@@ -216,19 +187,18 @@ class Algebra:
 
     q[i][j] is the full matrix of units with q[i][i] = -1 and
     q[j][i] = q[i][j]^{-1}; nq[i][j] = -q[i][j] (so nq[i][i] = 1).
-    q_exp, nq_exp and chi_exp hold the `key_exponents` of q, nq and the
-    group characters, the factors `unit_product` takes.
+    q_exp, nq_exp and chi_exp hold the keys of q, nq and the group
+    characters, which `unit_product` takes as factors.
     Indices are 0-based throughout the code.
     """
 
     __slots__ = ("n", "uni", "q", "nq", "group", "caches",
-                 "q_exp", "nq_exp", "chi_exp", "_signs")
+                 "q_exp", "nq_exp", "chi_exp")
 
     def __init__(self, n, uni, q_upper, group=None):
         self.n = n
         self.uni = uni
         minus_one = uni.unit(sign=-1)
-        self._signs = (uni.one, minus_one)
         q = [[None] * n for _ in range(n)]
         for i in range(n):
             q[i][i] = minus_one
@@ -247,7 +217,7 @@ class Algebra:
         if len(self.group.chi[0]) != n:
             raise ValueError("character matrix width must equal n")
         self.q_exp, self.nq_exp, self.chi_exp = (
-            tuple(tuple(key_exponents(u.key) for u in row) for row in table)
+            tuple(tuple(u.key for u in row) for row in table)
             for table in (self.q, self.nq, self.group.chi))
         self.caches = {}
 
@@ -262,66 +232,71 @@ class Algebra:
     def chi(self, g, i):
         return self.group.chi[g][i]
 
-    def unit_key(self, factors, sign=0, keys=()):
-        """(exps, sign, k) with (-1)^sign * prod u^e * prod v =
-        sign * zeta^k * t^exps, sign +-1 and 0 <= k < N, over the pairs
-        (exponents of u, e) in factors, each taken from q_exp, nq_exp or
-        chi_exp or made by `key_exponents`, and the units v whose keys are
-        listed in keys: the exponents are summed and no object is built."""
-        k = 0
-        exps = [0] * self.uni.nparams
-        for (s, z, t), e in factors:
-            sign += s * e
-            k += z * e
-            for p, v in t:
-                exps[p] += v * e
-        for e, s, z in keys:
-            if s == -1:
-                sign += 1
-            k += z
-            if e:
-                exps = list(map(add, exps, e))
-        return tuple(exps), -1 if sign % 2 else 1, k % self.uni.field.N
+    def unit_key(self, factors, sign=0):
+        """The key of (-1)^sign * prod u^m over the pairs (key of u, m) in
+        factors, the keys taken from q_exp, nq_exp or chi_exp or of any
+        other unit (a unit's key is the factor (key, 1)): the keys scaled
+        by their exponents and summed, -1 adding P/2.  No object is
+        built."""
+        P = self.uni.field.P
+        zero = (0,) * self.uni.nparams
+        j = sign * (P // 2)
+        exps = list(zero)
+        for (e, z), m in factors:
+            j += z * m
+            if e != zero:
+                for p, v in enumerate(e):
+                    if v:
+                        exps[p] += v * m
+        return tuple(exps), j % P
 
-    def unit_product(self, factors, sign=0, keys=()):
-        """The Unit (-1)^sign * prod u^e * prod v over factors and keys as
-        in `unit_key`, the universe's unit at the summed exponents."""
-        if not (factors or keys):
-            return self._signs[sign % 2]
-        return self.uni.from_key(*self.unit_key(factors, sign, keys))
+    def unit_product(self, factors, sign=0):
+        """The Unit (-1)^sign * prod u^m over factors as in `unit_key`,
+        the universe's unit at the summed key."""
+        return self.uni.from_key(self.unit_key(factors, sign))
 
+    @cached
     def chi_factors(self, g, exps):
         """The factors of prod_i chi_{g,i}^{exps_i}, the character of g on
         the monomial x^exps (a tuple), for `unit_product`; characters equal
-        to 1 are left out.  A fresh list, read from a table cached per
-        (g, exps)."""
-        return list(_chi_factors(self, g, exps))
+        to 1 are left out.  A tuple, cached per (g, exps)."""
+        one = self.uni.one.key
+        return tuple([(c, e) for c, e in zip(self.chi_exp[g], exps)
+                      if e and c != one])
 
     def chi_prod(self, g, exps):
         """prod_i chi_{g,i}^{exps_i} as a Unit."""
-        return self.unit_product(_chi_factors(self, g, exps))
+        return self.unit_product(self.chi_factors(g, exps))
 
     # -- monomial arithmetic -------------------------------------------------
 
+    @cached
     def mono_mul(self, a, b):
         """Normal form of x^a * x^b (two tuples): None if a slot repeats,
         else (factors, a | b) with the coefficient unit_product(factors),
-        the factors a fresh list read from a table cached per (a, b)."""
-        hit = _mono_mul(self, a, b)
-        return (list(hit[0]), hit[1]) if hit else None
+        the factors a tuple.  Cached per (a, b)."""
+        n = self.n
+        for i in range(n):
+            if a[i] and b[i]:
+                return None
+        # x_l x_k = (-q_{kl})^{-1} x_k x_l for k < l
+        return (tuple([(self.nq_exp[k][l], -1) for k in range(n) if b[k]
+                       for l in range(k + 1, n) if a[l]]),
+                tuple([ai | bi for ai, bi in zip(a, b)]))
 
+    @cached
     def skew_mono(self, a, g, b):
         """The skew rule on monomials, (x^a (x) g)(x^b (x) h) =
         x^a (g.x^b) (x) gh: None if a slot repeats, else (factors, a | b)
         with the coefficient unit_product(factors), the factors of
         `mono_mul` followed by the character of g on x^b.  The group part
-        of the product is mult[g][h], for the caller to form."""
+        of the product is mult[g][h], for the caller to form.  Cached per
+        (a, g, b)."""
         hit = self.mono_mul(a, b)
         if hit is None:
             return None
         factors, mono = hit
-        factors += _chi_factors(self, g, b)
-        return factors, mono
+        return factors + self.chi_factors(g, b), mono
 
 
 class SkewElement(SparseVector):
@@ -414,7 +389,7 @@ def build_algebra(n, N=1, q_spec=None, group_spec=None):
             q_upper[(i, j)] = uni.param_unit(pindex)
             pindex += 1
         elif spec[0] == "zeta":
-            q_upper[(i, j)] = uni.unit(zeta=spec[1] % N)
+            q_upper[(i, j)] = uni.unit(zeta=spec[1])
         elif spec[0] == "rational":
             if spec[1] not in (1, -1):
                 raise ValueError("rational quantum entries must be +-1")

@@ -27,23 +27,24 @@ tables and the oracles are built from `diagonal`, `phi_generator`,
 `Algebra.skew_mono` and `Algebra.unit_product` alone, never from the
 closed forms, so the oracles stay independent of `cup` and `circ`.  Every
 unit coefficient, in the closed forms and in the oracles alike, is summed
-once by `Algebra.unit_key` from its list of (q, -q or character,
-exponent) factors and the keys of any units it is a product of: the
-diagonal coefficient of `_cup_legs`, kept as its key, and the
-coefficients of a term pair when both are Units (otherwise the pair's
-product is formed once and multiplies the unit).  `circ` sums the unit of
-only the first splitting of each run, as two cached keys, the outer
-term's part (`_circ_outer`) and the inner term's part, linear in kappa
-(`_circ_inner`); a run of one splitting is that unit, and a longer one,
-first * (1 + v + ... + v^{kappa_r - 1}) for the step v of `_run_step`,
-is read from `_run_table` per (first key, step, kappa_r), whose terms
-are added up as integer counts of keys by `Universe.unit_sum`.  Each unit
-is taken from the universe's table of units at its summed key, and a
-product of two units is the table's unit at the sum of their keys (see
-`qhoch.scalars`), so each unit value is built once per universe.  The
-factor lists of `Algebra.mono_mul` and `Algebra.chi_factors` are read
-from tables cached per argument, a fresh list per call, which `circ` and
-`cup` extend in place.  Each of the four products hands the map it
+once by `Algebra.unit_key` from its list of factors (key, exponent): the
+keys of q, -q and the characters with their exponents, and, with
+exponent 1, the keys of any units it is a product of: the diagonal
+coefficient of `_cup_legs`, the contraction coefficient of
+`_contractions`, and the coefficients of a term pair when both are Units
+(otherwise the pair's product is formed once and multiplies the unit).
+`circ` sums the unit of only the first splitting of each run, with two
+cached keys, the outer term's part (`_circ_outer`) and the inner term's
+part, linear in kappa (`_circ_inner`); a run of one splitting is that
+unit, and a longer one, first * (1 + v + ... + v^{kappa_r - 1}) for the
+step v of `_run_step`, is read from `_run_table` per (first key, step,
+kappa_r), whose terms are counted by key and summed as integers by
+`Universe.unit_sum`.  Each unit is taken from the universe's table of
+units at its summed key, and a product of two units is the table's unit
+at the sum of their keys (see `qhoch.scalars`), so each unit value is
+built once per universe.  The factors of `Algebra.mono_mul`,
+`Algebra.chi_factors` and `Algebra.skew_mono` are tuples cached per
+argument, read as they are.  Each of the four products hands the map it
 accumulated to `Cochain.from_accumulated`, without the constructor's
 checks: `accumulate` stores no zero, and every key it was given has the
 result's degree.
@@ -72,9 +73,8 @@ fresh map.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import add
 
-from .algebra import cached, key_exponents
+from .algebra import cached
 from .cohomology import collect_classes, is_cocycle
 from .linalg import accumulate
 from .resolution import (Cochain, add_index, bump, compositions,
@@ -88,10 +88,11 @@ from .scalars import Unit
 
 def _pair_keys(c1, c2):
     """How a product folds the coefficients c1, c2 of a term pair into its
-    unit: (their keys, None) for `Algebra.unit_key`'s sum when both are
-    Units, else ((), c1 * c2), the one product that multiplies the unit."""
+    unit: (their keys as factors, None) for `Algebra.unit_key`'s sum when
+    both are Units, else ((), c1 * c2), the one product that multiplies
+    the unit."""
     if type(c1) is Unit and type(c2) is Unit:
-        return (c1.key, c2.key), None
+        return ((c1.key, 1), (c2.key, 1)), None
     return (), c1 * c2
 
 
@@ -105,7 +106,8 @@ def cup(A, f1, f2):
         for (gamma, kappa, h), c2 in f2.terms.items():
             if any(a and b for a, b in zip(alpha, gamma)):
                 continue
-            factors = A.chi_factors(g, gamma)
+            pair, base = _pair_keys(c1, c2)
+            factors = [*A.chi_factors(g, gamma), *pair]
             sign = 0
             for l in range(A.n):
                 for k in range(l):
@@ -115,8 +117,7 @@ def cup(A, f1, f2):
                     sign += gamma[k] * alpha[l]
             key = (add_index(alpha, gamma), add_index(beta, kappa),
                    A.group.mult[g][h])
-            keys, base = _pair_keys(c1, c2)
-            coeff = A.unit_product(factors, sign, keys)
+            coeff = A.unit_product(factors, sign)
             accumulate(out, key, coeff if base is None else base * coeff)
     return Cochain.from_accumulated(A, f1.degree + f2.degree, out)
 
@@ -124,15 +125,15 @@ def cup(A, f1, f2):
 @cached
 def _cup_legs(A, m, l):
     """Leg pairs of the diagonal in total degree m + l:
-    {(b1, b2): (rho, key)} over every splitting of every e_rho of degree
-    m + l with |b1| = m, where key is the unit key of the diagonal
-    coefficient.  Each leg pair splits exactly one generator,
+    {(b1, b2): (rho, factor)} over every splitting of every e_rho of
+    degree m + l with |b1| = m, where factor is (key, 1) for the key of
+    the diagonal coefficient.  Each leg pair splits exactly one generator,
     rho = b1 + b2."""
     legs = {}
     for rho in compositions(A.n, m + l):
         for b1, b2, u in diagonal(A, rho):
             if sum(b1) == m:
-                legs[(b1, b2)] = (rho, u.key)
+                legs[(b1, b2)] = (rho, (u.key, 1))
     return legs
 
 
@@ -155,10 +156,10 @@ def cup_oracle(A, f1, f2):
             hit = A.skew_mono(alpha, g, gamma)
             if hit is None:
                 continue
-            rho, u_key = leg
+            rho, u_factor = leg
             factors, mono = hit
-            keys, base = _pair_keys(c1, c2)
-            coeff = A.unit_product(factors, 0, (u_key,) + keys)
+            pair, base = _pair_keys(c1, c2)
+            coeff = A.unit_product(factors + (u_factor,) + pair)
             accumulate(out, (mono, rho, mult[g][h]),
                        coeff if base is None else base * coeff)
     return Cochain.from_accumulated(A, f1.degree + f2.degree, out)
@@ -176,8 +177,9 @@ def _contractions(A, symbol, m):
     m + |beta| - 1 by the diagonal and the left leg again so that e_beta
     is the middle leg, apply x^alpha (x) g there with the Koszul sign, move
     g across the right leg e_rho2 and contract.  Returns
-    {kappa: [(rho, a, b, coeff)]}: the contraction's term x^a e_kappa x^b
-    with its full coefficient, for the outer cochain to be applied to."""
+    {kappa: [(rho, a, b, factor)]}: the contraction's term x^a e_kappa x^b,
+    for the outer cochain to be applied to, with its full coefficient as
+    the factor (key, 1) of `Algebra.unit_key`."""
     alpha, beta, g = symbol
     l = sum(beta)
     table = {}
@@ -188,12 +190,14 @@ def _contractions(A, symbol, m):
                 continue
             # the coefficient of e_nu (x) e_beta in the diagonal of e_rho1,
             # the Koszul sign, and the character of g on e_rho2
-            inner_key = _cup_legs(A, sum(nu), l)[(nu, beta)][1]
-            coeff = A.unit_product(A.chi_factors(g, rho2), l * sum(nu),
-                                   (u_outer.key, inner_key))
+            inner = _cup_legs(A, sum(nu), l)[(nu, beta)][1]
+            coeff = A.unit_product(
+                A.chi_factors(g, rho2) + ((u_outer.key, 1), inner),
+                l * sum(nu))
             contracted = phi_generator(A, nu, alpha, rho2)
             for (a, kappa, b), pc in contracted.terms.items():
-                table.setdefault(kappa, []).append((rho, a, b, coeff * pc))
+                table.setdefault(kappa, []).append(
+                    (rho, a, b, ((coeff * pc).key, 1)))
     return table
 
 
@@ -204,7 +208,9 @@ def circ_oracle(A, outer, inner):
     `_contractions`, once per inner basis symbol), then multiply the outer
     cochain's value in between x^a (x) 1 and x^b (x) g.  That value,
     x^a (x^gamma (x) h)(x^b (x) g), is two monomial products by
-    `Algebra.skew_mono`, so each hit adds one unit, or nothing."""
+    `Algebra.skew_mono`, so each hit adds one unit, or nothing: one
+    `Algebra.unit_product` of their factors and the contraction's, with
+    the term pair's coefficients folded in by `_pair_keys`."""
     m, l = outer.degree, inner.degree
     if m + l - 1 < 0:
         return Cochain(A, 0)
@@ -216,9 +222,9 @@ def circ_oracle(A, outer, inner):
             hits = table.get(kappa)
             if not hits:
                 continue
-            base = c_out * c_in
+            pair, base = _pair_keys(c_out, c_in)
             gout = mult[h][g]
-            for rho, a, b, coeff in hits:
+            for rho, a, b, factor in hits:
                 left = A.skew_mono(a, 0, gamma)
                 if left is None:
                     continue
@@ -227,12 +233,12 @@ def circ_oracle(A, outer, inner):
                 if right is None:
                     continue
                 more, mono = right
+                coeff = A.unit_product(factors + more + (factor,) + pair)
                 accumulate(out, (mono, rho, gout),
-                           coeff * base * A.unit_product(factors + more))
+                           coeff if base is None else base * coeff)
     return Cochain.from_accumulated(A, m + l - 1, out)
 
 
-@cached
 def _run_step(A, alpha, beta, g, r):
     """The step v of the geometric runs of `circ` for the inner term
     (alpha, beta, g) and the slot r it contracts (alpha_r = 1), as an
@@ -259,18 +265,13 @@ def _run_step(A, alpha, beta, g, r):
 @cached
 def _run_table(A, first, step, count):
     """The Scalar sum of the run first * v^p, p < count, for the first
-    unit and the step v given by their keys: the keys of the terms are
-    added up as integers and summed once by `Universe.unit_sum`."""
-    exps, sign, k = first
-    step_exps, step_sign, step_k = step
-    N = A.uni.field.N
+    unit and the step v given by their keys: the key of each term is
+    `Algebra.unit_key` of the two, and the terms are counted by key and
+    summed once by `Universe.unit_sum`."""
     counts = {}
-    for _ in range(count):
-        key = (exps, sign, k)
+    for p in range(count):
+        key = A.unit_key(((first, 1), (step, p)))
         counts[key] = counts.get(key, 0) + 1
-        exps = tuple(map(add, exps, step_exps))
-        sign *= step_sign
-        k = (k + step_k) % N
     return A.uni.unit_sum(counts)
 
 
@@ -294,8 +295,8 @@ def _circ_outer(A, alpha, r, gamma, h):
     if right is None:
         return ()
     more, mono = right
-    factors += more + A.chi_factors(h, below)
-    factors += [(A.nq_exp[r][s], 1) for s in range(r + 1, n) if alpha[s]]
+    factors += more + A.chi_factors(h, below) + tuple(
+        [(A.nq_exp[r][s], 1) for s in range(r + 1, n) if alpha[s]])
     return A.unit_key(factors), mono
 
 
@@ -312,9 +313,9 @@ def _circ_inner(A, alpha, beta, g):
     (-q_{s s2})^{alpha_s (alpha_s2 + kappa_s2) + alpha_s2 kappa_s} for
     s < r < s2, and the Koszul sign (-1)^{|nu| (l + 1)}, l = |beta|.
     Returns a tuple of (r, K0, V, step, beta - e_r): the key K0 of the
-    part at kappa = 0, the factors (V_i, i) of `key_exponents` form whose
-    kappa_i-th powers make up the rest, the run's `_run_step`, and the
-    index the outer kappa is added to for the result's generator."""
+    part at kappa = 0, the pairs (key V_i, i) whose kappa_i-th powers make
+    up the rest, the run's `_run_step`, and the index the outer kappa is
+    added to for the result's generator."""
     n = A.n
     q_exp, nq_exp, chi = A.q_exp, A.nq_exp, A.chi_exp[g]
     l = sum(beta)
@@ -346,7 +347,7 @@ def _circ_inner(A, alpha, beta, g):
         for i, factors in enumerate(per):
             key = A.unit_key(factors, l + 1 if i < r else 0)
             if key != A.uni.one.key:
-                steps.append((key_exponents(key), i))
+                steps.append((key, i))
         slots.append((r, A.unit_key(const), tuple(steps),
                       _run_step(A, alpha, beta, g, r), bump(beta, r, -1)))
     return tuple(slots)
@@ -379,7 +380,7 @@ def circ(A, outer, inner):
                    for (alpha, beta, g), c_in in inner.terms.items()]
     for (gamma, kappa, h), c_out in outer.terms.items():
         for alpha, beta, g, c_in, slots in inner_slots:
-            keys = base = None
+            pair = base = None
             for r, inner_key, steps, step, beta_below in slots:
                 count = kappa[r]
                 if not count:
@@ -388,12 +389,13 @@ def circ(A, outer, inner):
                 if not hit:
                     continue
                 outer_key, mono = hit
-                if keys is None:
+                if pair is None:
                     gout = mult[h][g]
-                    keys, base = _pair_keys(c_out, c_in)
-                first = A.unit_key([(v, kappa[i]) for v, i in steps], 0,
-                                   (outer_key, inner_key) + keys)
-                coeff = (from_key(*first) if count == 1
+                    pair, base = _pair_keys(c_out, c_in)
+                factors = [(v, kappa[i]) for v, i in steps]
+                factors += ((outer_key, 1), (inner_key, 1)) + pair
+                first = A.unit_key(factors)
+                coeff = (from_key(first) if count == 1
                          else _run_table(A, first, step, count))
                 if base is not None:
                     coeff = base * coeff

@@ -80,17 +80,13 @@ def slot_condition_holds(A, g, gamma, l):
     """True when gamma_l = -1 or the quantum/character relation holds in
     slot l (the membership condition for the flat subcomplexes): the unit
     (-1)^{gamma_l} prod_{k != l} (-q_{kl})^{gamma_k} equals chi_{g,l}.
-    The two are compared by their keys, the slot unit's summed by
-    `Algebra.unit_key` and chi_{g,l}'s read from the group's table, on the
-    field's tagged roots, since at even N the keys (-1, k) and
-    (1, k + N/2) name one root."""
+    Unit keys are canonical, so the two are compared by their keys: the
+    slot unit's summed by `Algebra.unit_key` and chi_{g,l}'s read from
+    chi_exp."""
     if gamma[l] == -1:
         return True
-    exps, sign, k = A.unit_key([(A.nq_exp[j][l], gamma[j]) for j in range(A.n)
-                                if j != l and gamma[j]], gamma[l])
-    chi_exps, chi_sign, chi_k = A.group.chi[g][l].key
-    root = A.uni.field.root
-    return exps == chi_exps and root(sign, k) is root(chi_sign, chi_k)
+    return A.unit_key([(A.nq_exp[j][l], gamma[j]) for j in range(A.n)
+                       if j != l and gamma[j]], gamma[l]) == A.chi_exp[g][l]
 
 
 @cached

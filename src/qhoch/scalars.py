@@ -15,21 +15,23 @@ enter (`CycloField.element`, `CycloField.from_rational`,
 for rendering.  No floating point is used anywhere.
 
 The monomial units ``+-zeta^k * t^e`` (the quantum coefficients, the
-diagonal characters and their products) are `Unit`s: one-term Scalars whose
-coefficient is the tagged root ``field.root(sign, k)``, one of the roots
-+-zeta^k, k < N, that the field builds once.  They compare and hash as the
-Scalars they are.  Each universe keeps one Unit per key (exps, sign, k),
-with (sign, k) read from the root's tag, so that at even N the key of
--zeta^k is that of zeta^(k + N/2); every unit the package makes is taken
-from that table (`Universe.from_key`).  A Unit carries its key, and the
-product of two units of one universe is the table's unit at the sum of
-their keys; powers, negatives and inverses of units are read off their
-keys the same way.  Equality never relies on the table: a Unit built
-outside it, or taken from a compatible second universe, equals the table's
-unit of its value, and identity only lets a comparison stop early.  A sum
-of many monomial units is not formed as a running sum of Scalars:
-`Universe.unit_sum` takes them as integer counts of their keys and adds the
-counted rows of the roots into one integer vector per exps.
+diagonal characters and their products) form the group Z^p x mu_P with
+P = lcm(2, N): the roots +-zeta^k are the powers eta^j, 0 <= j < P, of one
+root eta with eta^(P/N) = zeta and eta^(P/2) = -1, so that +-zeta^k is
+eta^j with j = (P/N) k + (P/2) [sign = -1] mod P (`CycloField.exponent`).
+The field builds the P roots once, each tagged with its j.  A unit's one
+encoding is its key (e, j): it is canonical, equal units have equal keys,
+and the unit arithmetic is integer arithmetic on keys: a product adds
+them, a power scales them, an inverse negates them and a negation adds
+P/2 to j.  The units are `Unit`s: one-term Scalars {e: eta^j} that compare
+and hash as the Scalars they are.  Each universe keeps one Unit per key,
+and every unit the package makes is taken from that table
+(`Universe.from_key`).  Equality never relies on the table: a Unit built
+outside it, or taken from a compatible second universe, equals the
+table's unit of its value, and identity only lets a comparison stop
+early.  A sum of many monomial units is not formed as a running sum of
+Scalars: `Universe.unit_sum` takes them as integer counts of their keys and
+adds the counted rows of the roots into one integer vector per e.
 """
 
 from __future__ import annotations
@@ -149,43 +151,46 @@ def _inverse_mod(x, m):
 class CycloField:
     """Q(zeta_N) with canonical representatives modulo Phi_N.
 
-    ``_roots[0][k]`` and ``_roots[1][k]`` are the tagged roots zeta^k and
-    -zeta^k, k < N; at even N the second tuple is the first rotated by N/2.
-    ``_by_nums`` maps their coordinates back to them.  Two tables fill as
-    they are read: ``_shifts`` holds the rows of `shift_rows` per shift,
-    and ``_inverses`` the result (s, c) of `_inverse_mod` per primitive
-    coordinate tuple with a positive leading coordinate, which
-    `CycloElement.inv` shares between elements that differ only in content
-    or sign."""
+    ``P`` is lcm(2, N), the order of the group of roots +-zeta^k, and
+    ``_roots[j]`` is the root eta^j tagged with j (see the module
+    docstring); ``_by_nums`` maps their coordinates back to them.  Two
+    tables fill as they are read: ``_shifts`` holds the rows of
+    `shift_rows` per exponent, and ``_inverses`` the result (s, c) of
+    `_inverse_mod` per primitive coordinate tuple with a positive leading
+    coordinate, which `CycloElement.inv` shares between elements that
+    differ only in content or sign."""
 
-    __slots__ = ("N", "degree", "modulus", "_roots", "_by_nums", "_shifts",
-                 "_inverses", "zero", "one", "zeta")
+    __slots__ = ("N", "P", "degree", "modulus", "_roots", "_by_nums",
+                 "_shifts", "_inverses", "zero", "one", "zeta")
 
     def __init__(self, N):
         if N < 1:
             raise ValueError("N must be a positive integer")
         self.N = N
+        self.P = lcm(2, N)
         self.modulus = cyclotomic_polynomial(N)
         d = self.degree = len(self.modulus) - 1
         # z^k reduced mod Phi_N for k < N, one shift at a time; Phi_N is
         # monic, so the rows are integer
         low = [(i, m) for i, m in enumerate(self.modulus[:d]) if m]
         row = [1] + [0] * (d - 1)
-        plus = [CycloElement(self, tuple(row), 1, (1, 0))]
+        rows = [tuple(row)]
         for k in range(1, N):
             lead = row[-1]  # coefficient of z^degree after the shift
             row = [0] + row[:-1]
             if lead:
                 for i, m in low:
                     row[i] -= lead * m
-            plus.append(CycloElement(self, tuple(row), 1, (1, k)))
-        if N % 2:
-            minus = [CycloElement(self, tuple([-a for a in r.nums]), 1,
-                                  (-1, k)) for k, r in enumerate(plus)]
-        else:
-            minus = plus[N // 2:] + plus[:N // 2]
-        self._roots = (tuple(plus), tuple(minus))
-        self._by_nums = {r.nums: r for r in plus + minus}
+            rows.append(tuple(row))
+        # at even N, -zeta^k is zeta^(k + N/2), met already among the rows
+        roots = [None] * self.P
+        for k, row in enumerate(rows):
+            for sign, nums in ((1, row), (-1, tuple([-a for a in row]))):
+                j = self.exponent(sign, k)
+                if roots[j] is None:
+                    roots[j] = CycloElement(self, nums, 1, j)
+        self._roots = tuple(roots)
+        self._by_nums = {r.nums: r for r in roots}
         self._shifts = {}
         self._inverses = {}
         self.zero = CycloElement(self, (0,) * d)
@@ -208,21 +213,28 @@ class CycloField:
         return CycloElement(self, (r.numerator,) + (0,) * (self.degree - 1),
                             r.denominator)
 
+    def exponent(self, sign, k):
+        """The j with eta^j = sign * zeta^k (sign = +-1, any integer k),
+        0 <= j < P."""
+        P = self.P
+        return (P // self.N * k + (P // 2 if sign == -1 else 0)) % P
+
     def root(self, sign, k):
         """The element sign * zeta^k (sign = +-1), tagged as a root of
         unity so that products with it skip the generic multiplication."""
-        return self._roots[sign == -1][k % self.N]
+        return self._roots[self.exponent(sign, k)]
 
-    def shift_rows(self, k):
-        """Sparse rows of zeta^(i+k) for i < degree: multiplying by zeta^k
-        maps coordinate i onto row i."""
-        rows = self._shifts.get(k)
+    def shift_rows(self, j):
+        """Sparse rows of eta^j * zeta^i for i < degree: multiplying by
+        eta^j maps coordinate i onto row i."""
+        rows = self._shifts.get(j)
         if rows is None:
-            plus = self._roots[0]
-            rows = tuple(tuple((j, c) for j, c in
-                               enumerate(plus[(i + k) % self.N].nums) if c)
+            P, step = self.P, self.P // self.N
+            rows = tuple(tuple((t, c) for t, c in
+                               enumerate(self._roots[(j + step * i) % P].nums)
+                               if c)
                          for i in range(self.degree))
-            self._shifts[k] = rows
+            self._shifts[j] = rows
         return rows
 
     def as_root(self, elem):
@@ -249,9 +261,9 @@ class CycloElement:
     ``den``, with gcd(den, *nums) == 1, so zero is (0, ..., 0) over 1.
 
     Equality and hashing compare (nums, den).  ``coeffs`` is the rational
-    view of the coordinates, for rendering.  ``root`` is (sign, k) on the
-    field's stored root sign * zeta^k (`CycloField.root`), else None; it
-    only selects a faster product.
+    view of the coordinates, for rendering.  ``root`` is j on the field's
+    stored root eta^j (`CycloField.exponent`), else None; it only selects a
+    faster product.  The root 1 has j = 0, so test it against None.
     """
 
     __slots__ = ("field", "nums", "den", "root")
@@ -301,10 +313,10 @@ class CycloElement:
         return self + (-other)
 
     def __neg__(self):
+        f = self.field
         if self.root is not None:
-            return self.field.root(-self.root[0], self.root[1])
-        return CycloElement(self.field, tuple([-a for a in self.nums]),
-                            self.den)
+            return f._roots[(self.root + f.P // 2) % f.P]
+        return CycloElement(f, tuple([-a for a in self.nums]), self.den)
 
     def __mul__(self, other):
         f = self.field
@@ -316,8 +328,7 @@ class CycloElement:
             return self.scale(other)
         if self.root is not None:
             if other.root is not None:
-                return f.root(self.root[0] * other.root[0],
-                              self.root[1] + other.root[1])
+                return f._roots[(self.root + other.root) % f.P]
             return other._times_root(self.root)
         if other.root is not None:
             return self._times_root(other.root)
@@ -329,8 +340,8 @@ class CycloElement:
                     if b:
                         out[j] += a * b
         low = out[:d]
-        # z^(d+i) for i < d-1 is row i of the shift by d
-        for c, row in zip(out[d:], f.shift_rows(d)):
+        # z^(d+i) for i < d-1 is row i of the shift by zeta^d
+        for c, row in zip(out[d:], f.shift_rows(f.P // f.N * d)):
             if c:
                 for i, r in row:
                     low[i] += c * r
@@ -338,18 +349,15 @@ class CycloElement:
 
     __rmul__ = __mul__
 
-    def _times_root(self, root):
-        """Product with sign * zeta^k: a signed sum of shifted rows.  A
-        root of unity is a unit of Z[zeta], so the content of nums, and
-        with it the canonical form, is unchanged."""
-        sign, k = root
+    def _times_root(self, j):
+        """Product with eta^j: a sum of shifted rows.  A root of unity is a
+        unit of Z[zeta], so the content of nums, and with it the canonical
+        form, is unchanged."""
         out = [0] * self.field.degree
-        for a, row in zip(self.nums, self.field.shift_rows(k)):
+        for a, row in zip(self.nums, self.field.shift_rows(j)):
             if a:
-                if sign == -1:
-                    a = -a
-                for j, c in row:
-                    out[j] += a * c
+                for t, c in row:
+                    out[t] += a * c
         return CycloElement(self.field, tuple(out), self.den)
 
     def scale(self, r):
@@ -364,7 +372,7 @@ class CycloElement:
                         self.den * den)
 
     def inv(self):
-        """Multiplicative inverse: sign * zeta^-k for a root of unity, the
+        """Multiplicative inverse: eta^-j for a root of unity, the
         reciprocal for a rational, else by the fraction-free extended
         Euclidean algorithm `_inverse_mod` against the cyclotomic modulus,
         run once per primitive coordinate tuple (`CycloField._inverses`)."""
@@ -373,8 +381,7 @@ class CycloElement:
         f = self.field
         hit = self if self.root is not None else f.as_root(self)
         if hit is not None:
-            sign, k = hit.root
-            return f.root(sign, -k)
+            return f._roots[-hit.root % f.P]
         nums = list(self.nums)
         while not nums[-1]:
             nums.pop()
@@ -409,10 +416,9 @@ class CycloElement:
 class Universe:
     """Shared context: the cyclotomic field plus the formal parameter slots.
 
-    ``units`` is the table of monomial units, one `Unit` per key
-    (exps, sign, k) read from the tagged root, filled as units are made.
-    Entries go in by ``setdefault``, so threads that race on one key all
-    get the one entry that won."""
+    ``units`` is the table of monomial units, one `Unit` per key (exps, j),
+    filled as units are made.  Entries go in by ``setdefault``, so threads
+    that race on one key all get the one entry that won."""
 
     __slots__ = ("field", "nparams", "param_names", "zero", "one", "units")
 
@@ -432,24 +438,16 @@ class Universe:
         """The monomial unit sign * zeta^zeta * t^exps."""
         if exps is None:
             exps = (0,) * self.nparams
-        return self.from_key(tuple(exps), sign, zeta)
+        return self.from_key((tuple(exps), self.field.exponent(sign, zeta)))
 
-    def from_key(self, exps, sign, k):
-        """The table's unit sign * zeta^k * t^exps, for any sign +-1 and
-        integer k.  A key the table holds is read straight from it; only
-        the table's keys name their root by its tag, so any other key,
-        such as (exps, -1, k) at even N, goes through the root."""
-        u = self.units.get((exps, sign, k))
-        if u is None:
-            u = self._interned(exps, self.field.root(sign, k))
-        return u
-
-    def _interned(self, exps, root):
-        """The table's unit {exps: root} for a tagged root."""
-        key = (exps,) + root.root
+    def from_key(self, key):
+        """The table's unit eta^j * t^exps for the key (exps, j),
+        0 <= j < P."""
         u = self.units.get(key)
         if u is None:
-            u = self.units.setdefault(key, Unit(self, {exps: root}, key))
+            exps, j = key
+            u = self.units.setdefault(
+                key, Unit(self, {exps: self.field._roots[j]}, key))
         return u
 
     def param_unit(self, index):
@@ -458,20 +456,19 @@ class Universe:
         return self.unit(exps=exps)
 
     def unit_sum(self, counts):
-        """The Scalar sum of count * sign * zeta^k * t^exps over the map
-        counts = {(exps, sign, k): count} (keys as `Algebra.unit_key` gives
-        them; any integer k and count).  Each exps gets one integer vector,
-        the counted rows of the roots added into it; a sum that is
-        +-zeta^k is that tagged root, and a one-term result with a tagged
-        coefficient is a Unit."""
+        """The Scalar sum of count * eta^j * t^exps over the map
+        counts = {(exps, j): count} of unit keys to integer counts.  Each
+        exps gets one integer vector, the counted rows of the roots added
+        into it; a sum that is +-zeta^k is that tagged root, and a one-term
+        result with a tagged coefficient is a Unit."""
         field = self.field
         if len(counts) == 1:
-            ((exps, sign, k), count), = counts.items()
+            (key, count), = counts.items()
             if count == 1:
-                return self.from_key(exps, sign, k)
+                return self.from_key(key)
         rows = {}
-        for (exps, sign, k), count in counts.items():
-            nums = field.root(sign, k).nums
+        for (exps, j), count in counts.items():
+            nums = field._roots[j].nums
             row = rows.get(exps)
             if row is None:
                 rows[exps] = [count * a for a in nums]
@@ -488,7 +485,7 @@ class Universe:
         if len(terms) == 1:
             (exps, c), = terms.items()
             if c.root is not None:
-                return self._interned(exps, c)
+                return self.from_key((exps, c.root))
         return Scalar(self, terms)
 
     def from_cyclo(self, c):
@@ -573,12 +570,12 @@ class Scalar:
         if (other.__class__ is Unit and self.__class__ is Unit
                 and self.uni is other.uni):
             # unit times unit, the commonest product: the table's unit at
-            # the sum of the keys, which are canonical and stay so
+            # the sum of the keys
             uni = self.uni
-            (e1, s1, k1), (e2, s2, k2) = self.key, other.key
-            key = (tuple(map(add, e1, e2)), s1 * s2, (k1 + k2) % uni.field.N)
+            (e1, j1), (e2, j2) = self.key, other.key
+            key = (tuple(map(add, e1, e2)), (j1 + j2) % uni.field.P)
             hit = uni.units.get(key)
-            return hit if hit is not None else uni.from_key(*key)
+            return hit if hit is not None else uni.from_key(key)
         if not isinstance(other, Scalar):
             if isinstance(other, (int, Fraction)):
                 if other == 0:
@@ -596,7 +593,7 @@ class Scalar:
             (e2, c2), = other.terms.items()
             c = c1 * c2
             if c.root is not None:
-                return self.uni._interned(tuple(map(add, e1, e2)), c)
+                return self.uni.from_key((tuple(map(add, e1, e2)), c.root))
             if c.is_zero():
                 return Scalar(self.uni, {})
             return Scalar(self.uni, {tuple(map(add, e1, e2)): c})
@@ -629,7 +626,7 @@ class Scalar:
             c = self.uni.field.as_root(c)
             if c is None:
                 return None
-        return self.uni._interned(exps, c)
+        return self.uni.from_key((exps, c.root))
 
     def __pow__(self, e):
         u = self.as_unit()
@@ -665,9 +662,8 @@ class Scalar:
 
 
 class Unit(Scalar):
-    """A monomial unit sign * zeta^k * t^e: the one-term Scalar
-    {e: field.root(sign, k)}, with its key (e, sign, k) read from the
-    root's tag.
+    """A monomial unit eta^j * t^e: the one-term Scalar {e: eta^j}, with
+    its key (e, j), j read from the root's tag.
 
     Quantum coefficients, their products, and the diagonal characters all
     live here.  Equality and hashing are those of Scalar, so a Unit equals
@@ -682,7 +678,9 @@ class Unit(Scalar):
         self.terms = terms
         if key is None:
             (exps, c), = terms.items()
-            key = (exps,) + (c.root or uni.field.as_root(c).root)
+            if c.root is None:
+                c = uni.field.as_root(c)
+            key = (exps, c.root)
         self.key = key
 
     @property
@@ -700,13 +698,14 @@ class Unit(Scalar):
         return Scalar.__mul__(self, other)
 
     def __neg__(self):
-        exps, sign, k = self.key
-        return self.uni.from_key(exps, -sign, k)
+        exps, j = self.key
+        P = self.uni.field.P
+        return self.uni.from_key((exps, (j + P // 2) % P))
 
     def __pow__(self, e):
-        exps, sign, k = self.key
-        return self.uni.from_key(tuple([a * e for a in exps]),
-                                 sign if e % 2 else 1, k * e)
+        exps, j = self.key
+        return self.uni.from_key((tuple([a * e for a in exps]),
+                                  j * e % self.uni.field.P))
 
     def inv(self):
         return self ** -1

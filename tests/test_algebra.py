@@ -398,32 +398,26 @@ def test_chi_prod_and_mono_mul_match_literal_products(name, request):
 
 @pytest.mark.parametrize("name", SESSION_ALGEBRAS + ("S3",))
 def test_monomial_factor_lists_are_fresh(name, request):
-    """`mono_mul`, `chi_factors` and `skew_mono` read their factors from
-    tables cached per argument and hand out a fresh list each time, so a
-    caller that extends the list, as `circ` does with +=, leaves the next
-    call's result unchanged."""
+    """`mono_mul`, `chi_factors` and `skew_mono` hand out the factor tuples
+    they cached per argument: tuples, so that no caller can extend the
+    cached value in place, and a second call returns the same object."""
     A = request.getfixturevalue(name)
-    junk = [(A.q_exp[0][0], 1)]
     monos = list(product((0, 1), repeat=A.n))
     for a, b in product(monos, repeat=2):
         hit = A.mono_mul(a, b)
+        assert A.mono_mul(a, b) is hit
         if hit is None:
             continue
-        first = list(hit[0])
-        factors = hit[0]
-        factors += junk
-        assert A.mono_mul(a, b) == (first, hit[1])
+        assert type(hit) is tuple and type(hit[0]) is tuple
         for g in range(A.group.order):
-            factors, mono = A.skew_mono(a, g, b)
-            first = list(factors)
-            factors += junk
-            assert A.skew_mono(a, g, b) == (first, mono)
+            skew = A.skew_mono(a, g, b)
+            assert type(skew[0]) is tuple and A.skew_mono(a, g, b) is skew
+            assert skew == (hit[0] + A.chi_factors(g, b), hit[1])
     for g in range(A.group.order):
         for exps in product(range(-1, 2), repeat=A.n):
             factors = A.chi_factors(g, exps)
-            first = list(factors)
-            factors += junk
-            assert A.chi_factors(g, exps) == first
+            assert type(factors) is tuple
+            assert A.chi_factors(g, exps) is factors
 
 
 @pytest.mark.parametrize("name", SESSION_ALGEBRAS + ("S3",
@@ -445,21 +439,23 @@ def test_unit_product_reads_the_universe_table(name, request):
 
 
 def test_even_N_table_has_one_entry_per_root(rank_oracle_dense):
-    """At even N, -zeta^k is zeta^(k + N/2): the table's key is read from
-    the field's tagged root, so both spellings give one object, whose key
-    carries the sign +1."""
+    """At even N, P = N and -zeta^k is zeta^(k + N/2): both spellings give
+    one key (exps, (k + N/2) mod N) and one object, and the table holds N
+    units per exponent vector, not 2N."""
     A = rank_oracle_dense
     uni = A.uni
     N = uni.field.N
-    assert N % 2 == 0
+    assert N % 2 == 0 and uni.field.P == N
     for exps in ((0,) * uni.nparams, (1,) * uni.nparams):
         for k in range(-N, 2 * N):
             z = uni.unit(zeta=k, exps=exps)
             half = uni.unit(zeta=k + N // 2, exps=exps)
+            assert z.key == (exps, k % N)
+            assert half.key == (exps, (k + N // 2) % N)
             assert -z is half
             assert uni.unit(sign=-1, zeta=k, exps=exps) is half
-            assert z.key[1] == half.key[1] == 1
             assert z * uni.unit(sign=-1) is half
+        assert len([key for key in uni.units if key[0] == exps]) == N
 
 
 def literal_skew_mul(A, s, t):

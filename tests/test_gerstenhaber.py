@@ -402,7 +402,7 @@ def test_product_check_sees_a_broken_algebra_product(monkeypatch):
         hit = real_mono_mul(self, a, b)
         if (a, b) == ((0, 1), (1, 0)):
             factors, mono = hit
-            hit = [(u, 2 * e) for u, e in factors], mono
+            hit = tuple([(u, 2 * e) for u, e in factors]), mono
         return hit
 
     monkeypatch.setattr(Algebra, "mono_mul", broken)

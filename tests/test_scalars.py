@@ -388,32 +388,40 @@ def test_unit_is_its_one_term_scalar(N, nparams, data):
        nparams=st.sampled_from((0, 1, 2)), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_unit_sum_is_the_running_sum_of_its_units(N, nparams, data):
-    """`Universe.unit_sum` equals the running Scalar sum of the counted
-    Units, for k of any size and sign, negative and zero counts, and
-    families that cancel (1 + zeta + zeta^2 at N = 3, zeta^k +
-    zeta^(k + N/2) at even N, zeta^k - zeta^k at any N); a result that is
-    +-zeta^k * t^e is a Unit whose coefficient is a tagged root."""
+    """`Universe.unit_sum` of counts of keys (exps, j) equals the running
+    Scalar sum of the counted Units, each made from a sign and a zeta power
+    of any size, for negative and zero counts, and families that cancel
+    (1 + zeta + zeta^2 at N = 3, zeta^k + zeta^(k + N/2) at even N,
+    zeta^k - zeta^k at any N); a result that is +-zeta^k * t^e is a Unit
+    whose coefficient is a tagged root."""
     uni = _universe(N, nparams)
+    field = uni.field
     exps = st.tuples(*[st.integers(-2, 2)] * nparams)
     ks = st.integers(-3 * N, 3 * N)
-    key = st.tuples(exps, st.sampled_from((1, -1)), ks)
-    counts = data.draw(st.dictionaries(key, st.integers(-3, 3), max_size=6))
+    spelled = data.draw(st.lists(st.tuples(
+        exps, st.sampled_from((1, -1)), ks, st.integers(-3, 3)), max_size=6))
     e, k = data.draw(exps), data.draw(ks)
     count = data.draw(st.integers(-3, 3).filter(bool))
-    families = [{(e, 1, k): count, (e, -1, k): count}]
+    families = [[(e, 1, k, count), (e, -1, k, count)]]
     if N == 3:
-        families.append({(e, 1, k + i): count for i in range(3)})
+        families.append([(e, 1, k + i, count) for i in range(3)])
     if N % 2 == 0:
-        families.append({(e, 1, k): count, (e, 1, k + N // 2): count})
+        families.append([(e, 1, k, count), (e, 1, k + N // 2, count)])
     family = data.draw(st.sampled_from(families))
-    assert uni.unit_sum(family).is_zero()
     if data.draw(st.booleans()):
-        for f_key, c in family.items():
-            counts[f_key] = counts.get(f_key, 0) + c
+        spelled += family
 
-    got = uni.unit_sum(counts)
+    def keyed(units):
+        counts = {}
+        for u_exps, sign, u_k, c in units:
+            key = (u_exps, field.exponent(sign, u_k))
+            counts[key] = counts.get(key, 0) + c
+        return counts
+
+    assert uni.unit_sum(keyed(family)).is_zero()
+    got = uni.unit_sum(keyed(spelled))
     want = uni.zero
-    for (u_exps, sign, u_k), c in counts.items():
+    for u_exps, sign, u_k, c in spelled:
         want = want + uni.unit(sign=sign, zeta=u_k, exps=u_exps) * c
     assert got == want and hash(got) == hash(want)
     for coeff in got.terms.values():
@@ -421,8 +429,47 @@ def test_unit_sum_is_the_running_sum_of_its_units(N, nparams, data):
     if want.as_unit() is not None:
         (coeff,) = got.terms.values()
         assert type(got) is Unit and coeff.root is not None
+        assert got is want.as_unit()
     else:
         assert type(got) is Scalar
+
+
+@given(N=st.sampled_from((1, 2, 3, 4, 6, 60)),
+       nparams=st.sampled_from((0, 1, 2)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_unit_keys_are_canonical(N, nparams, data):
+    """The key (e, j) of +-zeta^k * t^e, 0 <= j < P = lcm(2, N), names the
+    root eta^j with eta^(P/N) = zeta and eta^(P/2) = -1: the keys of two
+    units are equal exactly when the units are, negation adds P/2 to j,
+    and a Unit built outside the table, from a plain coefficient, gets the
+    same key."""
+    uni = _universe(N, nparams)
+    field = uni.field
+    P = math.lcm(2, N)
+    assert field.P == P
+    # at N = 1, zeta = 1 = eta^2
+    assert field.zeta.root == P // N % P and field.root(1, 1) is field.zeta
+    assert field.root(-1, 0).root == P // 2 and field.one.root == 0
+    assert field.root(-1, 0) == -field.one
+
+    def draw():
+        sign = data.draw(st.sampled_from((1, -1)))
+        k = data.draw(st.integers(-2 * N, 2 * N))
+        exps = tuple(data.draw(st.integers(-2, 2)) for _ in range(nparams))
+        return sign, k, exps, uni.unit(sign=sign, zeta=k, exps=exps)
+
+    (s1, k1, e1, u), (s2, k2, e2, v) = draw(), draw()
+    for sign, k, exps, w in ((s1, k1, e1, u), (s2, k2, e2, v)):
+        j = w.key[1]
+        assert w.key[0] == exps and 0 <= j < P
+        assert j == (P // N * k + (P // 2 if sign == -1 else 0)) % P
+        assert (-w).key == (exps, (j + P // 2) % P)
+        plain = Unit(uni, {exps: field.element(field.root(sign, k).coeffs)})
+        assert plain.key == w.key
+    same_value = Scalar(uni, {e1: field.element(
+        field.root(s1, k1).coeffs)}) == Scalar(uni, {e2: field.element(
+            field.root(s2, k2).coeffs)})
+    assert (u.key == v.key) == same_value == (u is v)
 
 
 # ---------------------------------------------------------------------------
