@@ -60,8 +60,8 @@ MAX_DEGREE = 32
 # takes 22 s at 372,736 symbols, `basis --format json` 12 s and a 238 MB
 # peak at 372,736, `dims --verify` 45 s at 4096, `cup` 8.5 s at 1792 and
 # `bracket --format json` 13 s and a 204 MB peak at 1120.  The pair limit
-# admits every checked-in config, and `verify` takes 43 s and a 151 MB peak
-# at 54,880 pairs where every symbol is a class.
+# admits every checked-in config, and `verify` takes 11-15 s and a 53 MB
+# peak at 54,880 pairs where every symbol is a class.
 MAX_SYMBOLS = {"dims": 400_000, "basis": 100_000, "dims --verify": 2500,
                "cup": 2000, "bracket": 1000}
 MAX_FLATNESS_COCHAINS = 5000
@@ -337,64 +337,46 @@ def write_json(obj, write):
     `Cochain` in obj replaced by the list of term records of
     `cochain_json`.  obj is built of dicts with str keys, lists, str, int
     and Cochain; any other type (bool, float and None included) raises
-    TypeError.  A list or dict writes its str, int and Cochain values
-    inline, so one whose values are all of these goes out in one piece,
-    and one memo serves every cochain of obj."""
+    TypeError.  Each cochain is written in one piece, and one memo serves
+    every cochain of obj."""
     _write_json("", obj, write, "\n", {})
-
-
-# the text of a str or an int leaf, by its type
-_LEAF_TEXT = {str: _quote, int: int.__repr__}
-
-
-def _leaf_json(obj, nl, memo):
-    """The text of obj, a str, an int or a Cochain, on a line that nl
-    starts; any other type raises TypeError."""
-    text = _LEAF_TEXT.get(type(obj))
-    if text is not None:
-        return text(obj)
-    if type(obj) is Cochain:
-        return cochain_json(obj, memo, nl)
-    raise TypeError(f"Object of type {type(obj).__name__} is not written "
-                    "as JSON")
 
 
 def _write_json(head, obj, write, nl, memo):
     """Write head and then obj; nl is a newline followed by the indentation
-    of the line obj starts on.  The text of a list or dict is collected,
-    its leaves inline, up to each value that is itself a list or dict, and
-    written there."""
+    of the line obj starts on.  Each leaf, and each cochain, goes out in
+    one piece with the punctuation before it."""
     kind = type(obj)
-    if kind is not list and kind is not dict:
-        write(head + _leaf_json(obj, nl, memo))
-        return
-    is_dict = kind is dict
-    if not obj:
-        write(head + ("{}" if is_dict else "[]"))
-        return
-    inner = nl + "  "
-    parts = [head + ("{" if is_dict else "[")]  # the text not yet written
-    label = inner
-    for item in sorted(obj) if is_dict else obj:
-        if is_dict:
-            if type(item) is not str:
-                raise TypeError(f"keys must be str, not "
-                                f"{type(item).__name__}")
-            label += _quote(item) + ": "
-            item = obj[item]
-        kind = type(item)
-        text = _LEAF_TEXT.get(kind)
-        if text is not None:
-            parts.append(label + text(item))
-        elif kind is Cochain:
-            parts.append(label + cochain_json(item, memo, inner))
+    if kind is str:
+        write(head + _quote(obj))
+    elif kind is int:
+        write(head + int.__repr__(obj))
+    elif kind is Cochain:
+        write(head + cochain_json(obj, memo, nl))
+    elif kind is list or kind is dict:
+        if not obj:
+            write(head + ("[]" if kind is list else "{}"))
+            return
+        inner = nl + "  "
+        if kind is list:
+            head += "[" + inner
+            for value in obj:
+                _write_json(head, value, write, inner, memo)
+                head = "," + inner
+            write(nl + "]")
         else:
-            parts.append(label)
-            _write_json("".join(parts), item, write, inner, memo)
-            parts = []
-        label = "," + inner
-    parts.append(nl + ("}" if is_dict else "]"))
-    write("".join(parts))
+            head += "{" + inner
+            for key in sorted(obj):
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not "
+                                    f"{type(key).__name__}")
+                _write_json(head + _quote(key) + ": ", obj[key], write,
+                            inner, memo)
+                head = "," + inner
+            write(nl + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not written "
+                        "as JSON")
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,20 @@ def test_dims_seed_disagreement_is_verification_failure(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_dims_verify_reports_a_dimension_mismatch(capsys, monkeypatch):
+    """A rank oracle that disagrees with the closed form fails `dims
+    --verify` with exit 1, naming the first degree and both dimensions,
+    and prints no table."""
+    real = qhoch.cli.invariant_rank_oracle
+    monkeypatch.setattr(qhoch.cli, "invariant_rank_oracle",
+                        lambda *args, **kwargs: real(*args, **kwargs) + 1)
+    code, out, err = run(capsys, ["dims", "--config", BENCH_CONFIG,
+                                  "--verify"])
+    assert code == 1 and out == ""
+    assert err == ("verification failed:\ndimension mismatch in degree 0: "
+                   "closed form 4, rank oracle 5\n")
+
+
 def test_verify_action_datum(tmp_path, capsys):
     path = write_cfg(tmp_path, CFG_ACTION_D3)
     code, out, _ = run(capsys, ["verify", "--config", path, "--max-degree", "3"])

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+import qhoch.cohomology
+import qhoch.resolution
 from conftest import (S3_MULT, SESSION_ALGEBRAS, random_scalar,
                       readme_algebra)
 from qhoch import (Cochain, Frac, average, axiom_suite, bracket,
@@ -12,7 +14,7 @@ from qhoch import (Cochain, Frac, average, axiom_suite, bracket,
                    hom_differential, invariant_basis, invariant_dims, is_flat,
                    invariant_rank_oracle, is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, rank_oracle)
-from qhoch.cohomology import collect_classes, full_basis
+from qhoch.cohomology import collect_classes, flatness_check, full_basis
 from qhoch.linalg import RowReducer, in_span
 from qhoch.resolution import compositions, sub_index
 from qhoch.scalars import Unit
@@ -50,6 +52,25 @@ def test_zero_gamma_member_iff_trivial_character(A2_Z3, Ad3):
 
 def test_formal_q_rejects_mixed_gamma(A2):
     assert not is_flat(A2, 0, (1, 0))
+
+
+def test_flatness_check_names_each_witness(monkeypatch):
+    """On n = 2, q = -1 `flatness_check` passes, and returns its witness
+    when either half of the block theorem is broken: a homotopy scaled by
+    a wrong norm fails h d + d h = 1 on the first non-flat block, and
+    calling every block flat finds a nonzero differential on that same
+    block."""
+    A = build_algebra(2, N=2, q_spec={(0, 1): ("rational", -1)})
+    assert flatness_check(A, 2) is None
+    real_norm = qhoch.resolution.norm_g
+    with monkeypatch.context() as m:
+        m.setattr(qhoch.resolution, "norm_g",
+                  lambda A, g, gamma: real_norm(A, g, gamma) + 1)
+        assert flatness_check(A, 2) == ("homotopy", 0, (-1, 1), (1, 0))
+    with monkeypatch.context() as m:
+        m.setattr(qhoch.cohomology, "is_flat", lambda A, g, gamma: True)
+        assert flatness_check(A, 2) == ("flat", 0, (-1, 1), (1, 0))
+    assert flatness_check(A, 2) is None
 
 
 def test_component_basis_two_generator_formal(A2):

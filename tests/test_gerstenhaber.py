@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import qhoch.cohomology
 import qhoch.gerstenhaber
 from conftest import random_scalar, s3_algebra
 from qhoch import (Cochain, Unit, bracket, bracket_oracle, build_algebra,
@@ -14,7 +15,7 @@ from qhoch import (Cochain, Unit, bracket, bracket_oracle, build_algebra,
                    quantum_coefficient_action_algebra, unit_cochain)
 from qhoch.algebra import Algebra, SkewElement
 from qhoch.cli import load_config
-from qhoch.cohomology import collect_classes
+from qhoch.cohomology import coboundary_oracle, collect_classes
 from qhoch.gerstenhaber import (PairProducts, _cup_swapped,
                                 _derivation_terms, _jacobi_terms, axiom_suite,
                                 bracket_table, product_check)
@@ -795,8 +796,11 @@ def test_fused_identities_equal_cochain_arithmetic(name, top, request):
 
 def test_axiom_suite_reports_every_failure_of_a_broken_circ(monkeypatch):
     """With circ scaled by 2 on (outer degree 2, inner degree 1) the suite
-    must report the same failures, in the same order, as when every check
-    recomputed its products: 108 Jacobi and 28 derivation-rule failures."""
+    reports each failing identity once, in its enumeration order: 36 Jacobi
+    failures, each rotation class named by its least rotation, then 28
+    derivation-rule failures.  The Jacobi classes named are exactly the
+    rotation classes, among all those in the degree bound, whose
+    jacobiator the elimination oracle `coboundary_oracle` rejects."""
     real_circ = qhoch.gerstenhaber.circ
 
     def broken(A, outer, inner):
@@ -808,8 +812,124 @@ def test_axiom_suite_reports_every_failure_of_a_broken_circ(monkeypatch):
     monkeypatch.setattr(qhoch.gerstenhaber, "circ", broken)
     A = build_algebra(2, N=2, q_spec={(0, 1): ("rational", -1)})
     failures = axiom_suite(A, 3)
-    assert len(failures) == 136
+    assert len(failures) == 64
     assert failures[0] == "Jacobi fails: d0#1,d1#0,d2#2"
     assert failures[-1] == "derivation rule fails: d2#3,d1#2,d1#0"
     assert hashlib.sha256("\n".join(failures).encode()).hexdigest() == \
-        "8cfa0b8833f10d4e8ea563a57bb2a9f034ac299406a3439c96eeb7279e3e9a91"
+        "983df17efc584e5029a4c48718a92d6fc980f0c049a8a4510200af6c6674f4b8"
+    classes = collect_classes(A, range(4))
+    position = {label: i for i, (label, _) in enumerate(classes)}
+    jacobi = [tuple(position[label] for label in f.split(": ")[1].split(","))
+              for f in failures if f.startswith("Jacobi fails: ")]
+    assert len(jacobi) == 36
+    assert all(t == min(t, t[1:] + t[:1], t[2:] + t[:2]) for t in jacobi)
+    deg = [c.degree for _, c in classes]
+    products = PairProducts(A, [c for _, c in classes])
+    least = {min(t, t[1:] + t[:1], t[2:] + t[:2])
+             for t in product(range(len(classes)), repeat=3)
+             if sum(deg[i] for i in t) - 2 <= 3}
+    assert len(least) == 1320
+    rejected = {t for t in least if not coboundary_oracle(
+        A, Cochain.from_accumulated(A, sum(deg[i] for i in t) - 2,
+                                    _jacobi_terms(products, *t)))}
+    assert rejected == set(jacobi)
+
+
+def suite_decisions(A, top):
+    """Every identity `axiom_suite(A, top)` decides, as the failure it
+    reports when the identity fails, in the suite's order: the cup checks
+    and the bracket-cocycle check per unordered pair, Jacobi per cyclic
+    rotation class at its least rotation, and the derivation rule per
+    ordered triple, each within its degree bound; and the least rotations
+    themselves."""
+    classes = collect_classes(A, range(top + 1))
+    labels = [label for label, _ in classes]
+    deg = [c.degree for _, c in classes]
+    k = len(classes)
+
+    def names(*t):
+        return ",".join(labels[i] for i in t)
+    pairs = [(a, b) for a in range(k) for b in range(a, k)]
+    want = []
+    for a, b in pairs:
+        if deg[a] + deg[b] <= top:
+            want += [f"cup of cocycles not a cocycle: {names(a, b)}",
+                     f"graded commutativity fails: {names(a, b)}"]
+    want += [f"bracket not a cocycle: {names(a, b)}" for a, b in pairs
+             if 0 < deg[a] + deg[b] <= top + 1]
+    least = sorted({min(t, t[1:] + t[:1], t[2:] + t[:2])
+                    for t in product(range(k), repeat=3)
+                    if sum(deg[i] for i in t) - 2 <= top})
+    want += [f"Jacobi fails: {names(*t)}" for t in least]
+    want += [f"derivation rule fails: {names(*t)}"
+             for t in product(range(k), repeat=3)
+             if sum(deg[i] for i in t) - 1 <= top]
+    return want, least
+
+
+@pytest.mark.parametrize("name, top", [("A2", 2), ("S3", 2), ("readme", 3)])
+def test_axiom_suite_decides_each_identity_once(name, top, request,
+                                                 monkeypatch):
+    """With every cocycle and coboundary test answering no, the suite
+    reports each identity it decides: each unordered pair once for the cup
+    checks and the bracket-cocycle check (a == b included), each rotation
+    class once for Jacobi, whose jacobiator `_jacobi_terms` forms at the
+    class's least rotation alone, and each ordered triple once for the
+    derivation rule."""
+    A = request.getfixturevalue(name)
+    real_jacobi = qhoch.gerstenhaber._jacobi_terms
+    calls = []
+
+    def recording(products, a, b, c):
+        calls.append((a, b, c))
+        return real_jacobi(products, a, b, c)
+    monkeypatch.setattr(qhoch.gerstenhaber, "_jacobi_terms", recording)
+    monkeypatch.setattr(qhoch.gerstenhaber, "is_cocycle", lambda A, c: False)
+    monkeypatch.setattr(qhoch.cohomology, "is_coboundary",
+                        lambda A, c: False)
+    want, least = suite_decisions(A, top)
+    assert axiom_suite(A, top) == want
+    assert calls == least
+    assert any(t[0] == t[1] != t[2] for t in least)
+
+
+@pytest.mark.parametrize(
+    "product_name, degrees, scale, count, first, counts", [
+    ("cup", (1, 2), True, 30, "graded commutativity fails: d1#0,d2#0",
+     {"graded commutativity fails": 8, "derivation rule fails": 22}),
+    ("cup", (1, 1), False, 185, "cup of cocycles not a cocycle: d1#0,d1#0",
+     {"cup of cocycles not a cocycle": 10, "graded commutativity fails": 10,
+      "derivation rule fails": 165}),
+    ("circ", (2, 1), False, 592, "bracket not a cocycle: d1#0,d2#0",
+     {"bracket not a cocycle": 20, "Jacobi fails": 354,
+      "derivation rule fails": 218}),
+    ], ids=["cup-scaled", "cup-not-cocycle", "bracket-not-cocycle"])
+def test_axiom_suite_trips_each_pair_check(product_name, degrees, scale,
+                                           count, first, counts,
+                                           monkeypatch):
+    """A product broken on one degree pair, scaled by 2 or plus the
+    non-cocycle (x1)e*_(1,1), trips each pair check of the suite on n = 2,
+    q = -1 at degree 3: graded commutativity, a cup of cocycles that is
+    not a cocycle, and a bracket of cocycles that is not a cocycle, with
+    the count per kind and the first failure pinned.  The circle product
+    is broken on (2, 1) alone: a term added to both orders of (1, 1)
+    cancels in the bracket."""
+    A = build_algebra(2, N=2, q_spec={(0, 1): ("rational", -1)})
+    t = Cochain.basis(A, (1, 0), (1, 1), 0)
+    assert not hom_differential(A, t).is_zero()
+    real = getattr(qhoch.gerstenhaber, product_name)
+
+    def broken(A, f1, f2):
+        res = real(A, f1, f2)
+        if (f1.degree, f2.degree) != degrees:
+            return res
+        return res.scale(2) if scale else res + t
+    monkeypatch.setattr(qhoch.gerstenhaber, product_name, broken)
+    failures = axiom_suite(A, 3)
+    assert len(failures) == count
+    assert failures[0] == first
+    kinds = {}
+    for f in failures:
+        kind = f.split(": ")[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds == counts
