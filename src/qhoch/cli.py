@@ -135,9 +135,17 @@ def check_work(command, n, order, degrees):
                               f"order {order}); must be at most {limit}")
 
 
+def _known_fields(obj, fields, where):
+    """Reject the first key of obj not in fields: nothing would read it."""
+    for name in obj:
+        if name not in fields:
+            raise ConfigError(f"{where}: unknown field {name!r}")
+
+
 def _chi_pair(entry, where):
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: character entries must be objects")
+    _known_fields(entry, ("sign", "zeta"), where)
     sign = entry.get("sign", 1)
     zeta = entry.get("zeta", 0)
     if not (_is_int(sign) and sign in (1, -1) and _is_int(zeta)):
@@ -149,6 +157,8 @@ def _chi_pair(entry, where):
 def parse_config(raw):
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
+    _known_fields(raw, ("n", "N", "q", "group", "max_degree", "seeds"),
+                  "config")
     try:
         n = raw["n"]
     except KeyError:
@@ -188,6 +198,7 @@ def parse_config(raw):
                               f"by {first[(i, j)]}")
         first[(i, j)] = where
         if kind == "formal":
+            _known_fields(item, ("i", "j", "kind", "name"), where)
             name = item.get("name", f"q{i}{j}")
             if not (isinstance(name, str) and name):
                 raise ConfigError(f"{where}.name: non-empty string required")
@@ -197,11 +208,13 @@ def parse_config(raw):
             first[name] = where
             q_spec[(i - 1, j - 1)] = ("formal", name)
         elif kind == "zeta":
+            _known_fields(item, ("i", "j", "kind", "power"), where)
             power = item.get("power", 1)
             if not _is_int(power):
                 raise ConfigError(f"{where}.power: integer required")
             q_spec[(i - 1, j - 1)] = ("zeta", power)
         elif kind == "rational":
+            _known_fields(item, ("i", "j", "kind", "value"), where)
             value = item.get("value")
             if not (_is_int(value) and value in (1, -1)):
                 raise ConfigError(f"{where}.value: must be 1 or -1")
@@ -221,8 +234,10 @@ def parse_config(raw):
         raise ConfigError("config.group: must be an object")
     kind = group.get("kind", "trivial")
     if kind == "trivial":
+        _known_fields(group, ("kind",), "config.group")
         group_spec = None
     elif kind == "cyclic":
+        _known_fields(group, ("kind", "order", "chi"), "config.group")
         order = group.get("order")
         if not _is_int(order, 1):
             raise ConfigError("config.group.order: positive integer required")
@@ -234,6 +249,7 @@ def parse_config(raw):
                       [_chi_pair(c, f"config.group.chi[{k}]")
                        for k, c in enumerate(chi)])
     elif kind == "table":
+        _known_fields(group, ("kind", "mult", "chi"), "config.group")
         mult = group.get("mult")
         chi = group.get("chi")
         if not isinstance(mult, list) or not isinstance(chi, list):

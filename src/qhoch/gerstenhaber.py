@@ -35,19 +35,19 @@ coefficient of `_cup_legs`, the contraction coefficient of
 (otherwise the pair's product is formed once and multiplies the unit).
 `circ` sums the unit of only the first splitting of each run, with two
 cached keys, the outer term's part (`_circ_outer`) and the inner term's
-part, linear in kappa (`_circ_inner`); a run of one splitting is that
-unit, and a longer one, first * (1 + v + ... + v^{kappa_r - 1}) for the
-step v of `_run_step`, is read from `_run_table` per (first key, step,
-kappa_r), whose terms are counted by key and summed as integers by
-`Universe.unit_sum`.  Each unit is taken from the universe's table of
-units at its summed key, and a product of two units is the table's unit
-at the sum of their keys (see `qhoch.scalars`), so each unit value is
-built once per universe.  The factors of `Algebra.mono_mul`,
-`Algebra.chi_factors` and `Algebra.skew_mono` are tuples cached per
-argument, read as they are.  Each of the four products hands the map it
-accumulated to `Cochain.from_accumulated`, without the constructor's
-checks: `accumulate` stores no zero, and every key it was given has the
-result's degree.
+part, linear in kappa (`_circ_inner`, read off one product of per-index
+factors); a run of one splitting is that unit, and a longer one,
+first * (1 + v + ... + v^{kappa_r - 1}) for the step v of `_circ_inner`,
+is read from `_run_table` per (first key, step, kappa_r), whose terms are
+counted by key and summed as integers by `Universe.unit_sum`.  Each unit
+is taken from the universe's table of units at its summed key, and a
+product of two units is the table's unit at the sum of their keys (see
+`qhoch.scalars`), so each unit value is built once per universe.  The
+factors of `Algebra.mono_mul`, `Algebra.chi_factors` and
+`Algebra.skew_mono` are tuples cached per argument, read as they are.
+Each of the four products hands the map it accumulated to
+`Cochain.from_accumulated`, without the constructor's checks: `accumulate`
+stores no zero, and every key it was given has the result's degree.
 
 The closed forms share with the oracles the algebra's characters, unit
 builders and exponent tables, and `circ` also its product `Algebra.mono_mul`,
@@ -240,29 +240,6 @@ def circ_oracle(A, outer, inner):
     return Cochain.from_accumulated(A, m + l - 1, out)
 
 
-def _run_step(A, alpha, beta, g, r):
-    """The step v of the geometric runs of `circ` for the inner term
-    (alpha, beta, g) and the slot r it contracts (alpha_r = 1), as an
-    `Algebra.unit_key`: the unit of splitting p + 1 over that of splitting
-    p, with l = |beta|,
-    v = (-1)^{l+1} chi_{g,r}^{-1} prod_{t>r} q_{rt}^{-beta_t}
-    prod_{t<r} q_{tr}^{beta_t} prod_{s>r, alpha_s=1} (-q_{rs})
-    prod_{s<r, alpha_s=1} (-q_{sr})^{-1}."""
-    q_exp, nq_exp = A.q_exp, A.nq_exp
-    factors = [(A.chi_exp[g][r], -1)]
-    for t in range(r + 1, A.n):
-        if beta[t]:
-            factors.append((q_exp[r][t], -beta[t]))
-        if alpha[t]:
-            factors.append((nq_exp[r][t], 1))
-    for t in range(r):
-        if beta[t]:
-            factors.append((q_exp[t][r], beta[t]))
-        if alpha[t]:
-            factors.append((nq_exp[t][r], -1))
-    return A.unit_key(factors, sum(beta) + 1)
-
-
 @cached
 def _run_table(A, first, step, count):
     """The Scalar sum of the run first * v^p, p < count, for the first
@@ -281,9 +258,8 @@ def _circ_outer(A, alpha, r, gamma, h):
     """The part of the first unit of `circ` at slot r that the outer term
     (gamma, kappa, h) brings, whatever its kappa: the outer value
     x^gamma (x) h reordered between the contraction's monomials `above`
-    and `below` (alpha above and below r) by `Algebra.mono_mul`, the
-    character of h on `below`, and the contraction's factors -q_{rs} for
-    s > r with alpha_s = 1.  Returns (key, monomial), or () when a slot
+    and `below` (alpha above and below r) by `Algebra.mono_mul`, and the
+    character of h on `below`.  Returns (key, monomial), or () when a slot
     repeats and the term is zero."""
     n = A.n
     above = (0,) * (r + 1) + alpha[r + 1:]
@@ -296,61 +272,63 @@ def _circ_outer(A, alpha, r, gamma, h):
     if right is None:
         return ()
     more, mono = right
-    factors += more + A.chi_factors(h, below) + tuple(
-        [(A.nq_exp[r][s], 1) for s in range(r + 1, n) if alpha[s]])
-    return A.unit_key(factors), mono
+    return A.unit_key(factors + more + A.chi_factors(h, below)), mono
 
 
 @cached
 def _circ_inner(A, alpha, beta, g):
-    """The parts of the first units of `circ` that the inner term
-    (alpha, beta, g) brings, one per slot r with alpha_r = 1, each as a
-    function of the outer term's kappa, which it enters linearly: the left
-    remainder nu is kappa below r, and the right leg rho2 is
-    (kappa_r - 1) e_r plus kappa above r.  The part holds the diagonal
-    coefficients q_{kt}^{rho2_k beta_t + beta_k nu_t} (k < t) of both
-    stages, the character of g on e_{rho2}, the contraction's factors
-    (-q_{sr})^{kappa_r} for s < r and
-    (-q_{s s2})^{alpha_s (alpha_s2 + kappa_s2) + alpha_s2 kappa_s} for
-    s < r < s2, and the Koszul sign (-1)^{|nu| (l + 1)}, l = |beta|.
-    Returns a tuple of (r, K0, V, step, beta - e_r): the key K0 of the
-    part at kappa = 0, the pairs (key V_i, i) whose kappa_i-th powers make
-    up the rest, the run's `_run_step`, and the index the outer kappa is
+    """The parts of the units of `circ` that the inner term (alpha, beta, g)
+    brings, one per slot r with alpha_r = 1.  The splitting nu_r = p,
+    0 <= p < kappa_r, of a run leaves the left remainder nu = kappa below r
+    plus p e_r and the right leg rho2 = (kappa_r - 1 - p) e_r plus kappa
+    above r.  Its part (both diagonal coefficients, chi_g on e_{rho2}, the
+    contraction coefficient and the Koszul sign) is, with l = |beta|,
+    C prod_{i <= r} U_i^{nu_i} prod_{i >= r} D_i^{rho2_i}, where
+      U_i = (-1)^{l+1} prod_{k<i} q_{ki}^{beta_k}
+            prod_{s>r, alpha_s=1} (-q_{is})  for i <= r,
+      D_i = chi_{g,i} prod_{s>i} q_{is}^{beta_s}
+            prod_{k<r, alpha_k=1} (-q_{ki})  for i >= r,
+      C = prod (-q_{ks}) over k < s, alpha_k = alpha_s = 1, k <= r <= s.
+    A step of a run moves one e_r from the right leg to the left remainder:
+    it is U_r / D_r.  Returns a tuple of (r, K0, V, step, beta - e_r): the
+    keys K0 = C / D_r, the pairs (V_i, i), V_i = U_i (i < r) or D_i
+    (i >= r), whose kappa_i-th powers make up the rest of the first unit
+    (identity keys left out), the step, and the index the outer kappa is
     added to for the result's generator."""
     n = A.n
     q_exp, nq_exp, chi = A.q_exp, A.nq_exp, A.chi_exp[g]
+    unit_key = A.unit_key
+    one = A.uni.one.key
     l = sum(beta)
+    ones = [s for s in range(n) if alpha[s]]
     slots = []
-    for r in range(n):
-        if not alpha[r]:
-            continue
-        const = [(chi[r], -1)]
-        per = [[(chi[i], 1)] if i >= r else [] for i in range(n)]
-        for k in range(n):
-            for t in range(k + 1, n):
-                if k >= r and beta[t]:
-                    per[k].append((q_exp[k][t], beta[t]))
-                    if k == r:
-                        const.append((q_exp[k][t], -beta[t]))
-                if t < r and beta[k]:
-                    per[t].append((q_exp[k][t], beta[k]))
-        for s in range(r):
-            if alpha[s]:
-                per[r].append((nq_exp[s][r], 1))
-            for s2 in range(r + 1, n):
-                if alpha[s] and alpha[s2]:
-                    const.append((nq_exp[s][s2], 1))
-                if alpha[s]:
-                    per[s2].append((nq_exp[s][s2], 1))
-                if alpha[s2]:
-                    per[s].append((nq_exp[s][s2], 1))
-        steps = []
-        for i, factors in enumerate(per):
-            key = A.unit_key(factors, l + 1 if i < r else 0)
-            if key != A.uni.one.key:
-                steps.append((key, i))
-        slots.append((r, A.unit_key(const), tuple(steps),
-                      _run_step(A, alpha, beta, g, r), bump(beta, r, -1)))
+    for j, r in enumerate(ones):
+        below, above = ones[:j], ones[j + 1:]
+        # U_i's factors and D_i's keys by loops, cheaper than comprehensions
+        up, down = [], []
+        for i in range(r + 1):
+            u = []
+            for k in range(i):
+                if beta[k]:
+                    u.append((q_exp[k][i], beta[k]))
+            for s in above:
+                u.append((nq_exp[i][s], 1))
+            up.append(u)
+        for i in range(r, n):
+            d = [(chi[i], 1)]
+            for s in range(i + 1, n):
+                if beta[s]:
+                    d.append((q_exp[i][s], beta[s]))
+            for k in below:
+                d.append((nq_exp[k][i], 1))
+            down.append(unit_key(d))
+        c = [(nq_exp[k][s], 1)
+             for k in ones[:j + 1] for s in ones[j:] if k < s]
+        d_r = (down[0], -1)
+        V = [unit_key(u, l + 1) for u in up[:r]] + down
+        slots.append((r, unit_key(c + [d_r]),
+                      tuple([(v, i) for i, v in enumerate(V) if v != one]),
+                      unit_key(up[r] + [d_r], l + 1), bump(beta, r, -1)))
     return tuple(slots)
 
 
@@ -361,16 +339,16 @@ def circ(A, outer, inner):
 
     Only the splittings of e_rho, rho = kappa + beta - e_r, that leave
     e_beta as the middle leg survive; as rho - beta = kappa - e_r, there are
-    kappa_r of them, all on one symbol.  The unit of the first, p = beta_r,
-    is one `Algebra.unit_key` sum of two cached keys: the outer part
-    `_circ_outer` per (alpha, r, gamma, h), which reorders the outer value
-    with `Algebra.mono_mul`, and the inner part, linear in kappa, which
-    `_circ_inner` holds per (alpha, beta, g) for each slot r, with the term
-    pair's coefficients folded in by `_pair_keys` at the pair's first
-    active slot.  The unit of splitting p is the first times
-    v^{p - beta_r} for the step v of `_run_step`, so the coefficient is the
-    universe's unit at the key when kappa_r = 1, and else the run's sum
-    `_run_table` per (first key, step, kappa_r)."""
+    kappa_r of them, all on one symbol, one per nu_r = p, 0 <= p < kappa_r.
+    The unit of the first, p = 0, is one `Algebra.unit_key` sum of two
+    cached keys: the outer part `_circ_outer` per (alpha, r, gamma, h),
+    which reorders the outer value with `Algebra.mono_mul`, and the inner
+    part, linear in kappa, which `_circ_inner` holds per (alpha, beta, g)
+    for each slot r, with the term pair's coefficients folded in by
+    `_pair_keys` at the pair's first active slot.  The unit of splitting p
+    is the first times v^p for the step v of `_circ_inner`, so the
+    coefficient is the universe's unit at the key when kappa_r = 1, and
+    else the run's sum `_run_table` per (first key, step, kappa_r)."""
     m, l = outer.degree, inner.degree
     if m + l - 1 < 0:
         return Cochain(A, 0)
@@ -406,28 +384,17 @@ def circ(A, outer, inner):
     return Cochain.from_accumulated(A, m + l - 1, out)
 
 
+def _parity(m, l):
+    """(m - 1)(l - 1) mod 2, the sign parity of brackets of degrees m, l."""
+    return (m - 1) * (l - 1) % 2
+
+
 def _signed_sum(first, second, m, l):
-    """The bracket [f1, f2] of an m-cochain f1 and an l-cochain f2 from its
-    two circle products first = f1 o f2 and second = f2 o f1."""
-    if ((m - 1) * (l - 1)) % 2:
-        return first + second
-    return first - second
-
-
-def _reversed(br, m, l):
-    """[f2, f1] from br = [f1, f2] for an m-cochain f1 and an l-cochain f2:
-    graded antisymmetry [f2, f1] = -(-1)^{(m-1)(l-1)} [f1, f2] holds exactly
-    at chain level, by the sign rule of `_signed_sum`."""
-    return br if ((m - 1) * (l - 1)) % 2 else -br
-
-
-def bracket(A, f1, f2):
-    """Graded bracket [f1, f2] = f1 o f2 - (-1)^{(m-1)(l-1)} f2 o f1.  The
-    second circle product is added into the first one's fresh map; when
-    either is zero, the other is the bracket, negated if need be."""
-    first = circ(A, f1, f2)
-    second = first if f2 is f1 else circ(A, f2, f1)
-    negate = not ((f1.degree - 1) * (f2.degree - 1)) % 2
+    """[f1, f2] = f1 o f2 - (-1)^{(m-1)(l-1)} f2 o f1 for an m-cochain f1
+    and an l-cochain f2: second = f2 o f1 is added into the fresh map of
+    first = f1 o f2, which it may be (a self-bracket); when either is zero,
+    the other is the bracket, negated if need be."""
+    negate = not _parity(m, l)
     if not second.terms:
         return first
     if not first.terms:
@@ -437,7 +404,23 @@ def bracket(A, f1, f2):
     return first
 
 
+def _reversed(br, m, l):
+    """[f2, f1] from br = [f1, f2] for an m-cochain f1 and an l-cochain f2:
+    graded antisymmetry [f2, f1] = -(-1)^{(m-1)(l-1)} [f1, f2] holds exactly
+    at chain level, by the sign rule of `_signed_sum`."""
+    return br if _parity(m, l) else -br
+
+
+def bracket(A, f1, f2):
+    """Graded bracket [f1, f2], the `_signed_sum` of the two closed-form
+    circle products; a self-bracket forms its one circle product once."""
+    first = circ(A, f1, f2)
+    second = first if f2 is f1 else circ(A, f2, f1)
+    return _signed_sum(first, second, f1.degree, f2.degree)
+
+
 def bracket_oracle(A, f1, f2):
+    """[f1, f2], the `_signed_sum` of two `circ_oracle` products."""
     return _signed_sum(circ_oracle(A, f1, f2), circ_oracle(A, f2, f1),
                        f1.degree, f2.degree)
 
@@ -635,8 +618,8 @@ def _jacobi_terms(products, a, b, c):
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
         inner = products.bracket(x, y)
         if inner.terms:
-            products.add(out, bracket, inner, z, negate=(
-                (cochains[x].degree - 1) * (cochains[z].degree - 1)) % 2)
+            products.add(out, bracket, inner, z, negate=_parity(
+                cochains[x].degree, cochains[z].degree))
     return out
 
 

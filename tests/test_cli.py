@@ -296,17 +296,47 @@ def test_config_errors_exit_two(tmp_path, capsys):
      "config.q[1].name"),
     ({"n": 3, "q": [{"i": 1, "j": 2, "kind": "formal", "name": "q13"}]},
      "config.q[0].name"),
+    # a field that nothing reads: at the root, in a q entry by its kind,
+    # in the group by its kind, and in a character
+    ({"grup": {"kind": "cyclic", "order": 2, "chi": [{}, {}]}}, "config"),
+    ({"q": [{"i": 1, "j": 2, "kind": "zeta", "value": 2}]}, "config.q[0]"),
+    ({"q": [{"i": 1, "j": 2, "kind": "rational", "valu": -1}]},
+     "config.q[0]"),
+    ({"q": [{"i": 1, "j": 2, "kind": "formal", "power": 1}]},
+     "config.q[0]"),
+    ({"group": {"kind": "trivial", "order": 2}}, "config.group"),
+    ({"group": {"kind": "cyclic", "ordr": 2, "chi": [{}, {}]}},
+     "config.group"),
+    ({"group": {"kind": "table", "mult": [[0]], "chi": [[{}, {}]],
+                "order": 1}}, "config.group"),
+    ({"group": {"kind": "cyclic", "order": 2,
+                "chi": [{"zta": 2}, {}]}}, "config.group.chi[0]"),
+    ({"group": {"kind": "table", "mult": [[0, 1], [1, 0]],
+                "chi": [[{}, {}], [{}, {"sgn": -1}]]}},
+     "config.group.chi[1][1]"),
 ], ids=["group-list", "ragged-mult", "q-int", "n-bool", "max-degree-bool",
         "power-bool", "mult-identity", "mult-associativity", "name-list",
         "name-empty",
         "chi-identity", "chi-homomorphism", "chi-order-N",
         "cyclic-chi-order", "cyclic-chi-order-N", "q-duplicate-pair",
-        "q-duplicate-name", "q-default-name"])
+        "q-duplicate-name", "q-default-name", "unknown-root",
+        "unknown-zeta", "unknown-rational", "unknown-formal",
+        "unknown-trivial", "unknown-cyclic", "unknown-table",
+        "unknown-cyclic-chi", "unknown-table-chi"])
 def test_malformed_config_exits_two(tmp_path, capsys, override, field):
     path = write_cfg(tmp_path, {**CFG_FORMAL, **override})
     code, out, err = run(capsys, ["dims", "--config", path])
     assert code == 2
     assert f"config error: {field}:" in err
+
+
+def test_unknown_field_is_named(tmp_path, capsys):
+    """A misspelled field is the one stderr line that names it, not a run
+    of the default it leaves in force (here the trivial group)."""
+    path = write_cfg(tmp_path, {**CFG_FORMAL, "grup": {"kind": "trivial"}})
+    code, out, err = run(capsys, ["dims", "--config", path])
+    assert (code, out) == (2, "")
+    assert err == "config error: config: unknown field 'grup'\n"
 
 
 def _refuse_to_build(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 import qhoch.cohomology
 import qhoch.gerstenhaber
-from conftest import random_scalar, s3_algebra
+from conftest import random_scalar, readme_algebra, s3_algebra
 from qhoch import (Cochain, Unit, bracket, bracket_oracle, build_algebra,
                    circ, circ_oracle, cup, cup_oracle, formal_algebra,
                    g_action_on_cochain, hom_differential, invariant_basis,
@@ -16,9 +16,10 @@ from qhoch import (Cochain, Unit, bracket, bracket_oracle, build_algebra,
 from qhoch.algebra import Algebra, SkewElement
 from qhoch.cli import load_config
 from qhoch.cohomology import coboundary_oracle, collect_classes
-from qhoch.gerstenhaber import (PairProducts, _cup_swapped,
-                                _derivation_terms, _jacobi_terms, axiom_suite,
-                                bracket_table, product_check)
+from qhoch.gerstenhaber import (PairProducts, _circ_inner, _contractions,
+                                _cup_swapped, _derivation_terms,
+                                _jacobi_terms, axiom_suite, bracket_table,
+                                product_check)
 from qhoch.resolution import (compositions, diagonal, full_basis,
                               phi_generator, sub_index)
 
@@ -129,12 +130,17 @@ def random_cochain(A, m, rng):
     return out
 
 
+def config_algebra(*parts):
+    """The algebra of a checked-in config, read through the CLI, from its
+    path relative to the repository root."""
+    return load_config(str(Path(__file__).resolve().parent.parent.joinpath(
+        *parts)))[0]
+
+
 def rank_oracle_dense():
     """n = 3 over Q(zeta_60), C6 acting, q13 formal: the algebra of
     `perfbench/configs/rank-oracle-dense.json`, read through the CLI."""
-    path = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
-            / "rank-oracle-dense.json")
-    return load_config(str(path))[0]
+    return config_algebra("perfbench", "configs", "rank-oracle-dense.json")
 
 
 @pytest.mark.parametrize("fixture, maker, degrees", [
@@ -333,6 +339,47 @@ def test_circ_long_splitting_runs_equal_oracle(fixture, slots, count,
     for k1, k2 in long_run_pairs(A, 10, slots, count):
         c1, c2 = Cochain.basis(A, *k1), Cochain.basis(A, *k2)
         assert circ(A, c1, c2) == circ_oracle(A, c1, c2), (k1, k2)
+
+
+@pytest.mark.parametrize("maker", [
+    readme_algebra, s3_algebra, rank_oracle_dense,
+    lambda: config_algebra("tests", "formal3.json"),
+    lambda: config_algebra("perfbench", "configs",
+                           "axioms-commutative.json"),
+], ids=["README", "S3", "rank-oracle-dense", "formal3",
+        "axioms-commutative"])
+def test_circ_splitting_units_equal_contractions(maker):
+    """Each splitting's unit, read off `_circ_inner`'s per-index factors as
+    K0 + sum_i kappa_i V_i + p step (0 <= p < kappa_r), is the coefficient
+    the literal walk `_contractions` gives that splitting: for every inner
+    basis symbol with |beta| <= 3, each slot r and each outer kappa with
+    |kappa| <= 3 and kappa_r > 0, the run's keys and the keys of the
+    walk's entries on (rho = kappa + beta - e_r, alpha above r, alpha below
+    r) are the same, counted."""
+    A = maker()
+    n = A.n
+    runs = 0
+    for l in range(4):
+        for alpha, beta, g in full_basis(A, l):
+            for r, K0, V, step, beta_below in _circ_inner(A, alpha, beta, g):
+                above = (0,) * (r + 1) + alpha[r + 1:]
+                below = alpha[:r] + (0,) * (n - r)
+                for m in range(1, 4):
+                    table = _contractions(A, (alpha, beta, g), m)
+                    for kappa in compositions(n, m):
+                        if not kappa[r]:
+                            continue
+                        first = [(K0, 1)] + [(v, kappa[i]) for v, i in V]
+                        run = sorted(A.unit_key(first + [(step, p)])
+                                     for p in range(kappa[r]))
+                        rho = tuple(k + b for k, b in zip(kappa, beta_below))
+                        walk = sorted(
+                            factor[0] for rho_w, a, b, factor
+                            in table.get(kappa, ())
+                            if (rho_w, a, b) == (rho, above, below))
+                        assert run == walk, (alpha, beta, g, r, kappa)
+                        runs += 1
+    assert runs
 
 
 def test_circle_homotopy_identity_trivial_group(A2, A3):
