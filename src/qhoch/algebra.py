@@ -221,16 +221,7 @@ class Algebra:
             for table in (self.q, self.nq, self.group.chi))
         self.caches = {}
 
-    # -- scalar conveniences -------------------------------------------------
-
-    def one(self):
-        return self.uni.one
-
-    def zero(self):
-        return self.uni.zero
-
-    def chi(self, g, i):
-        return self.group.chi[g][i]
+    # -- unit coefficients ---------------------------------------------------
 
     def unit_key(self, factors, sign=0):
         """The key of (-1)^sign * prod u^m over the pairs (key of u, m) in
@@ -307,7 +298,7 @@ class SkewElement(SparseVector):
 
     @staticmethod
     def basis(alg, mono, g, coeff=None):
-        c = coeff if coeff is not None else alg.one()
+        c = coeff if coeff is not None else alg.uni.one
         if c.is_zero():
             return SkewElement(alg, {})
         return SkewElement(alg, {(tuple(mono), g): c})

@@ -28,7 +28,7 @@ from math import comb
 from .algebra import TableError, build_algebra
 from .cohomology import (collect_classes, flatness_check, invariant_basis,
                          invariant_rank_oracle)
-from .gerstenhaber import axiom_suite, bracket_table, cup, product_check
+from .gerstenhaber import PairProducts, axiom_suite, product_check
 from .resolution import (Cochain, bar_check, differential_check,
                          phi_identity_check)
 from .scalars import scalar_str
@@ -425,17 +425,22 @@ def cmd_basis(A, degrees):
 
 
 def cmd_products(A, max_degree, which):
+    """The nonzero cup products or brackets of the ordered pairs of
+    invariant classes, row by row, read from one `PairProducts`, so each
+    unordered pair is bracketed once.  A cup product lies in the sum of its
+    factors' degrees, and only those within the bound are formed."""
     classes = collect_classes(A, range(max_degree + 1))
-    if which == "cup":
-        # a cup product lies in the sum of its factors' degrees; only those
-        # within the bound are printed
-        products = [(la, lb, cup(A, ca, cb)) for la, ca in classes
-                    for lb, cb in classes
-                    if ca.degree + cb.degree <= max_degree]
-    else:
-        products = bracket_table(A, classes)
-    table = [{"left": la, "right": lb, "degree": res.degree, "terms": res}
-             for la, lb, res in products if not res.is_zero()]
+    products = PairProducts(A, [c for _, c in classes])
+    product = products.cup if which == "cup" else products.bracket
+    table = []
+    for i, (la, ca) in enumerate(classes):
+        for j, (lb, cb) in enumerate(classes):
+            if which == "cup" and ca.degree + cb.degree > max_degree:
+                continue
+            res = product(i, j)
+            if not res.is_zero():
+                table.append({"left": la, "right": lb, "degree": res.degree,
+                              "terms": res})
     return {"command": which, "classes": [
         {"id": la, "degree": ca.degree, "terms": ca}
         for la, ca in classes], "table": table}

@@ -26,13 +26,14 @@ is the average.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as iproduct
 
 from .algebra import cached
 from .linalg import RowReducer, accumulate
 from .resolution import (Cochain, add_index, full_basis, hom_differential,
                          homotopy, is_flat, sub_index)
-from .scalars import Frac, QQ, Scalar
+from .scalars import Frac, Scalar
 
 
 def hh_component_basis(A, m, g):
@@ -72,7 +73,7 @@ def g_action_on_cochain(A, h, c):
     h moves a basis symbol to (x^alpha (x) h g h^{-1}) e_beta^* scaled by
     prod_l chi_{h,l}^{alpha_l - beta_l}.  Conjugation by h permutes the
     group parts, so no two terms land on one symbol."""
-    return Cochain(A, c.degree, {
+    return Cochain.from_accumulated(A, c.degree, {
         (alpha, beta, A.group.conjugate(h, g)):
             coeff * A.chi_prod(h, sub_index(alpha, beta))
         for (alpha, beta, g), coeff in c.terms.items()})
@@ -92,7 +93,7 @@ def _reynolds_walk(A, g, gamma):
         per = counts.setdefault(conjugate(h, g), {})
         key = A.unit_key(A.chi_factors(h, gamma))
         per[key] = per.get(key, 0) + 1
-    scale = QQ(1, A.group.order)
+    scale = Fraction(1, A.group.order)
     walk = []
     for g2, per in counts.items():
         v = A.uni.unit_sum(per) * scale
@@ -118,7 +119,7 @@ def average(A, c):
     terms = {}
     for key, v in out.items():
         terms[key] = (v.as_unit() or v) if isinstance(v, Scalar) else v
-    return Cochain(A, c.degree, terms)
+    return Cochain.from_accumulated(A, c.degree, terms)
 
 
 def _constant_row(c):
@@ -163,11 +164,6 @@ def invariant_basis(A, m):
     return CohomologyBasis(m, entries, classes)
 
 
-def invariant_dims(A, max_degree):
-    """Closed-form dimensions of the invariant cohomology per degree."""
-    return [len(invariant_basis(A, m).classes) for m in range(max_degree + 1)]
-
-
 def collect_classes(A, degrees):
     """The invariant classes of the given degrees as (label, Cochain), the
     label d{m}#{i} naming the i-th class of `invariant_basis` in degree m."""
@@ -200,7 +196,7 @@ def _seed_values(A, seed):
     for _ in range(A.uni.nparams):
         num = rng.randint(2, 97)
         den = rng.randint(2, 97)
-        values.append(QQ(num, den))
+        values.append(Fraction(num, den))
     return values
 
 
@@ -213,8 +209,7 @@ def _subcomplex(A, m, g):
     `invariant_basis` does not share).  Averaged coefficients are cyclotomic
     constants, so neither depends on a seed; each is cached per (degree,
     g)."""
-    # full_basis(A, -1) is not empty when n = 1
-    symbols = full_basis(A, m) if m >= 0 else []
+    symbols = full_basis(A, m)
     if g is None:
         red = RowReducer()
         basis = []
@@ -308,7 +303,7 @@ def _image_reducer(A, m):
     """Echelon form of the image of the differential into degree m, over
     the quotient field of the coefficient ring: the nonzero images of the
     basis cochains of degree m - 1 that `_subcomplex` holds for each group
-    element in turn."""
+    element in turn; cached per degree."""
     red = RowReducer()
     for g in range(A.group.order):
         for img in _subcomplex(A, m - 1, g)[1]:

@@ -58,10 +58,11 @@ the circle product alone (which splitting survives, the diagonal and
 contraction coefficients, the Koszul sign and the run) is a closed form
 checked against `circ_oracle`'s literal walk.
 
-`PairProducts`, the one product table of `bracket_table` and
-`axiom_suite`, holds cup products and brackets but no circle products: a
-bracket entry is `bracket` of its pair, or its reverse read by antisymmetry,
-so [b, a] = +-[a, b] holds by construction and the suite does not check it.
+`PairProducts`, the one product table of the `cup` and `bracket` tables
+of `qhoch.cli` and of `axiom_suite`, holds cup products and brackets but
+no circle products: a bracket entry is `bracket` of its pair, or its
+reverse read by antisymmetry, so [b, a] = +-[a, b] holds by construction
+and the suite does not check it.
 A product of a product, [f, c_k], f ^ c_k or c_k ^ f for a computed cochain
 f, is added into a caller's map by linearity in f from the products of
 each basis cochain e_t with the listed c_k, which the table holds per
@@ -446,10 +447,6 @@ def product_check(A, top):
 # product tables and the axiom suite
 # ---------------------------------------------------------------------------
 
-def unit_cochain(A):
-    return Cochain.basis(A, (0,) * A.n, (0,) * A.n, 0)
-
-
 class PairProducts:
     """Pairwise products over one list of cochains c_0, c_1, ..., filled
     lazily: the cup product and the bracket of each ordered pair are
@@ -507,16 +504,6 @@ def _cup_swapped(A, f1, f2):
     """f2 ^ f1, the cup product with its factors swapped, for
     `PairProducts.add` of c_k ^ f."""
     return cup(A, f2, f1)
-
-
-def bracket_table(A, classes):
-    """Ordered pairwise bracket table over a list of (label, Cochain), read
-    row by row from one `PairProducts`, so each unordered pair is bracketed
-    once."""
-    products = PairProducts(A, [c for _, c in classes])
-    return [(la, lb, products.bracket(i, j))
-            for i, (la, _) in enumerate(classes)
-            for j, (lb, _) in enumerate(classes)]
 
 
 def axiom_suite(A, max_degree):

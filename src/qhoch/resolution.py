@@ -19,16 +19,20 @@ generator between the two outer monomials.
 
 Cochains are maps from the complex into the skew group algebra, stored on
 the basis symbols (x^alpha (x) g) e_beta^*.
+
+`diagonal`, `f_beta_expand` and `phi_generator` are cached per generator
+index, and `is_flat` per (g, gamma), with `qhoch.algebra.cached`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as iproduct
 from operator import add, itemgetter, sub
 
 from .algebra import cached
 from .linalg import SparseVector, accumulate
-from .scalars import Frac, QQ
+from .scalars import Frac
 
 # ---------------------------------------------------------------------------
 # multi-index helpers (plain tuples of ints)
@@ -51,14 +55,11 @@ def bump(a, l, delta=1):
     return tuple(x + delta if i == l else x for i, x in enumerate(a))
 
 
-def degree(a):
-    return sum(a)
-
-
 def compositions(n, total):
-    """All beta in N^n with |beta| = total."""
+    """All beta in N^n with |beta| = total; none when total < 0."""
     if n == 1:
-        yield (total,)
+        if total >= 0:
+            yield (total,)
         return
     for first in range(total + 1):
         for rest in compositions(n - 1, total - first):
@@ -111,7 +112,7 @@ def omega_big(A, g, alpha, beta, l):
     tests/test_resolution.py).
     """
     if alpha[l] == 1:
-        return A.zero()
+        return A.uni.zero
     sign = sum(beta[:l])
     nq = A.nq_exp
     t1 = A.unit_product([(nq[k][l], beta[k] - alpha[k]) for k in range(l)
@@ -121,7 +122,7 @@ def omega_big(A, g, alpha, beta, l):
                            for k in range(l + 1, A.n) if beta[k] != alpha[k]],
                         sign + beta[l])
     if t1 == t2:
-        return A.zero()
+        return A.uni.zero
     return t1 - t2
 
 
@@ -131,9 +132,9 @@ def omega_small(A, g, alpha, beta, l):
     gamma = beta - alpha meets a membership condition (gamma_l = -1 covers
     beta_l = 0)."""
     if alpha[l] == 0 or slot_condition_holds(A, g, sub_index(beta, alpha), l):
-        return Frac(A.zero())
+        return Frac(A.uni.zero)
     w = omega_big(A, g, bump(alpha, l, -1), bump(beta, l, -1), l)
-    return Frac(A.one(), w)
+    return Frac(A.uni.one, w)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ class Cochain(SparseVector):
 
     @staticmethod
     def basis(alg, alpha, beta, g, coeff=None):
-        c = alg.one() if coeff is None else coeff
+        c = alg.uni.one if coeff is None else coeff
         beta = tuple(beta)
         terms = {} if c.is_zero() else {(tuple(alpha), beta, g): c}
         return Cochain.from_accumulated(alg, sum(beta), terms)
@@ -208,11 +209,8 @@ class Cochain(SparseVector):
         return SparseVector.__sub__(self, other)
 
     def to_frac(self):
-        return Cochain(self.alg, self.degree,
-                       {k: Frac.of(c, self.alg.uni) for k, c in self.terms.items()})
-
-    def support_gammas(self):
-        return {sub_index(beta, alpha) for (alpha, beta, g) in self.terms}
+        return self._like({k: Frac.of(c, self.alg.uni)
+                           for k, c in self.terms.items()})
 
     def sorted_keys(self):
         """The keys (alpha, beta, g) ordered by g, then beta, then alpha."""
@@ -246,7 +244,7 @@ def hom_differential(A, c):
             if w.is_zero():
                 continue
             accumulate(out, (bump(alpha, l), bump(beta, l), g), coeff * w)
-    return Cochain(A, c.degree + 1, out)
+    return Cochain.from_accumulated(A, c.degree + 1, out)
 
 
 def full_basis(A, m):
@@ -273,15 +271,13 @@ def differential_check(A, top):
 
 
 def homotopy(A, c):
-    """Contracting homotopy on one off-membership subcomplex.
+    """Contracting homotopy on the cochains with no flat term.
 
-    The input must be supported on a single K_{g,gamma} with gamma outside
-    the flat set (so the slot count is nonzero); output coefficients are
-    Fracs.
+    The formula is per term, and the differential maps each block
+    K_{g,gamma} to itself, so h d + d h = 1 holds on any sum of terms whose
+    gamma = beta - alpha lies outside the flat set (where the slot count is
+    nonzero); a flat term is a ValueError.  Output coefficients are Fracs.
     """
-    gammas = c.support_gammas()
-    if len(gammas) > 1:
-        raise ValueError("homotopy input must live in a single subcomplex")
     out = {}
     for (alpha, beta, g), coeff in c.terms.items():
         nrm = norm_g(A, g, sub_index(beta, alpha))
@@ -293,8 +289,8 @@ def homotopy(A, c):
             if w.is_zero():
                 continue
             accumulate(out, (bump(alpha, l, -1), bump(beta, l, -1), g),
-                       coeff * w * QQ(1, nrm))
-    return Cochain(A, c.degree - 1, out)
+                       coeff * w * Fraction(1, nrm))
+    return Cochain.from_accumulated(A, c.degree - 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +305,7 @@ class Tensor(SparseVector):
     @staticmethod
     def generator(alg, beta, coeff=None):
         z = (0,) * alg.n
-        c = alg.one() if coeff is None else coeff
+        c = alg.uni.one if coeff is None else coeff
         return Tensor(alg, {(z, tuple(beta), z): c})
 
     def __repr__(self):
@@ -330,7 +326,7 @@ class Tensor2(SparseVector):
     @staticmethod
     def generator(alg, beta, mid, gamma, coeff=None):
         z = (0,) * alg.n
-        c = alg.one() if coeff is None else coeff
+        c = alg.uni.one if coeff is None else coeff
         return Tensor2(alg, {(z, tuple(beta), tuple(mid), tuple(gamma), z): c})
 
 
@@ -381,7 +377,7 @@ def tensor_delta(A, t):
                     A, word[i - 1], resolution_differential(A, word[i]),
                     word[i + 1], c):
                 accumulate(out, word[:i - 1] + (a, beta, b) + word[i + 2:], v)
-            if degree(word[i]) % 2:
+            if sum(word[i]) % 2:
                 c = -c
     return t._like(out)
 
@@ -451,7 +447,7 @@ def _bar_agrees(A, beta):
     expansion applied to `resolution_differential` of e_beta, the boundary
     that `tensor_delta` uses."""
     n = A.n
-    m = degree(beta)
+    m = sum(beta)
     if m == 0:
         return True
     z = (0,) * n
@@ -519,7 +515,7 @@ def phi_generator(A, beta, mid, gamma):
                 e = mid[r] * (mid[s] + gamma[s]) + mid[s] * beta[r]
                 if e:
                     factors.append((nq[r][s], e))
-        u = A.unit_product(factors, degree(beta))
+        u = A.unit_product(factors, sum(beta))
         left = tuple(mid[i] if i > l else 0 for i in range(n))
         right = tuple(mid[i] if i < l else 0 for i in range(n))
         accumulate(out, (left, bump(add_index(beta, gamma), l), right), u)

@@ -43,8 +43,6 @@ from operator import add
 
 from .linalg import accumulate
 
-QQ = Fraction
-
 
 # ---------------------------------------------------------------------------
 # integer polynomials (dense lists, low degree first)
@@ -199,7 +197,7 @@ class CycloField:
 
     def element(self, coeffs):
         """The element with the given rational coordinates."""
-        coeffs = [QQ(c) for c in coeffs]
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != self.degree:
             raise ValueError("coefficient vector has wrong length")
         # over the least common denominator of fractions in lowest terms
@@ -209,7 +207,7 @@ class CycloField:
                                         for c in coeffs), den)
 
     def from_rational(self, r):
-        r = QQ(r)
+        r = Fraction(r)
         return CycloElement(self, (r.numerator,) + (0,) * (self.degree - 1),
                             r.denominator)
 
@@ -278,7 +276,7 @@ class CycloElement:
     def coeffs(self):
         """The coordinates in the power basis as Fractions."""
         den = self.den
-        return tuple(QQ(a, den) for a in self.nums)
+        return tuple(Fraction(a, den) for a in self.nums)
 
     def is_zero(self):
         if self.root is not None:
@@ -761,9 +759,7 @@ def _cyclo_str(c):
     text = parts[0]
     for p in parts[1:]:
         text += p if p.startswith("-") else "+" + p
-    if len(parts) > 1 or (text.startswith("-") and "+" in text):
-        return "(" + text + ")"
-    if "/" in text or (len(parts) == 1 and "+" in text):
+    if len(parts) > 1 or "/" in text:
         return "(" + text + ")"
     return text
 
@@ -829,9 +825,6 @@ class Frac:
 
     def __sub__(self, other):
         return self + (-Frac.of(other, self.num.uni))
-
-    def __rsub__(self, other):
-        return Frac.of(other, self.num.uni) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

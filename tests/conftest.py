@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from qhoch import (build_algebra, formal_algebra,
                    quantum_coefficient_action_algebra)
 from qhoch.cli import load_config
+from qhoch.resolution import compositions
 
 
 # Names of the session algebra fixtures below, for tests that run on each.
@@ -59,12 +60,17 @@ def A_ext():
     return build_algebra(2, N=1, q_spec={(0, 1): ("rational", 1)})
 
 
+def config_algebra(*parts):
+    """The algebra of a checked-in config, read through the CLI, from its
+    path relative to the repository root."""
+    return load_config(str(Path(__file__).resolve().parent.parent.joinpath(
+        *parts)))[0]
+
+
 def readme_algebra():
     """The README's example config, `perfbench/configs/bracket-table.json`,
     read through the CLI: q = zeta_3, C3 acting by the two cube roots."""
-    path = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
-            / "bracket-table.json")
-    return load_config(str(path))[0]
+    return config_algebra("perfbench", "configs", "bracket-table.json")
 
 
 @pytest.fixture(scope="session")
@@ -73,14 +79,17 @@ def readme():
     return readme_algebra()
 
 
+def rank_oracle_dense_algebra():
+    """The benchmark config `perfbench/configs/rank-oracle-dense.json` read
+    through the CLI: n = 3, N = 60, q13 formal, C6 acting by zeta^10,
+    zeta^50 and -1."""
+    return config_algebra("perfbench", "configs", "rank-oracle-dense.json")
+
+
 @pytest.fixture(scope="session")
 def rank_oracle_dense():
-    """The benchmark config `perfbench/configs/rank-oracle-dense.json` read
-    through the CLI: N = 60, q13 formal, C6 acting by zeta^10, zeta^50 and
-    -1."""
-    path = (Path(__file__).resolve().parent.parent / "perfbench" / "configs"
-            / "rank-oracle-dense.json")
-    return load_config(str(path))[0]
+    """The session copy of `rank_oracle_dense_algebra`."""
+    return rank_oracle_dense_algebra()
 
 
 # S3 as permutations of (0, 1, 2), the identity first, and its
@@ -111,6 +120,14 @@ def s3_algebra():
 def S3():
     """The session copy of `s3_algebra`."""
     return s3_algebra()
+
+
+def all_keys(A, m):
+    """Every basis symbol (alpha, beta, g) of degree m, ordered by beta,
+    then alpha, then g."""
+    return [(a, b, g) for b in compositions(A.n, m)
+            for a in product((0, 1), repeat=A.n)
+            for g in range(A.group.order)]
 
 
 def random_cyclo(field, rng, height=9):

@@ -283,7 +283,7 @@ def expected_terms(A, terms, d):
             s = A.uni.unit(zeta=p % d) * c
         elif kind == "qsum":
             _, lo, hi, shift, sign = coeff
-            s = A.zero()
+            s = A.uni.zero
             for r in range(lo, hi + 1):
                 s = s + A.uni.unit(zeta=(r + shift) % d)
             s = s * sign

@@ -56,7 +56,7 @@ def test_skew_multiplication_group_rule(Ad3):
     b = SkewElement.basis(Ad3, (0, 1), h)
     ((mono, gh), coeff), = (a * b).terms.items()
     assert mono == (1, 1) and gh == Ad3.group.mult[g][h]
-    assert coeff == Ad3.chi(g, 1)
+    assert coeff == Ad3.group.chi[g][1]
 
 
 def test_identity_element(Ad3):
@@ -370,7 +370,7 @@ def test_chi_prod_and_mono_mul_match_literal_products(name, request):
     for g in range(A.group.order):
         for exps in product(range(-2, 3), repeat=A.n):
             _same_unit(A.chi_prod(g, exps), _literal(
-                A, 0, [(A.chi(g, i), e) for i, e in enumerate(exps)]))
+                A, 0, [(A.group.chi[g][i], e) for i, e in enumerate(exps)]))
     for a in product((0, 1), repeat=A.n):
         for b in product((0, 1), repeat=A.n):
             hit = A.mono_mul(a, b)
@@ -434,7 +434,7 @@ def test_unit_product_reads_the_universe_table(name, request):
                 assert A.unit_product([(u_exps, 1)]) is u
                 assert A.unit_product([(u_exps, 2), (u_exps, -1)]) is u
                 assert A.unit_product([(u_exps, 1), (u_exps, -1)], 1) \
-                    is -A.one()
+                    is -A.uni.one
                 assert A.unit_product([(u_exps, -1)]) is u.inv()
 
 
@@ -470,7 +470,7 @@ def literal_skew_mul(A, s, t):
             mono_unit = _literal(A, 0, [(A.nq[k][l], -1) for k in range(A.n)
                                         if b[k] for l in range(k + 1, A.n)
                                         if a[l]])
-            chi_unit = _literal(A, 0, [(A.chi(g, i), e)
+            chi_unit = _literal(A, 0, [(A.group.chi[g][i], e)
                                        for i, e in enumerate(b)])
             accumulate(out, (tuple(x | y for x, y in zip(a, b)),
                              A.group.mult[g][h]),

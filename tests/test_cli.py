@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import qhoch.algebra
 import qhoch.cli
+import qhoch.gerstenhaber
 import qhoch.resolution
 from qhoch import Group, build_algebra
 from qhoch.cli import (ConfigError, basis_symbols, check_work, main,
@@ -117,13 +118,13 @@ def test_cup_table_computes_only_the_degrees_it_prints(monkeypatch):
     """`cup` forms the product of a class pair only when the pair's total
     degree is within the bound, and then of every such pair once."""
     A, _, _ = parse_config(CFG_ACTION_D3)
-    real_cup = qhoch.cli.cup
+    real_cup = qhoch.gerstenhaber.cup
     degrees = []
 
     def counting(A, a, b):
         degrees.append(a.degree + b.degree)
         return real_cup(A, a, b)
-    monkeypatch.setattr(qhoch.cli, "cup", counting)
+    monkeypatch.setattr(qhoch.gerstenhaber, "cup", counting)
     qhoch.cli.cmd_products(A, 3, "cup")
     classes = qhoch.cli.collect_classes(A, range(4))
     assert len(degrees) == sum(1 for _, a in classes for _, b in classes
@@ -577,7 +578,7 @@ def test_runs_deterministic(tmp_path, capsys):
 
 
 def test_scalar_json_exact(A2):
-    s = A2.one() - A2.uni.param_unit(0) ** -2
+    s = A2.uni.one - A2.uni.param_unit(0) ** -2
     rec = scalar_json(s)
     assert rec == [
         {"formal_exponents": [-2], "zeta_power_terms": [["-1", "1"]]},

@@ -1,29 +1,22 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 import qhoch.cohomology
 import qhoch.resolution
-from conftest import (S3_MULT, SESSION_ALGEBRAS, random_scalar,
+from conftest import (S3_MULT, SESSION_ALGEBRAS, all_keys, random_scalar,
                       readme_algebra)
 from qhoch import (Cochain, Frac, average, axiom_suite, bracket,
                    build_algebra, class_equal, coboundary_oracle, cup,
                    formal_algebra, g_action_on_cochain, hh_component_basis,
-                   hom_differential, invariant_basis, invariant_dims, is_flat,
+                   hom_differential, invariant_basis, is_flat,
                    invariant_rank_oracle, is_coboundary, is_cocycle,
                    quantum_coefficient_action_algebra, rank_oracle)
 from qhoch.cohomology import collect_classes, flatness_check, full_basis
 from qhoch.linalg import RowReducer, in_span
 from qhoch.resolution import compositions, sub_index
 from qhoch.scalars import Unit
-
-
-def all_keys(A, m):
-    return [(a, b, g) for b in compositions(A.n, m)
-            for a in product((0, 1), repeat=A.n)
-            for g in range(A.group.order)]
 
 
 def random_cochain(A, m, rng, terms=3):
@@ -300,9 +293,21 @@ def test_single_generator_dims():
     # k[x]/(x^2) in characteristic zero: degree zero is the whole (2-dim)
     # commutative algebra, one class in every positive degree
     A1 = build_algebra(1, N=1)
-    assert invariant_dims(A1, 6) == [2] + [1] * 6
+    assert [len(invariant_basis(A1, m).classes)
+            for m in range(7)] == [2] + [1] * 6
     for m in range(7):
         assert invariant_rank_oracle(A1, m) == (2 if m == 0 else 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_basis_symbol_in_negative_degree(n):
+    """Degree -1 has no generator index, basis symbol or class, for one
+    generator as for several."""
+    A = build_algebra(n, N=2)
+    assert list(compositions(n, -1)) == []
+    assert full_basis(A, -1) == []
+    assert hh_component_basis(A, -1, 0) == []
+    assert invariant_basis(A, -1).classes == []
 
 
 def test_degree_zero_dim_is_center_dimension(Ad3):

@@ -1,33 +1,26 @@
 import hashlib
 import random
 from itertools import product
-from pathlib import Path
 
 import pytest
 
 import qhoch.cohomology
 import qhoch.gerstenhaber
-from conftest import random_scalar, readme_algebra, s3_algebra
+from conftest import (all_keys, config_algebra, random_scalar,
+                      rank_oracle_dense_algebra, readme_algebra, s3_algebra)
 from qhoch import (Cochain, Unit, bracket, bracket_oracle, build_algebra,
                    circ, circ_oracle, cup, cup_oracle, formal_algebra,
                    g_action_on_cochain, hom_differential, invariant_basis,
                    is_coboundary, is_cocycle,
-                   quantum_coefficient_action_algebra, unit_cochain)
+                   quantum_coefficient_action_algebra)
 from qhoch.algebra import Algebra, SkewElement
-from qhoch.cli import load_config
+from qhoch.cli import cmd_products
 from qhoch.cohomology import coboundary_oracle, collect_classes
 from qhoch.gerstenhaber import (PairProducts, _circ_inner, _contractions,
                                 _cup_swapped, _derivation_terms,
-                                _jacobi_terms, axiom_suite, bracket_table,
-                                product_check)
+                                _jacobi_terms, axiom_suite, product_check)
 from qhoch.resolution import (compositions, diagonal, full_basis,
                               phi_generator, sub_index)
-
-
-def all_keys(A, m):
-    return [(a, b, g) for b in compositions(A.n, m)
-            for a in product((0, 1), repeat=A.n)
-            for g in range(A.group.order)]
 
 
 def sweep_formula_vs_oracle(A, maxtot, op, oracle):
@@ -130,24 +123,11 @@ def random_cochain(A, m, rng):
     return out
 
 
-def config_algebra(*parts):
-    """The algebra of a checked-in config, read through the CLI, from its
-    path relative to the repository root."""
-    return load_config(str(Path(__file__).resolve().parent.parent.joinpath(
-        *parts)))[0]
-
-
-def rank_oracle_dense():
-    """n = 3 over Q(zeta_60), C6 acting, q13 formal: the algebra of
-    `perfbench/configs/rank-oracle-dense.json`, read through the CLI."""
-    return config_algebra("perfbench", "configs", "rank-oracle-dense.json")
-
-
 @pytest.mark.parametrize("fixture, maker, degrees", [
     ("A3", lambda: formal_algebra(3), 4),
     ("Ad3", lambda: quantum_coefficient_action_algebra(3), 4),
     ("S3", s3_algebra, 4),
-    (None, rank_oracle_dense, 3),
+    ("rank_oracle_dense", rank_oracle_dense_algebra, 3),
 ], ids=["A3", "Ad3", "S3", "rank-oracle-dense"])
 def test_tabled_oracles_equal_literal_walk(fixture, maker, degrees,
                                            request):
@@ -159,7 +139,7 @@ def test_tabled_oracles_equal_literal_walk(fixture, maker, degrees,
     algebra has sixth roots of unity as q entries and characters, and a
     formal q13."""
     rng = random.Random(29)
-    warm = request.getfixturevalue(fixture) if fixture else maker()
+    warm = request.getfixturevalue(fixture)
     for A in (warm, maker()):
         cochains = {m: random_cochain(A, m, rng) for m in range(degrees)}
         pairs = [(m, l) for m in range(degrees) for l in range(degrees)]
@@ -181,7 +161,7 @@ def test_tabled_oracles_equal_literal_walk(fixture, maker, degrees,
 def test_cup_unit_two_sided(A2, Ad3):
     rng = random.Random(3)
     for A in (A2, Ad3):
-        u = unit_cochain(A)
+        u = Cochain.basis(A, (0, 0), (0, 0), 0)
         for m in range(4):
             for key in all_keys(A, m):
                 c = Cochain.basis(A, *key)
@@ -342,7 +322,7 @@ def test_circ_long_splitting_runs_equal_oracle(fixture, slots, count,
 
 
 @pytest.mark.parametrize("maker", [
-    readme_algebra, s3_algebra, rank_oracle_dense,
+    readme_algebra, s3_algebra, rank_oracle_dense_algebra,
     lambda: config_algebra("tests", "formal3.json"),
     lambda: config_algebra("perfbench", "configs",
                            "axioms-commutative.json"),
@@ -517,7 +497,7 @@ def test_bracket_matches_oracle_composition(Ad3):
 
 
 def test_bracket_with_unit_is_coboundary(Ad3):
-    u = unit_cochain(Ad3)
+    u = Cochain.basis(Ad3, (0, 0), (0, 0), 0)
     for m in range(5):
         for c in invariant_basis(Ad3, m).classes:
             br = bracket(Ad3, u, c)
@@ -572,16 +552,23 @@ def test_axiom_suite_small(A2, Ad3, S3):
 
 
 def test_bracket_table_entries_equal_bracket(A2_Z3):
+    """The rows of the CLI's bracket table are the nonzero brackets of the
+    ordered class pairs, row-major, each labelled by its pair and equal to
+    `bracket` of it."""
     classes = [(f"d{m}#{i}", c) for m in range(4)
                for i, c in enumerate(invariant_basis(A2_Z3, m).classes)]
-    table = bracket_table(A2_Z3, classes)
-    assert len(table) == len(classes) ** 2
-    entries = iter(table)
+    rows = iter(cmd_products(A2_Z3, 3, "bracket")["table"])
+    nonzero = 0
     for la, ca in classes:
         for lb, cb in classes:
-            left, right, res = next(entries)
-            assert (left, right) == (la, lb)
-            assert res == bracket(A2_Z3, ca, cb)
+            br = bracket(A2_Z3, ca, cb)
+            if br.is_zero():
+                continue
+            row = next(rows)
+            assert (row["left"], row["right"]) == (la, lb)
+            assert row["terms"] == br and row["degree"] == br.degree
+            nonzero += 1
+    assert nonzero and next(rows, None) is None
 
 
 @pytest.mark.parametrize("name", ["A2_Z3", "S3"])

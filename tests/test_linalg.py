@@ -45,14 +45,14 @@ def test_cancellation_stores_no_key(A2, cls):
         assert diff.is_zero()
         assert diff == zero
     assert v.scale(0).terms == {}
-    assert v.scale(A2.zero()).terms == {}
+    assert v.scale(A2.uni.zero).terms == {}
     assert v.scale(1) == v
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_classes_with_equal_terms_differ(A2, cls):
     # a key shape every class accepts: (alpha, beta, g) with |beta| = 1
-    terms = {((0, 0), (1, 0), 0): A2.one()}
+    terms = {((0, 0), (1, 0), 0): A2.uni.one}
     v = with_terms(cls, A2, dict(terms))
     assert v == with_terms(cls, A2, dict(terms))
     for other in CLASSES:
@@ -72,7 +72,7 @@ def test_cochain_zero_and_degree_rules(A2):
     with pytest.raises(ValueError):
         d - c
     with pytest.raises(ValueError):
-        Cochain(A2, 2, {((0, 0), (1, 0), 0): A2.one()})
+        Cochain(A2, 2, {((0, 0), (1, 0), 0): A2.uni.one})
 
 
 @pytest.mark.parametrize("name", ["A2", "Ad3"])

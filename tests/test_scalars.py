@@ -280,9 +280,9 @@ def test_scalar_with_frac_on_the_right():
     gives."""
     A = formal_algebra(2)
     uni = A.uni
-    assert A.one() * Frac(A.one()) == Frac(A.one())
-    assert A.one() + Frac(A.one()) == Frac(uni.from_rational(2))
-    assert (A.one() - Frac(A.one())).is_zero()
+    assert A.uni.one * Frac(A.uni.one) == Frac(A.uni.one)
+    assert A.uni.one + Frac(A.uni.one) == Frac(uni.from_rational(2))
+    assert (A.uni.one - Frac(A.uni.one)).is_zero()
     rng = random.Random(5)
     t = uni.param_unit(0)
     for _ in range(40):
