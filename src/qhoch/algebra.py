@@ -297,15 +297,9 @@ class SkewElement(SparseVector):
     __slots__ = ()
 
     @staticmethod
-    def basis(alg, mono, g, coeff=None):
-        c = coeff if coeff is not None else alg.uni.one
-        if c.is_zero():
-            return SkewElement(alg, {})
-        return SkewElement(alg, {(tuple(mono), g): c})
-
-    @staticmethod
-    def one(alg):
-        return SkewElement.basis(alg, (0,) * alg.n, 0)
+    def basis(alg, mono, g):
+        """The basis element x^mono (x) g."""
+        return SkewElement(alg, {(tuple(mono), g): alg.uni.one})
 
     def __mul__(self, other):
         """(a (x) g)(b (x) h) = a * (g.b) (x) gh with x_i^2 = 0."""

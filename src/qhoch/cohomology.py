@@ -33,7 +33,7 @@ from .algebra import cached
 from .linalg import RowReducer, accumulate
 from .resolution import (Cochain, add_index, full_basis, hom_differential,
                          homotopy, is_flat, sub_index)
-from .scalars import Frac, Scalar
+from .scalars import Frac
 
 
 def hh_component_basis(A, m, g):
@@ -86,7 +86,8 @@ def _reynolds_walk(A, g, gamma):
     (h g h^{-1}, (1/|G|) sum of chi_h^gamma over the h with that conjugate)
     whose sum is not zero.  The translates are monomial units, so they are
     counted by their `Algebra.unit_key` and summed as integers by
-    `Universe.unit_sum`.  Cached per (g, gamma)."""
+    `Universe.unit_sum`; a mean that is a monomial unit comes back as the
+    table's `Unit`.  Cached per (g, gamma)."""
     conjugate = A.group.conjugate
     counts = {}
     for h in range(A.group.order):
@@ -98,7 +99,7 @@ def _reynolds_walk(A, g, gamma):
     for g2, per in counts.items():
         v = A.uni.unit_sum(per) * scale
         if not v.is_zero():
-            walk.append((g2, v.as_unit() or v))
+            walk.append((g2, v))
     return tuple(walk)
 
 
@@ -109,17 +110,13 @@ def average(A, c):
     +-zeta^k * t^e on the symbols (alpha, beta, h g h^{-1}); their mean per
     conjugate depends only on g and gamma = alpha - beta, and
     `_reynolds_walk` walks the group once per such pair.  The term's
-    coefficient, a Scalar or a Frac, multiplies that mean from the left.
-    A Scalar coefficient that comes back to a monomial unit is returned as
-    that `Unit`, so that products with it stay on the units' fast path."""
+    coefficient, a Scalar or a Frac, multiplies that mean from the left;
+    a Scalar result that is a monomial unit is built as that `Unit`."""
     out = {}
     for (alpha, beta, g), coeff in c.terms.items():
         for g2, v in _reynolds_walk(A, g, sub_index(alpha, beta)):
             accumulate(out, (alpha, beta, g2), coeff * v)
-    terms = {}
-    for key, v in out.items():
-        terms[key] = (v.as_unit() or v) if isinstance(v, Scalar) else v
-    return Cochain.from_accumulated(A, c.degree, terms)
+    return Cochain.from_accumulated(A, c.degree, out)
 
 
 def _constant_row(c):

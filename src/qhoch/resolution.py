@@ -209,8 +209,7 @@ class Cochain(SparseVector):
         return SparseVector.__sub__(self, other)
 
     def to_frac(self):
-        return self._like({k: Frac.of(c, self.alg.uni)
-                           for k, c in self.terms.items()})
+        return self._like({k: Frac.of(c) for k, c in self.terms.items()})
 
     def sorted_keys(self):
         """The keys (alpha, beta, g) ordered by g, then beta, then alpha."""
@@ -283,7 +282,7 @@ def homotopy(A, c):
         nrm = norm_g(A, g, sub_index(beta, alpha))
         if nrm == 0:
             raise ValueError("homotopy undefined on the flat subcomplexes")
-        coeff = Frac.of(coeff, A.uni)
+        coeff = Frac.of(coeff)
         for l in range(A.n):
             w = omega_small(A, g, alpha, beta, l)
             if w.is_zero():

@@ -24,14 +24,19 @@ encoding is its key (e, j): it is canonical, equal units have equal keys,
 and the unit arithmetic is integer arithmetic on keys: a product adds
 them, a power scales them, an inverse negates them and a negation adds
 P/2 to j.  The units are `Unit`s: one-term Scalars {e: eta^j} that compare
-and hash as the Scalars they are.  Each universe keeps one Unit per key,
-and every unit the package makes is taken from that table
-(`Universe.from_key`).  Equality never relies on the table: a Unit built
-outside it, or taken from a compatible second universe, equals the
-table's unit of its value, and identity only lets a comparison stop
-early.  A sum of many monomial units is not formed as a running sum of
-Scalars: `Universe.unit_sum` takes them as integer counts of their keys and
-adds the counted rows of the roots into one integer vector per e.
+and hash as the Scalars they are, one per key in each universe's table
+(`Universe.from_key`).
+
+Each value has one form, made where it is built: a field element that is
++-zeta^k is the tagged root (`_reduced`), and a scalar that is a monomial
+unit is the table's `Unit` (`Universe.scalar`, the one builder of the
+scalars the arithmetic returns).  Only the raw constructors and
+`CycloField.element` make an untagged root or a plain one-term unit, which
+`CycloField.as_root` and `Scalar.as_unit` recover.  Equality never relies
+on the forms: such a value, or a unit of a compatible second universe,
+equals the table's unit of its value.  `Universe.unit_sum` sums many
+monomial units as integer counts of their keys, adding the counted rows of
+the roots into one integer vector per e.
 """
 
 from __future__ import annotations
@@ -208,8 +213,8 @@ class CycloField:
 
     def from_rational(self, r):
         r = Fraction(r)
-        return CycloElement(self, (r.numerator,) + (0,) * (self.degree - 1),
-                            r.denominator)
+        return _reduced(self, (r.numerator,) + (0,) * (self.degree - 1),
+                        r.denominator)
 
     def exponent(self, sign, k):
         """The j with eta^j = sign * zeta^k (sign = +-1, any integer k),
@@ -244,13 +249,17 @@ class CycloField:
 
 
 def _reduced(field, nums, den):
-    """The element nums / den (den > 0) in canonical form."""
+    """The element nums / den (den > 0) in canonical form: the field's
+    tagged root when it is +-zeta^k."""
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
             nums = tuple([a // g for a in nums])
             den //= g
-    return CycloElement(field, nums, den)
+        if den != 1:
+            return CycloElement(field, nums, den)
+    root = field._by_nums.get(nums)
+    return root if root is not None else CycloElement(field, nums)
 
 
 class CycloElement:
@@ -370,16 +379,15 @@ class CycloElement:
                         self.den * den)
 
     def inv(self):
-        """Multiplicative inverse: eta^-j for a root of unity, the
+        """Multiplicative inverse: eta^-j for the tagged root eta^j, the
         reciprocal for a rational, else by the fraction-free extended
         Euclidean algorithm `_inverse_mod` against the cyclotomic modulus,
         run once per primitive coordinate tuple (`CycloField._inverses`)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
         f = self.field
-        hit = self if self.root is not None else f.as_root(self)
-        if hit is not None:
-            return f._roots[-hit.root % f.P]
+        if self.root is not None:
+            return f._roots[-self.root % f.P]
         nums = list(self.nums)
         while not nums[-1]:
             nums.pop()
@@ -453,12 +461,20 @@ class Universe:
         exps[index] = 1
         return self.unit(exps=exps)
 
+    def scalar(self, terms):
+        """The scalar with the terms {exps: nonzero coefficient}: the
+        table's Unit for one term with a tagged root, else a Scalar."""
+        if len(terms) == 1:
+            (exps, c), = terms.items()
+            if c.root is not None:
+                return self.from_key((exps, c.root))
+        return Scalar(self, terms)
+
     def unit_sum(self, counts):
         """The Scalar sum of count * eta^j * t^exps over the map
         counts = {(exps, j): count} of unit keys to integer counts.  Each
         exps gets one integer vector, the counted rows of the roots added
-        into it; a sum that is +-zeta^k is that tagged root, and a one-term
-        result with a tagged coefficient is a Unit."""
+        into it, which `_reduced` makes canonical."""
         field = self.field
         if len(counts) == 1:
             (key, count), = counts.items()
@@ -474,22 +490,13 @@ class Universe:
                 for i, a in enumerate(nums):
                     if a:
                         row[i] += count * a
-        terms = {}
-        for exps, row in rows.items():
-            if any(row):
-                # integer coordinates over 1 are canonical
-                c = CycloElement(field, tuple(row))
-                terms[exps] = field.as_root(c) or c
-        if len(terms) == 1:
-            (exps, c), = terms.items()
-            if c.root is not None:
-                return self.from_key((exps, c.root))
-        return Scalar(self, terms)
+        return self.scalar({exps: _reduced(field, tuple(row), 1)
+                            for exps, row in rows.items() if any(row)})
 
     def from_cyclo(self, c):
         if c.is_zero():
             return self.zero
-        return Scalar(self, {(0,) * self.nparams: c})
+        return self.scalar({(0,) * self.nparams: c})
 
     def from_rational(self, r):
         return self.from_cyclo(self.field.from_rational(r))
@@ -497,7 +504,7 @@ class Universe:
     def monomial(self, coeff, exps):
         if coeff.is_zero():
             return self.zero
-        return Scalar(self, {tuple(exps): coeff})
+        return self.scalar({tuple(exps): coeff})
 
 
 class Scalar:
@@ -545,23 +552,20 @@ class Scalar:
         return hash(self.value_key())
 
     def __add__(self, other):
+        """The sum, built by `Universe.scalar`.  A Frac takes the sum from
+        the right; any other operand is a TypeError."""
         if not isinstance(other, Scalar):
-            # a Frac, or any other operand, takes the sum from the right
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = self.uni.from_rational(other)
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             accumulate(out, e, c)
-        return Scalar(self.uni, out)
+        return self.uni.scalar(out)
 
     def __neg__(self):
         return Scalar(self.uni, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.uni.from_rational(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -575,31 +579,23 @@ class Scalar:
             hit = uni.units.get(key)
             return hit if hit is not None else uni.from_key(key)
         if not isinstance(other, Scalar):
-            if isinstance(other, (int, Fraction)):
-                if other == 0:
-                    return self.uni.zero
-                return Scalar(self.uni, {e: c.scale(other)
-                                         for e, c in self.terms.items()})
-            if not isinstance(other, CycloElement):
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = self.uni.from_cyclo(other)
+            if other == 0:
+                return self.uni.zero
+            return self.uni.scalar({e: c.scale(other)
+                                    for e, c in self.terms.items()})
         self._check(other)
         if len(self.terms) == 1 and len(other.terms) == 1:
-            # monomial times monomial; two tagged roots multiply to a
-            # tagged root, so the product of units is the table's Unit
+            # monomial times monomial: one nonzero product
             (e1, c1), = self.terms.items()
             (e2, c2), = other.terms.items()
-            c = c1 * c2
-            if c.root is not None:
-                return self.uni.from_key((tuple(map(add, e1, e2)), c.root))
-            if c.is_zero():
-                return Scalar(self.uni, {})
-            return Scalar(self.uni, {tuple(map(add, e1, e2)): c})
+            return self.uni.scalar({tuple(map(add, e1, e2)): c1 * c2})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
-        return Scalar(self.uni, out)
+        return self.uni.scalar(out)
 
     __rmul__ = __mul__
 
@@ -790,19 +786,13 @@ class Frac:
         self.den = den
 
     @staticmethod
-    def of(x, uni=None):
+    def of(x):
+        """x as a Frac: a Frac is itself and a Scalar is over one; any
+        other operand is a TypeError."""
         if isinstance(x, Frac):
             return x
         if isinstance(x, Scalar):
             return Frac(x)
-        if isinstance(x, CycloElement):
-            if uni is None:
-                raise ValueError("universe required to coerce a field element")
-            return Frac(uni.from_cyclo(x))
-        if isinstance(x, (int, Fraction)):
-            if uni is None:
-                raise ValueError("universe required to coerce a rational")
-            return Frac(uni.from_rational(x))
         raise TypeError(f"cannot coerce {type(x)!r} to Frac")
 
     def is_zero(self):
@@ -812,7 +802,7 @@ class Frac:
         return not self.num.is_zero()
 
     def __add__(self, other):
-        other = Frac.of(other, self.num.uni)
+        other = Frac.of(other)
         if self.den == other.den:
             return Frac(self.num + other.num, self.den)
         return Frac(self.num * other.den + other.num * self.den,
@@ -824,12 +814,12 @@ class Frac:
         return Frac(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-Frac.of(other, self.num.uni))
+        return self + (-Frac.of(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Frac(self.num * other, self.den)
-        other = Frac.of(other, self.num.uni)
+        other = Frac.of(other)
         return Frac(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -840,8 +830,10 @@ class Frac:
         return Frac(self.den, self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = Frac.of(other, self.num.uni)
+        if isinstance(other, (int, Fraction)):
+            other = self.num.uni.from_rational(other)
+        if isinstance(other, Scalar):
+            other = Frac(other)
         if not isinstance(other, Frac):
             return NotImplemented
         return self.num * other.den == other.num * self.den

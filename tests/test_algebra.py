@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (S3_MULT, S3_PERMS, SESSION_ALGEBRAS, perm_sign,
                       random_scalar)
-from qhoch import (Group, SkewElement, build_algebra, formal_algebra,
-                   group_act, make_cyclic_group,
-                   quantum_coefficient_action_algebra)
+from qhoch import (Algebra, Group, SkewElement, build_algebra,
+                   formal_algebra, group_act, make_cyclic_group,
+                   quantum_coefficient_action_algebra, trivial_group)
 from qhoch.algebra import TableError, cached
 from qhoch.linalg import accumulate
 from qhoch.scalars import Unit
@@ -61,7 +61,7 @@ def test_skew_multiplication_group_rule(Ad3):
 
 def test_identity_element(Ad3):
     rng = random.Random(5)
-    one = SkewElement.one(Ad3)
+    one = SkewElement.basis(Ad3, (0, 0), 0)
     for _ in range(40):
         s = random_skew(Ad3, rng)
         assert one * s == s
@@ -138,6 +138,35 @@ def test_build_algebra_rejects_a_repeated_parameter_name():
     # an explicit name that a missing pair takes by default
     with pytest.raises(ValueError, match="'q13' repeats"):
         build_algebra(3, q_spec={(0, 1): ("formal", "q13")})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda uni: Algebra(2, uni, {(1, 0): uni.one}),
+     "quantum entries must be given for i < j only"),
+    (lambda uni: Algebra(3, uni, {(0, 1): uni.one}),
+     r"missing quantum entry \(0,2\)"),
+    (lambda uni: Algebra(2, uni, {(0, 1): uni.one}, trivial_group(uni, 3)),
+     "character matrix width must equal n"),
+    (lambda uni: make_cyclic_group(uni, 2, 2, [uni.one]),
+     "need one character value per generator"),
+    (lambda uni: make_cyclic_group(uni, 2, 2, [uni.param_unit(0), uni.one]),
+     "^characters must be constants$"),
+    (lambda uni: Group(((0, 1), (1, 0)), ((uni.one,), (uni.param_unit(0),))),
+     "characters must be constants, not formal"),
+    (lambda uni: build_algebra(2, q_spec={(0, 1): ("rational", 2)}),
+     "rational quantum entries must be"),
+    (lambda uni: build_algebra(2, q_spec={(0, 1): ("complex", 1)}),
+     "unknown quantum entry kind 'complex'"),
+    (lambda uni: build_algebra(2, group_spec=("dihedral", 4)),
+     "unknown group kind 'dihedral'"),
+], ids=["entry-below-diagonal", "entry-missing", "character-width",
+        "cyclic-character-count", "cyclic-character-formal",
+        "table-character-formal", "rational-entry", "entry-kind",
+        "group-kind"])
+def test_constructors_reject_bad_data(build, message):
+    """Each library constructor names what is wrong with its input."""
+    with pytest.raises(ValueError, match=message):
+        build(formal_algebra(2).uni)
 
 
 def test_group_table_validation_catches_bad_tables():

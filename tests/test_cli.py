@@ -19,8 +19,8 @@ import qhoch.cli
 import qhoch.gerstenhaber
 import qhoch.resolution
 from qhoch import Group, build_algebra
-from qhoch.cli import (ConfigError, basis_symbols, check_work, main,
-                       parse_config, scalar_json, write_json)
+from qhoch.cli import (ConfigError, basis_symbols, check_work, load_config,
+                       main, parse_config, scalar_json, write_json)
 from qhoch.resolution import full_basis
 from qhoch.scalars import scalar_str
 from test_resolution import unsigned_omega
@@ -315,6 +315,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ({"group": {"kind": "table", "mult": [[0, 1], [1, 0]],
                 "chi": [[{}, {}], [{}, {"sgn": -1}]]}},
      "config.group.chi[1][1]"),
+    ({"group": {"kind": "cyclic", "order": 2, "chi": [1, {}]}},
+     "config.group.chi[0]"),
+    ({"q": [{"i": 1, "j": 2, "kind": "complex"}]}, "config.q[0].kind"),
+    ({"group": {"kind": "cyclic", "order": 0, "chi": [{}, {}]}},
+     "config.group.order"),
+    ({"group": {"kind": "cyclic", "order": 2, "chi": [{}]}},
+     "config.group.chi"),
+    ({"group": {"kind": "table", "mult": [[0, 1], [1, 0]],
+                "chi": [[{}, {}]]}}, "config.group.chi"),
 ], ids=["group-list", "ragged-mult", "q-int", "n-bool", "max-degree-bool",
         "power-bool", "mult-identity", "mult-associativity", "name-list",
         "name-empty",
@@ -323,12 +332,26 @@ def test_config_errors_exit_two(tmp_path, capsys):
         "q-duplicate-name", "q-default-name", "unknown-root",
         "unknown-zeta", "unknown-rational", "unknown-formal",
         "unknown-trivial", "unknown-cyclic", "unknown-table",
-        "unknown-cyclic-chi", "unknown-table-chi"])
+        "unknown-cyclic-chi", "unknown-table-chi", "chi-not-object",
+        "q-kind", "cyclic-order-zero", "cyclic-chi-count",
+        "table-chi-rows"])
 def test_malformed_config_exits_two(tmp_path, capsys, override, field):
     path = write_cfg(tmp_path, {**CFG_FORMAL, **override})
     code, out, err = run(capsys, ["dims", "--config", path])
     assert code == 2
     assert f"config error: {field}:" in err
+
+
+def test_integer_too_long_to_convert_is_a_config_error(tmp_path):
+    """An integer longer than the interpreter converts is a ConfigError
+    naming the JSON, not a ValueError out of the parser."""
+    path = tmp_path / "long.json"
+    path.write_text('{"n": ' + "9" * 5000 + ', "max_degree": 1}')
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert str(info.value).startswith(
+            "config is not valid JSON: Exceeds the limit")
 
 
 def test_unknown_field_is_named(tmp_path, capsys):

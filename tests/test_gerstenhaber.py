@@ -98,7 +98,7 @@ def walk_circ_oracle(A, outer, inner):
                     left = SkewElement.basis(A, a, 0)
                     park = SkewElement.basis(A, (0,) * A.n, g)
                     for gamma, h, c_out in hits:
-                        val = left * SkewElement.basis(A, gamma, h, c_out)
+                        val = left * SkewElement.basis(A, gamma, h).scale(c_out)
                         val = val * SkewElement.basis(A, b, 0)
                         val = val * park
                         acc = acc + val.scale(base)

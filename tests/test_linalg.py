@@ -24,7 +24,7 @@ def sample(cls, A):
                 + Cochain.basis(A, (0, 1), (1, 0), 0, two))
     if cls is SkewElement:
         return (SkewElement.basis(A, (1, 0), 0)
-                + SkewElement.basis(A, (0, 1), 0, two))
+                + SkewElement.basis(A, (0, 1), 0).scale(two))
     if cls is Tensor:
         return Tensor.generator(A, (1, 0)) + Tensor.generator(A, (0, 1), two)
     return (Tensor2.generator(A, (1, 0), (0, 1), (0, 0))

@@ -11,9 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qhoch.scalars
 
-from conftest import random_cyclo, random_scalar
-from qhoch import (CycloField, Frac, Scalar, Unit, Universe, build_algebra,
-                   cyclotomic_polynomial, formal_algebra)
+from conftest import (S3_MULT, S3_PERMS, perm_sign, random_cyclo,
+                      random_scalar)
+from qhoch import (Cochain, CycloElement, CycloField, Frac, Scalar, Unit,
+                   Universe, average, build_algebra, cyclotomic_polynomial,
+                   formal_algebra)
 
 
 def test_cyclotomic_polynomial_small():
@@ -316,15 +318,15 @@ def test_frac_absorbs_monomial_denominator():
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 12, 15, 60, 97])
 def test_cyclo_inverse_roots_and_rationals(N):
     field = CycloField(N)
-    # zeta^k by the generic product of untagged elements, independent of
-    # the tagged roots that the inverse returns
-    zeta = field.element(field.zeta.coeffs)
-    powers = [field.element(field.one.coeffs)]
+    # zeta^k by the dense Fraction reference product, independent of the
+    # tagged roots that the inverse returns
+    modulus = cyclotomic_polynomial(N)
+    powers = [field.one.coeffs]
     for _ in range(N - 1):
-        powers.append(powers[-1] * zeta)
+        powers.append(_reference_mul(powers[-1], field.zeta.coeffs, modulus))
     for k in range(N):
         for sign in (1, -1):
-            want = tuple(sign * c for c in powers[(-k) % N].coeffs)
+            want = tuple(sign * c for c in powers[(-k) % N])
             tagged = field.root(sign, k)
             untagged = field.element(tagged.coeffs)
             assert untagged.root is None
@@ -643,6 +645,102 @@ def test_unit_outside_the_table_compares_and_multiplies_by_value(N):
             assert w * w.inv() == uni.one and w ** 3 == u ** 3
             assert -w == -u and (w - u).is_zero()
             assert w * Scalar(uni, {}) == uni.zero
+
+
+def _assert_one_form(x):
+    """A field element equal to +-zeta^k is the tagged root, and a scalar
+    equal to a monomial unit is its table's Unit."""
+    if isinstance(x, CycloElement):
+        root = x.field.as_root(x)
+        assert root is None or x is root
+        return
+    for c in x.terms.values():
+        _assert_one_form(c)
+    unit = x.as_unit()
+    assert unit is None or x is unit
+
+
+@lru_cache(maxsize=None)
+def _s3_acting_trivially(N, nparams):
+    """S3 acting trivially over Q(zeta_N), with q formal or -1: a term on
+    a transposition averages to a third on each of the three, so the
+    orbit sum of three terms averages to three thirds on each."""
+    q = {} if nparams else {(0, 1): ("rational", -1)}
+    return build_algebra(2, N=N, q_spec=q, group_spec=(
+        "table", S3_MULT, [[(1, 0)] * 2] * len(S3_PERMS)))
+
+
+@given(N=st.sampled_from((1, 3, 4, 60)), nparams=st.sampled_from((0, 1)),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_result_has_its_one_form(N, nparams, data):
+    """Every field result equal to +-zeta^k is the tagged root, and every
+    scalar result equal to a monomial unit is the table's Unit: sums,
+    differences, products, products with a Fraction, `unit_sum` and
+    `average`, on operands that are not units but give one (3 zeta * 1/3,
+    (u + s) - s, c * c^-1, three thirds of a unit)."""
+    A = _s3_acting_trivially(N, nparams)
+    uni, field = A.uni, A.uni.field
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    sign = data.draw(st.sampled_from((1, -1)))
+    k = data.draw(st.integers(-N, N))
+    exps = tuple(data.draw(st.integers(-2, 2)) for _ in range(nparams))
+    other = tuple(data.draw(st.integers(-2, 2)) for _ in range(nparams))
+    u = uni.unit(sign=sign, zeta=k, exps=exps)
+    root = field.root(sign, k)
+    r = data.draw(st.fractions(-9, 9, max_denominator=9).filter(bool))
+    # field.element tags no root, so the drawn operands are no roots;
+    # every value built from them below is an arithmetic result
+    c, d = random_cyclo(field, rng), random_cyclo(field, rng)
+    assume(c and field.as_root(c) is None and field.as_root(d) is None)
+    m = uni.monomial(c, exps)
+    s = m * r + uni.monomial(d, other)
+    fields = [root.scale(r).scale(1 / r), (root + c) - c, c + (root - c),
+              root * c * c.inv(), c * c.inv(), (root * c).inv() * c,
+              c.scale(r) + c.scale(1 - r)]
+    scalars = [(u + s) - s, s + (u - s), u * r * (1 / r),
+               u * r + u * (1 - r), u * m * uni.monomial(c.inv(), exps),
+               m * uni.monomial(c.inv(), tuple(-a for a in exps)),
+               uni.monomial(root.scale(r), exps) * (1 / r),
+               uni.unit_sum({u.key: 2, (-u).key: 1}),
+               uni.unit_sum({u.key: 3, (-u).key: 1, uni.one.key: 0})]
+    for x in fields:
+        _assert_one_form(x)
+    assert fields[0] is fields[1] is fields[2] is fields[3] is root
+    for x in scalars:
+        _assert_one_form(x)
+    assert scalars[0] is scalars[1] is scalars[2] is scalars[3] is u
+    assert scalars[5] is uni.one and scalars[7] is u
+    alpha, beta = (0, 0), (1, 1)
+    transpositions = [g for g, p in enumerate(S3_PERMS) if perm_sign(p) < 0]
+    assert len(transpositions) == 3
+    orbit = Cochain(A, 2, {(alpha, beta, g): u for g in transpositions})
+    for coeff in (u, u * r, s):
+        mean = average(A, orbit.scale(coeff))
+        for x in mean.terms.values():
+            _assert_one_form(x)
+    assert average(A, orbit).terms == orbit.terms
+    assert all(x is u for x in average(A, orbit).terms.values())
+
+
+def test_arithmetic_converts_no_stray_operand():
+    """Scalar and Frac arithmetic takes Scalars and Fracs, and an int or a
+    Fraction only as a factor: an int, a Fraction or a field element
+    anywhere else is a TypeError.  Equality still compares an int or a
+    Fraction by value."""
+    uni = Universe(CycloField(3), ("t",))
+    s = uni.one + uni.param_unit(0)
+    zeta = uni.field.zeta
+    for op in (lambda: s + 1, lambda: 1 + s, lambda: s - Fraction(1, 2),
+               lambda: s * zeta, lambda: zeta * s, lambda: Frac.of(1),
+               lambda: Frac.of(zeta), lambda: Frac(s) + 1):
+        with pytest.raises(TypeError):
+            op()
+    assert uni.one == 1 and uni.from_rational(-2) == -2 and s != 1
+    assert uni.from_rational(Fraction(1, 2)) * 2 == 1
+    half = Frac(uni.from_rational(Fraction(1, 2)))
+    assert half == Fraction(1, 2) and half * Fraction(4) == 2
+    assert Frac(s) == s and Frac(s) - Frac(s) == 0
 
 
 def test_threads_racing_on_the_unit_table_share_one_winner():
